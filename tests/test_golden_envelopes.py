@@ -1,0 +1,30 @@
+"""Golden CLI envelopes: exact outputs must not drift across refactors.
+
+tests/golden/cli_envelopes.json holds the JSON envelope each command
+printed when the corpus was captured, with timing_ms set to 0. The CLI
+writes envelopes as json.dumps(..., sort_keys=True, indent=2), so
+re-serializing a stored envelope the same way gives the expected stdout
+byte for byte. The corpus covers seifert-certify on the five criterion-7
+spaces and algebra-closure on rational and order-8 generators.
+"""
+
+import json
+import pathlib
+import re
+
+import pytest
+
+from skeinmod import cli
+
+_CORPUS = json.loads((pathlib.Path(__file__).parent / "golden" / "cli_envelopes.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", _CORPUS, ids=["%s-%d" % (c["argv"][0], i) for i, c in enumerate(_CORPUS)]
+)
+def test_envelope_is_byte_identical(case, capsys):
+    code = cli.main(case["argv"])
+    out = capsys.readouterr().out
+    assert code == 0
+    masked = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', out)
+    assert masked == json.dumps(case["envelope"], sort_keys=True, indent=2) + "\n"
