@@ -13,6 +13,7 @@ certificate produced).
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -122,9 +123,10 @@ def _positive_int(text):
 
 
 def _cyc_to_json(value):
+    den = value.den
     return {
         "order": value.order,
-        "coords": [[c.numerator, c.denominator] for c in value.coords],
+        "coords": [[c // (g := math.gcd(c, den)), den // g] for c in value.num],
     }
 
 
@@ -136,33 +138,53 @@ def _mat_to_json(mat):
     }
 
 
+def _fraction_from_pair(pair, entry):
+    if (
+        not isinstance(pair, list)
+        or len(pair) != 2
+        or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
+    ):
+        raise ValueError(
+            "matrix entry %s: expected [numerator, denominator] integer pairs" % json.dumps(entry)
+        )
+    if pair[1] == 0:
+        raise ValueError("matrix entry %s has a zero denominator" % json.dumps(entry))
+    return Fraction(pair[0], pair[1])
+
+
 def _entry_from_json(obj):
     if isinstance(obj, bool):
         raise ValueError("matrix entries must be numbers, not booleans")
     if isinstance(obj, int):
         return CycNum.rational(Fraction(obj))
     if isinstance(obj, str):
-        return CycNum.rational(Fraction(obj))
+        try:
+            return CycNum.rational(Fraction(obj))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("matrix entry %s is not a rational number" % json.dumps(obj))
     if isinstance(obj, list) and len(obj) == 2:
-        return CycNum.rational(Fraction(obj[0], obj[1]))
+        return CycNum.rational(_fraction_from_pair(obj, obj))
     if isinstance(obj, dict):
-        order = obj["order"]
-        coords = [Fraction(n, d) for n, d in obj["coords"]]
-        return CycNum(order, coords)
+        if "order" not in obj or not isinstance(obj.get("coords"), list):
+            raise ValueError('cyclotomic entry %s needs "order" and a "coords" list' % json.dumps(obj))
+        coords = [_fraction_from_pair(pair, obj) for pair in obj["coords"]]
+        try:
+            return CycNum(obj["order"], coords)
+        except ValueError as exc:
+            raise ValueError("cyclotomic entry %s: %s" % (json.dumps(obj), exc))
     raise ValueError("unrecognized matrix entry %r" % (obj,))
 
 
 def _matrix_from_json(obj):
-    if isinstance(obj, dict) and "entries" in obj:
-        rows = obj["entries"]
-        flat = [rows[0][0], rows[0][1], rows[1][0], rows[1][1]]
-    elif isinstance(obj, list) and len(obj) == 2:
-        flat = [obj[0][0], obj[0][1], obj[1][0], obj[1][1]]
-    elif isinstance(obj, list) and len(obj) == 4:
-        flat = obj
-    else:
+    if isinstance(obj, list) and len(obj) == 4:
+        return Mat2(*(_entry_from_json(e) for e in obj))
+    rows = obj["entries"] if isinstance(obj, dict) and "entries" in obj else obj
+    if not (isinstance(rows, list) and len(rows) == 2):
         raise ValueError("expected a 2x2 matrix as [[a,b],[c,d]]")
-    return Mat2(*(_entry_from_json(e) for e in flat))
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 2):
+            raise ValueError("matrix row %s does not have two entries" % json.dumps(row))
+    return Mat2(*(_entry_from_json(e) for row in rows for e in row))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,44 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored in the power basis 1, x, ..., x^(phi(N)-1) of
-Q[x]/Phi_N(x) with Fraction coordinates. Mixed-order arithmetic lifts both
-operands to the lcm order automatically, so callers can treat roots of unity
-of different orders as living in one big field.
+An element of Q(zeta_N) is stored in the power basis 1, x, ..., x^(phi-1)
+of Q[x]/Phi_N(x) as a tuple of integer coordinates `num` over one common
+denominator `den`. The pair is canonical: den > 0 and gcd(den, *num) == 1,
+so zero is (0, ..., 0) over 1 and equal values of one order have equal
+fields. All arithmetic runs on plain Python ints: products convolve the
+integer vectors (term by term when an operand has few terms, otherwise as
+one packed big-int product by Kronecker substitution) and then fold the
+result mod Phi_N; inverses run extended Euclid on primitive integer
+remainders. Mixed-order arithmetic lifts both operands to the lcm order
+automatically, so callers can treat roots of unity of different orders as
+living in one big field.
+
+Orders above MAX_ORDER are rejected before any table is built: the power
+rows of zeta_N take phi(N) integers per row and up to N rows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 from .laurent import LaurentPoly
+
+# Above every order the tests and the benchmark workloads reach (at most
+# 924 for a certificate, 1848 once root_of_unity_with_trace lifts it to
+# lcm(924, 24)), and small enough that the row table of _zeta_rows stays
+# within a few tens of megabytes.
+MAX_ORDER = 2000
+
+
+def _check_order(n):
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"cyclotomic order must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"cyclotomic order must be positive, got {n}")
+    if n > MAX_ORDER:
+        raise ValueError(f"cyclotomic order {n} exceeds the limit {MAX_ORDER}")
 
 
 def totient(n):
@@ -50,22 +77,33 @@ def _dense_divexact(num, den):
     return out
 
 
+# n -> nonzero (j, c_j) with j < phi(n) of the monic Phi_n = x^phi + sum c_j x^j
 _CYCLO_CACHE = {}
+
+
+def _cyclo_tail(n):
+    tail = _CYCLO_CACHE.get(n)
+    if tail is None:
+        _check_order(n)
+        poly = [-1] + [0] * (n - 1) + [1]
+        # divide x^n - 1 by the cyclotomic polynomials of the proper divisors
+        for d in range(1, n):
+            if n % d == 0:
+                poly = _dense_divexact(poly, cyclotomic_poly(d))
+        tail = _CYCLO_CACHE[n] = tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
+    return tail
 
 
 def cyclotomic_poly(n):
     """Coefficients of the n-th cyclotomic polynomial, constant term first."""
     if n < 1:
         raise ValueError("cyclotomic_poly needs n >= 1")
-    if n in _CYCLO_CACHE:
-        return list(_CYCLO_CACHE[n])
-    # divide x^n - 1 by the cyclotomic polynomials of the proper divisors
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _dense_divexact(poly, cyclotomic_poly(d))
-    _CYCLO_CACHE[n] = tuple(poly)
-    return list(poly)
+    tail = _cyclo_tail(n)
+    poly = [0] * (totient(n) + 1)
+    poly[-1] = 1
+    for j, c in tail:
+        poly[j] = c
+    return poly
 
 
 _ROW_CACHE = {}
@@ -73,74 +111,223 @@ _ROW_CACHE = {}
 
 def _zeta_rows(n, upto):
     """Integer coordinate rows of x^k mod Phi_n for k = 0..upto."""
-    phi = totient(n)
-    cached = _ROW_CACHE.get(n)
-    if cached is None:
-        cached = [tuple(1 if j == k else 0 for j in range(phi)) for k in range(phi)]
-        _ROW_CACHE[n] = cached
-    if phi == 0:
-        raise ValueError("empty basis")
-    cyc = cyclotomic_poly(n)
-    while len(cached) <= upto:
-        prev = cached[-1]
-        shifted = [0] + list(prev[:-1])
-        t = prev[-1]
-        if t:
-            # x^phi = -(c_0 + ... + c_{phi-1} x^{phi-1})
-            for j in range(phi):
-                shifted[j] -= t * cyc[j]
-        cached.append(tuple(shifted))
-    return cached
+    rows = _ROW_CACHE.get(n)
+    if rows is None:
+        _check_order(n)
+        phi = totient(n)
+        rows = _ROW_CACHE[n] = [tuple(1 if j == k else 0 for j in range(phi)) for k in range(phi)]
+    if len(rows) <= upto:
+        tail = _cyclo_tail(n)
+        while len(rows) <= upto:
+            prev = rows[-1]
+            shifted = [0, *prev[:-1]]
+            t = prev[-1]
+            if t:
+                # x^phi = -(c_0 + ... + c_{phi-1} x^{phi-1})
+                for j, c in tail:
+                    shifted[j] -= t * c
+            rows.append(tuple(shifted))
+    return rows
 
 
-def _reduce_int_vec(n, vec):
-    """Fold an integer coefficient vector into the power basis mod Phi_n."""
-    phi = totient(n)
-    cyc = cyclotomic_poly(n)
-    for k in range(len(vec) - 1, phi - 1, -1):
-        t = vec[k]
-        if t:
-            vec[k] = 0
-            base = k - phi
-            for j in range(phi):
-                if cyc[j]:
-                    vec[base + j] -= t * cyc[j]
-    return vec[:phi] + [0] * (phi - len(vec)) if len(vec) < phi else vec[:phi]
+# ---------------------------------------------------------------------------
+# integer polynomial kernels; vectors are constant-first lists or tuples
+
+
+def _pack(vec, width):
+    """vec evaluated at x = 2^width, as one (signed) Python int."""
+    packed = 0
+    for c in reversed(vec):
+        packed = (packed << width) + c
+    return packed
+
+
+def _unpack(packed, nbytes, count):
+    """Inverse of _pack at width 8 * nbytes, for `count` digits that each
+    lie strictly between -2^(width-1) and 2^(width-1)."""
+    width = 8 * nbytes
+    half = 1 << (width - 1)
+    # adding half to every digit makes each one nonnegative, so the bytes
+    # of the sum split into the digits with no borrows between them
+    packed += half * (((1 << (width * count)) - 1) // ((1 << width) - 1))
+    raw = packed.to_bytes(nbytes * count, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, len(raw), nbytes)]
+
+
+def _convolve(u, v):
+    """Integer polynomial product u * v as a list of length len(u) + len(v) - 1."""
+    terms_u = len(u) - u.count(0)
+    terms_v = len(v) - v.count(0)
+    # Term-by-term costs one Python step per pair of nonzero terms; the
+    # packed product costs a few per coefficient of u, v and the result.
+    if terms_u * terms_v <= 2 * (len(u) + len(v)):
+        conv = [0] * (len(u) + len(v) - 1)
+        if not terms_u or not terms_v:
+            return conv
+        v_terms = [(j, y) for j, y in enumerate(v) if y]
+        for i, x in enumerate(u):
+            if x:
+                for j, y in v_terms:
+                    conv[i + j] += x * y
+        return conv
+    # Kronecker substitution: a coefficient of the product sums at most
+    # min(terms) products, so |coefficient| <= bound, and one more bit for
+    # the sign keeps the digits of the packed product apart.
+    bound = max(map(abs, u)) * max(map(abs, v)) * min(terms_u, terms_v)
+    nbytes = (bound.bit_length() + 8) // 8
+    width = 8 * nbytes
+    return _unpack(_pack(u, width) * _pack(v, width), nbytes, len(u) + len(v) - 1)
+
+
+def _fold(n, vec, phi):
+    """Reduce an integer coefficient list mod Phi_n in place; returns it cut to phi."""
+    if len(vec) > phi:
+        tail = _cyclo_tail(n)
+        for k in range(len(vec) - 1, phi - 1, -1):
+            t = vec[k]
+            if t:
+                base = k - phi
+                for j, c in tail:
+                    vec[base + j] -= t * c
+        del vec[phi:]
+    return vec
+
+
+def _trim(poly):
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _inverse_mod(n, vec):
+    """(t, c) with vec * t == c mod Phi_n: t an integer vector, c a nonzero int.
+
+    Extended Euclid on primitive integer remainders. Each remainder r_i
+    carries a cofactor t_i / e_i (integer vector, positive scalar) with
+    r_i == (t_i / e_i) * vec mod Phi_n, kept in lowest terms so that only
+    the true rational cofactor's size is ever stored.
+    """
+    r0 = cyclotomic_poly(n)
+    r1 = _trim(list(vec))
+    content = math.gcd(*r1)
+    r1 = [c // content for c in r1]
+    t0, e0 = [], 1
+    t1, e1 = [1], content  # r1 == vec / content
+    while len(r1) > 1:
+        # pseudo-division: mult * r0 == q * r1 + rem
+        lc = r1[-1]
+        size = len(r1)
+        rem = list(r0)
+        q = [0] * (len(rem) - size + 1)
+        mult = 1
+        while len(rem) >= size:
+            lead = rem[-1]
+            g = math.gcd(lead, lc)
+            a, b = lc // g, lead // g
+            if a != 1:
+                rem = [a * x for x in rem]
+                q = [a * x for x in q]
+                mult *= a
+            shift = len(rem) - size
+            q[shift] += b
+            for i, y in enumerate(r1, shift):
+                rem[i] -= b * y
+            rem.pop()
+            _trim(rem)
+        if not rem:
+            raise ArithmeticError("cyclotomic polynomial not coprime to element")
+        g = math.gcd(*rem)
+        rem = [x // g for x in rem]
+        # rem == (mult * t0 / e0 - q * t1 / e1) / g * vec
+        common = math.lcm(e0, e1)
+        s0, s1 = mult * (common // e0), common // e1
+        qt = _convolve(q, t1) if t1 else []
+        size = max(len(t0), len(qt))
+        t2 = [0] * size
+        for i, x in enumerate(t0):
+            t2[i] = s0 * x
+        for i, x in enumerate(qt):
+            t2[i] -= s1 * x
+        e2 = common * g
+        h = math.gcd(e2, *t2)
+        if h != 1:
+            e2 //= h
+            t2 = [x // h for x in t2]
+        r0, r1 = r1, rem
+        t0, e0, t1, e1 = t1, e1, _trim(t2), e2
+    # r1 == [c] == (t1 / e1) * vec
+    return t1, r1[0] * e1
+
+
+# ---------------------------------------------------------------------------
+
+
+def _make(order, num, den):
+    """CycNum from a canonical (num tuple, den) pair, unchecked."""
+    x = object.__new__(CycNum)
+    x.order = order
+    x.num = num
+    x.den = den
+    return x
+
+
+def _canonical(order, num, den):
+    """CycNum from an integer vector over a nonzero integer denominator."""
+    if den < 0:
+        den = -den
+        num = [-c for c in num]
+    g = math.gcd(den, *num) if den != 1 else 1
+    if g != 1:
+        den //= g
+        num = [c // g for c in num]
+    return _make(order, tuple(num), den)
 
 
 class CycNum:
-    """Element of Q(zeta_order) in the power basis. Deliberately unhashable:
-    equal values can carry different orders, so identity-based hashing would
-    be a trap."""
+    """Element of Q(zeta_order) in the power basis, as integer coordinates
+    `num` over one positive denominator `den` with gcd(den, *num) == 1.
+    Deliberately unhashable: equal values can carry different orders, so
+    identity-based hashing would be a trap."""
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order, coords):
+        _check_order(order)
         phi = totient(order)
         coords = [Fraction(c) for c in coords]
         if len(coords) != phi:
             raise ValueError(f"order {order} needs {phi} coordinates, got {len(coords)}")
+        # the lcm of the reduced denominators leaves no common factor
+        den = math.lcm(*[c.denominator for c in coords])
         self.order = order
-        self.coords = tuple(coords)
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+
+    @property
+    def coords(self):
+        """Coordinates in the power basis, as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     @classmethod
     def rational(cls, q):
-        return cls(1, [Fraction(q)])
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @classmethod
     def zero(cls):
-        return cls(1, [0])
+        return _make(1, (0,), 1)
 
     @classmethod
     def one(cls):
-        return cls(1, [1])
+        return _make(1, (1,), 1)
 
     @property
     def is_zero(self):
-        return not any(self.coords)
+        return not any(self.num)
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     __hash__ = None
 
@@ -151,22 +338,27 @@ class CycNum:
         if m % self.order:
             raise ValueError("can only lift to a multiple of the order")
         step = m // self.order
-        phi = totient(m)
-        rows = _zeta_rows(m, (len(self.coords) - 1) * step)
-        out = [Fraction(0)] * phi
-        for j, c in enumerate(self.coords):
+        rows = _zeta_rows(m, (len(self.num) - 1) * step)
+        phi = len(rows[0])
+        out = [0] * phi
+        for j, c in enumerate(self.num):
             if c:
-                row = rows[j * step]
-                for idx in range(phi):
-                    if row[idx]:
-                        out[idx] += c * row[idx]
-        return CycNum(m, out)
+                k = j * step
+                if k < phi:
+                    out[k] += c
+                else:
+                    for idx, r in enumerate(rows[k]):
+                        if r:
+                            out[idx] += c * r
+        # Z[zeta_m] meets Q(zeta_order) in Z[zeta_order], so the lifted
+        # vector shares no factor with den that num did not: still canonical
+        return _make(m, tuple(out), self.den)
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNum.rational(other)
         if not isinstance(other, CycNum):
-            return None, None
+            if not isinstance(other, (int, Fraction)):
+                return None, None
+            other = CycNum.rational(other)
         if self.order == other.order:
             return self, other
         m = math.lcm(self.order, other.order)
@@ -176,24 +368,32 @@ class CycNum:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return a.coords == b.coords
+        return a.den == b.den and a.num == b.num
 
     def __neg__(self):
-        return CycNum(self.order, [-c for c in self.coords])
+        return _make(self.order, tuple(map(neg, self.num)), self.den)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return CycNum(a.order, [x + y for x, y in zip(a.coords, b.coords)])
+        da, db = a.den, b.den
+        if da == db:
+            if da == 1:
+                return _make(a.order, tuple(map(op, a.num, b.num)), 1)
+            return _canonical(a.order, list(map(op, a.num, b.num)), da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        num = map(op, map(mul, a.num, repeat(fa)), map(mul, b.num, repeat(fb)))
+        return _canonical(a.order, list(num), da * fa)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return CycNum(a.order, [x - y for x, y in zip(a.coords, b.coords)])
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         a, b = self._pair(other)
@@ -202,26 +402,24 @@ class CycNum:
         return b - a
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycNum) and isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CycNum(self.order, [c * q for c in self.coords])
+            return _canonical(
+                self.order, list(map(mul, self.num, repeat(q.numerator))), self.den * q.denominator
+            )
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        # scale to integer vectors, convolve, reduce, scale back
-        d1 = math.lcm(*[c.denominator for c in a.coords]) if a.coords else 1
-        d2 = math.lcm(*[c.denominator for c in b.coords]) if b.coords else 1
-        v1 = [int(c * d1) for c in a.coords]
-        v2 = [int(c * d2) for c in b.coords]
-        conv = [0] * (len(v1) + len(v2) - 1)
-        for i, x in enumerate(v1):
-            if x:
-                for j, y in enumerate(v2):
-                    if y:
-                        conv[i + j] += x * y
-        reduced = _reduce_int_vec(a.order, conv)
-        scale = d1 * d2
-        return CycNum(a.order, [Fraction(v, scale) for v in reduced])
+        den = a.den * b.den
+        if a.order == 1:
+            n = a.num[0] * b.num[0]
+            g = math.gcd(n, den)
+            return _make(1, (n // g,), den // g)
+        u, v = a.num, b.num
+        num = _fold(a.order, _convolve(u, v), len(u))
+        if den == 1:
+            return _make(a.order, tuple(num), 1)
+        return _canonical(a.order, num, den)
 
     __rmul__ = __mul__
 
@@ -229,57 +427,23 @@ class CycNum:
         """Field inverse via extended Euclid against Phi_order."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi_poly = [Fraction(c) for c in cyclotomic_poly(self.order)]
-        old_r, r = phi_poly, list(self.coords)
-        old_t, t = [Fraction(0)], [Fraction(1)]
-
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        trim(old_r)
-        trim(r)
-        while r:
-            # quotient and remainder of old_r by r
-            q = [Fraction(0)] * (len(old_r) - len(r) + 1) if len(old_r) >= len(r) else []
-            rem = list(old_r)
-            while len(rem) >= len(r):
-                factor = rem[-1] / r[-1]
-                shift = len(rem) - len(r)
-                q[shift] = factor
-                for i, rv in enumerate(r):
-                    rem[shift + i] -= factor * rv
-                trim(rem)
-                if not rem:
-                    break
-            new_t = list(old_t)
-            # new_t = old_t - q*t
-            prod = [Fraction(0)] * (len(q) + len(t) - 1) if q and t else []
-            for i, qv in enumerate(q):
-                if qv:
-                    for j, tv in enumerate(t):
-                        prod[i + j] += qv * tv
-            size = max(len(new_t), len(prod))
-            new_t += [Fraction(0)] * (size - len(new_t))
-            for i, pv in enumerate(prod):
-                new_t[i] -= pv
-            old_r, r = r, rem
-            old_t, t = t, trim(new_t)
-        if len(old_r) != 1:
-            raise ArithmeticError("cyclotomic polynomial not coprime to element")
-        c = old_r[0]
-        inv = [tv / c for tv in old_t]
-        phi = totient(self.order)
-        inv += [Fraction(0)] * (phi - len(inv))
-        return CycNum(self.order, inv[:phi])
+        if self.order == 1:
+            n = self.num[0]
+            return _make(1, (self.den if n > 0 else -self.den,), abs(n))
+        t, c = _inverse_mod(self.order, self.num)
+        # (num / den)^-1 == den * t / c
+        phi = len(self.num)
+        num = [self.den * x for x in t] + [0] * (phi - len(t))
+        return _canonical(self.order, num, c)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             if not q:
                 raise ZeroDivisionError
-            return CycNum(self.order, [c / q for c in self.coords])
+            return _canonical(
+                self.order, list(map(mul, self.num, repeat(q.denominator))), self.den * q.numerator
+            )
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -307,19 +471,20 @@ class CycNum:
 
     @property
     def is_rational(self):
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self):
         if not self.is_rational:
             raise ValueError("not a rational value")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def __str__(self):
+        coords = self.coords
         if self.is_rational:
-            f = self.coords[0]
+            f = coords[0]
             return str(f.numerator) if f.denominator == 1 else str(f)
         terms = []
-        for j, c in enumerate(self.coords):
+        for j, c in enumerate(coords):
             if c:
                 terms.append(f"{c}*z{self.order}^{j}" if j else str(c))
         return " + ".join(terms)
@@ -330,28 +495,24 @@ class CycNum:
 
 def root_of_unity(n, k=1):
     """zeta_n^k as a CycNum of order n."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    _check_order(n)
     k %= n
-    phi = totient(n)
-    row = _zeta_rows(n, k)[k]
-    return CycNum(n, list(row[:phi]))
+    return _make(n, _zeta_rows(n, k)[k], 1)
 
 
 def laurent_eval(p, n, k=1):
     """Evaluate an integer Laurent polynomial at A = zeta_n^k, exactly."""
     if not isinstance(p, LaurentPoly):
         raise TypeError("expected a LaurentPoly")
-    phi = totient(n)
-    acc = [Fraction(0)] * phi
+    _check_order(n)
     needed = {(e * k) % n for e, _ in p.items()}
     rows = _zeta_rows(n, max(needed, default=0))
+    acc = [0] * len(rows[0])
     for e, v in p.items():
-        row = rows[(e * k) % n]
-        for idx in range(phi):
-            if row[idx]:
-                acc[idx] += v * row[idx]
-    return CycNum(n, acc)
+        for idx, r in enumerate(rows[(e * k) % n]):
+            if r:
+                acc[idx] += v * r
+    return _make(n, tuple(acc), 1)
 
 
 def _squarefree_decompose(m):
@@ -415,23 +576,20 @@ def root_of_unity_with_trace(x, extra_orders=(1, 4, 8, 12, 24)):
     """
     if isinstance(x, (int, Fraction)):
         x = CycNum.rational(x)
+    if x.den != 1:
+        # a trace of a root of unity is an algebraic integer
+        return None
     seen = set()
     for mult in extra_orders:
         m = math.lcm(x.order, mult)
         if m in seen:
             continue
         seen.add(m)
-        lifted = x.lift(m)
-        phi = totient(m)
+        target = x.lift(m).num
         rows = _zeta_rows(m, m - 1)
         for k in range(m):
             row_k = rows[k]
             row_nk = rows[(m - k) % m]
-            ok = True
-            for idx in range(phi):
-                if lifted.coords[idx] != row_k[idx] + row_nk[idx]:
-                    ok = False
-                    break
-            if ok:
+            if all(t == a + b for t, a, b in zip(target, row_k, row_nk)):
                 return m, k
     return None

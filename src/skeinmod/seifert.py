@@ -265,17 +265,20 @@ class Representation:
         return {
             "order": self.order,
             "images": {
-                sym: [
-                    [[c.numerator, c.denominator] for c in entry.coords]
-                    for entry in m.entries
-                ]
+                sym: [_coord_pairs(entry) for entry in m.entries]
                 for sym, m in self.images.items()
             },
         }
 
 
+def _coord_pairs(x):
+    """Coordinates of x as reduced [numerator, denominator] pairs."""
+    den = x.den
+    return [[c // (g := gcd(c, den)), den // g] for c in x.num]
+
+
 def _cyc_dict(x):
-    return {"order": x.order, "coords": [[c.numerator, c.denominator] for c in x.coords]}
+    return {"order": x.order, "coords": _coord_pairs(x)}
 
 
 class TorsionCertificate:

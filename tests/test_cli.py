@@ -222,3 +222,34 @@ def test_cached_text_rendering(capsys, tmp_path):
     # and the same key serves the json view of the stored envelope
     _, out3, _ = run(capsys, *args[:-2], "--json", "--cache-dir", cache)
     assert json.loads(out3)["result"]["text"] == out1.strip()
+
+
+# ---------------------------------------------------------------------------
+# malformed cyclotomic matrix entries: exit 1 with the entry named, no traceback
+
+
+def _bad_gen(capsys, gen):
+    code, out, err = run(capsys, "algebra-closure", "--gen", gen)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    return err
+
+
+def test_gen_entry_without_order(capsys):
+    err = _bad_gen(capsys, '[[{"coords": [[1, 1]]}, 0], [0, 1]]')
+    assert '{"coords": [[1, 1]]}' in err and '"order"' in err
+
+
+def test_gen_rational_pair_with_zero_denominator(capsys):
+    err = _bad_gen(capsys, "[[[1, 0], 0], [0, 1]]")
+    assert "[1, 0] has a zero denominator" in err
+
+
+def test_gen_cyclotomic_coordinate_with_zero_denominator(capsys):
+    err = _bad_gen(capsys, '[[{"order": 1, "coords": [[1, 0]]}, 0], [0, 1]]')
+    assert '{"order": 1, "coords": [[1, 0]]} has a zero denominator' in err
+
+
+def test_gen_ragged_rows(capsys):
+    err = _bad_gen(capsys, "[[1, 2], [3]]")
+    assert "row [3]" in err
