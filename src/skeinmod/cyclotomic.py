@@ -12,8 +12,10 @@ remainders. Mixed-order arithmetic lifts both operands to the lcm order
 automatically, so callers can treat roots of unity of different orders as
 living in one big field.
 
-Orders above MAX_ORDER are rejected before any table is built: the power
-rows of zeta_N take phi(N) integers per row and up to N rows.
+A CycNum or root of unity asked for at an order above MAX_ORDER is
+rejected before any table is built: the power rows of zeta_N hold phi(N)
+integers each, phi(N) rows to start with and up to N rows once traces are
+scanned. Orders that arithmetic reaches by lifting are not capped.
 """
 
 from __future__ import annotations
@@ -21,15 +23,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul, neg, sub
+from operator import add, floordiv, mul, neg, sub
 
 from .laurent import LaurentPoly
 
-# Above every order the tests and the benchmark workloads reach (at most
-# 924 for a certificate, 1848 once root_of_unity_with_trace lifts it to
-# lcm(924, 24)), and small enough that the row table of _zeta_rows stays
-# within a few tens of megabytes.
-MAX_ORDER = 2000
+# Above every order a certificate asks for: the largest certificate field
+# in use is order 924, root_of_unity_with_trace lifts it to lcm(924, 24) =
+# 1848, and a square root of a trace lives at twice that order, 3696.
+MAX_ORDER = 4096
 
 
 def _check_order(n):
@@ -84,7 +85,6 @@ _CYCLO_CACHE = {}
 def _cyclo_tail(n):
     tail = _CYCLO_CACHE.get(n)
     if tail is None:
-        _check_order(n)
         poly = [-1] + [0] * (n - 1) + [1]
         # divide x^n - 1 by the cyclotomic polynomials of the proper divisors
         for d in range(1, n):
@@ -113,7 +113,6 @@ def _zeta_rows(n, upto):
     """Integer coordinate rows of x^k mod Phi_n for k = 0..upto."""
     rows = _ROW_CACHE.get(n)
     if rows is None:
-        _check_order(n)
         phi = totient(n)
         rows = _ROW_CACHE[n] = [tuple(1 if j == k else 0 for j in range(phi)) for k in range(phi)]
     if len(rows) <= upto:
@@ -210,7 +209,7 @@ def _inverse_mod(n, vec):
     r0 = cyclotomic_poly(n)
     r1 = _trim(list(vec))
     content = math.gcd(*r1)
-    r1 = [c // content for c in r1]
+    r1 = list(map(floordiv, r1, repeat(content)))
     t0, e0 = [], 1
     t1, e1 = [1], content  # r1 == vec / content
     while len(r1) > 1:
@@ -221,38 +220,32 @@ def _inverse_mod(n, vec):
         q = [0] * (len(rem) - size + 1)
         mult = 1
         while len(rem) >= size:
-            lead = rem[-1]
-            g = math.gcd(lead, lc)
-            a, b = lc // g, lead // g
+            g = math.gcd(rem[-1], lc)
+            a, b = lc // g, rem[-1] // g
             if a != 1:
-                rem = [a * x for x in rem]
-                q = [a * x for x in q]
+                rem = list(map(mul, rem, repeat(a)))
+                q = list(map(mul, q, repeat(a)))
                 mult *= a
             shift = len(rem) - size
             q[shift] += b
-            for i, y in enumerate(r1, shift):
-                rem[i] -= b * y
+            rem[shift:] = map(sub, rem[shift:], map(mul, r1, repeat(b)))
             rem.pop()
             _trim(rem)
         if not rem:
             raise ArithmeticError("cyclotomic polynomial not coprime to element")
         g = math.gcd(*rem)
-        rem = [x // g for x in rem]
+        rem = list(map(floordiv, rem, repeat(g)))
         # rem == (mult * t0 / e0 - q * t1 / e1) / g * vec
         common = math.lcm(e0, e1)
-        s0, s1 = mult * (common // e0), common // e1
-        qt = _convolve(q, t1) if t1 else []
-        size = max(len(t0), len(qt))
-        t2 = [0] * size
-        for i, x in enumerate(t0):
-            t2[i] = s0 * x
-        for i, x in enumerate(qt):
-            t2[i] -= s1 * x
+        qt = _convolve(q, t1)
+        t2 = list(map(mul, t0, repeat(mult * (common // e0))))
+        t2 += [0] * (len(qt) - len(t2))
+        t2[: len(qt)] = map(sub, t2, map(mul, qt, repeat(common // e1)))
         e2 = common * g
         h = math.gcd(e2, *t2)
         if h != 1:
             e2 //= h
-            t2 = [x // h for x in t2]
+            t2 = list(map(floordiv, t2, repeat(h)))
         r0, r1 = r1, rem
         t0, e0, t1, e1 = t1, e1, _trim(t2), e2
     # r1 == [c] == (t1 / e1) * vec
@@ -379,8 +372,6 @@ class CycNum:
             return NotImplemented
         da, db = a.den, b.den
         if da == db:
-            if da == 1:
-                return _make(a.order, tuple(map(op, a.num, b.num)), 1)
             return _canonical(a.order, list(map(op, a.num, b.num)), da)
         g = math.gcd(da, db)
         fa, fb = db // g, da // g
@@ -415,11 +406,7 @@ class CycNum:
             n = a.num[0] * b.num[0]
             g = math.gcd(n, den)
             return _make(1, (n // g,), den // g)
-        u, v = a.num, b.num
-        num = _fold(a.order, _convolve(u, v), len(u))
-        if den == 1:
-            return _make(a.order, tuple(num), 1)
-        return _canonical(a.order, num, den)
+        return _canonical(a.order, _fold(a.order, _convolve(a.num, b.num), len(a.num)), den)
 
     __rmul__ = __mul__
 

@@ -305,10 +305,6 @@ def test_order_cap_rejects_before_allocating():
             root_of_unity(huge, 1)
         with pytest.raises(ValueError, match="exceeds the limit"):
             laurent_eval(LaurentPoly.A(1), huge)
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            cyclotomic_poly(huge)
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            root_of_unity(4).lift(4 * huge)
         gen = json.dumps([[{"order": huge, "coords": [[1, 1]]}, 0], [0, 1]])
         assert cli.main(["algebra-closure", "--gen", gen]) == 1
     assert set(cyclotomic._ROW_CACHE) == rows
