@@ -28,8 +28,9 @@ from operator import add, floordiv, mul, neg, sub
 from .laurent import LaurentPoly
 
 # Above every order a certificate asks for: the largest certificate field
-# in use is order 924, root_of_unity_with_trace lifts it to lcm(924, 24) =
-# 1848, and a square root of a trace lives at twice that order, 3696.
+# that the tests, the benchmark and the documented CLI runs use is order
+# 924, root_of_unity_with_trace lifts it to lcm(924, 24) = 1848, and a
+# square root of a trace lives at twice that order, 3696.
 MAX_ORDER = 4096
 
 
