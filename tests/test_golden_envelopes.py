@@ -5,7 +5,10 @@ printed when the corpus was captured, with timing_ms set to 0. The CLI
 writes envelopes as json.dumps(..., sort_keys=True, indent=2), so
 re-serializing a stored envelope the same way gives the expected stdout
 byte for byte. The corpus covers seifert-certify on the five criterion-7
-spaces and algebra-closure on rational and order-8 generators.
+spaces, algebra-closure on rational and order-8 generators, and f12-reduce
+on multi-step elements for each benchmark slope. A case with a "stderr"
+field also pins what the command wrote to stderr, which for f12-reduce is
+the `step: rewrote ...` log in rewrite order.
 """
 
 import json
@@ -24,7 +27,10 @@ _CORPUS = json.loads((pathlib.Path(__file__).parent / "golden" / "cli_envelopes.
 )
 def test_envelope_is_byte_identical(case, capsys):
     code = cli.main(case["argv"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert code == 0
+    if "stderr" in case:
+        assert captured.err == case["stderr"]
     masked = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', out)
     assert masked == json.dumps(case["envelope"], sort_keys=True, indent=2) + "\n"
