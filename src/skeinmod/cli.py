@@ -11,11 +11,13 @@ certificate produced).
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -229,14 +231,18 @@ def _cache_load(cdir, key):
 def _cache_store(cdir, key, raw):
     if not cdir:
         return
+    tmp = None
     try:
         os.makedirs(cdir, exist_ok=True)
-        path = os.path.join(cdir, key + ".json")
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
+        # a temp name of its own per writer, so concurrent stores never share one
+        fd, tmp = tempfile.mkstemp(dir=cdir, prefix=key, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
             fh.write(raw)
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.join(cdir, key + ".json"))
     except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         print("warning: could not write cache entry (%s)" % exc, file=sys.stderr)
 
 

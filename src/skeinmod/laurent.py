@@ -32,6 +32,13 @@ class LaurentPoly:
         self._c = c
 
     @classmethod
+    def _wrap(cls, c):
+        """Adopt a dict that is already canonical: int keys, nonzero int values."""
+        p = object.__new__(cls)
+        p._c = c
+        return p
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -50,7 +57,9 @@ class LaurentPoly:
     @classmethod
     def A(cls, exp=1):
         """The monomial A^exp."""
-        return cls({exp: 1})
+        if not isinstance(exp, int):
+            raise TypeError("exponents and coefficients must be int")
+        return cls._wrap({exp: 1})
 
     def items(self):
         return self._c.items()
@@ -94,7 +103,7 @@ class LaurentPoly:
         return g
 
     def __neg__(self):
-        return LaurentPoly({e: -v for e, v in self._c.items()})
+        return LaurentPoly._wrap({e: -v for e, v in self._c.items()})
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -114,7 +123,7 @@ class LaurentPoly:
                 c[e] = s
             else:
                 c.pop(e, None)
-        return LaurentPoly(c)
+        return LaurentPoly._wrap(c)
 
     __radd__ = __add__
 
@@ -143,7 +152,7 @@ class LaurentPoly:
                     c[e] = s
                 else:
                     c.pop(e, None)
-        return LaurentPoly(c)
+        return LaurentPoly._wrap(c)
 
     __rmul__ = __mul__
 

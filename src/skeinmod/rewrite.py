@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
 
 from .laurent import LaurentPoly, parse_laurent, parse_laurent_fraction
@@ -246,6 +247,19 @@ _TERM_TAIL = re.compile(
 )
 
 
+def _strip_enclosing_parens(text):
+    # drop one parenthesis pair only when it wraps all of text: "(A + 1)"
+    # and "((1)/(A + 1))" lose it, "(1)/(A + 1)" keeps both of its pairs
+    if not (text.startswith("(") and text.endswith(")")):
+        return text
+    depth = 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            return text[1:-1].strip() if i == len(text) - 1 else text
+    return text
+
+
 def parse_module_element(text):
     """Inverse of format_module_element; accepts `coeff*(a,b,c,d)*gen` summands."""
     text = text.strip()
@@ -259,9 +273,7 @@ def parse_module_element(text):
         label = tuple(int(m.group(i)) for i in range(1, 5))
         gen = m.group(5)
         head = chunk[: m.start()].strip()
-        head = head.rstrip("*").strip()
-        if head.startswith("(") and head.endswith(")") and "(" not in head[1:-1]:
-            head = head[1:-1].strip()
+        head = _strip_enclosing_parens(head.rstrip("*").strip())
         if not head:
             coeff = LaurentPoly.from_int(1)
         else:
@@ -423,32 +435,44 @@ def normalize(e, slopes, max_steps=100000, log=None):
 
     The term of maximal complexity goes first; ties choose the
     lexicographically smallest label, then the generator order e, x1, x2.
+    Reducible terms wait in a min-heap on the integer key
+    (-(c1*a2 + c2*a1), c1, label, generator rank): scaling the measure
+    (c1/a1 + c2/a2, -c1) by a1*a2 > 0 keeps its order, so the heap pops
+    the same terms in the same order as a scan for the maximum would.
+    A term is pushed when it appears in the sum; an entry whose term has
+    since cancelled is skipped when popped. Every rewrite output is
+    strictly below the term it replaces, so a popped key never returns.
     A step log (label, gen, term count) is appended to `log` if given.
     Raises StepBudgetExceeded carrying the partial element if max_steps
     rewrites do not finish, which the descent argument rules out for any
     honest budget.
     """
     terms = dict(ModuleElement(dict(e.terms)).terms)
+    a1, b1, a2, b2 = slopes.a1, slopes.b1, slopes.a2, slopes.b2
+    box1, box2 = 2 * (a1 - b1), 2 * a2
+    heap = []
+
+    def push(label, gen):
+        # the is_reduced_label box test and the scaled complexity, on ints
+        a, b, c, d = label
+        c1 = abs(a1 * b - b1 * a)
+        c2 = abs(a2 * d - b2 * c)
+        if c1 > box1 or c2 > box2:
+            heappush(heap, (-(c1 * a2 + c2 * a1), c1, label, _GEN_RANK[gen]))
+
+    for label, gen in terms:
+        push(label, gen)
     steps = 0
-    while True:
-        pick = None
-        pick_key = None
-        for (label, gen) in terms:
-            if is_reduced_label(label, slopes):
-                continue
-            cx = complexity(label, slopes)
-            key = (cx, tuple(-t for t in label), -_GEN_RANK[gen])
-            if pick_key is None or key > pick_key:
-                pick_key = key
-                pick = (label, gen)
-        if pick is None:
-            break
+    while heap:
+        entry = heappop(heap)
+        label, gen = pick = (entry[2], GENS[entry[3]])
+        if pick not in terms:
+            continue
         if steps >= max_steps:
             out = ModuleElement.__new__(ModuleElement)
             out.terms = terms
             raise StepBudgetExceeded(f"no normal form within {max_steps} steps", out)
         steps += 1
-        label, gen = pick
         coeff = terms.pop(pick)
         for part, lab, g in reduce_step(label, gen, slopes):
             key = (lab, g)
@@ -461,6 +485,7 @@ def normalize(e, slopes, max_steps=100000, log=None):
                     terms[key] = s
             else:
                 terms[key] = add
+                push(lab, g)
         if log is not None:
             log.append((label, gen, len(terms)))
     out = ModuleElement.__new__(ModuleElement)

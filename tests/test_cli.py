@@ -3,6 +3,7 @@
 import json
 
 from skeinmod import cli
+from skeinmod.rewrite import SlopeData, normalize, parse_module_element
 from skeinmod.seifert import SeifertData, homology
 from skeinmod.torus import fg_multiply, format_fg, parse_fg
 
@@ -54,6 +55,20 @@ def test_f12_reduce_text_and_log(capsys):
     assert code == 0
     assert out == "- (0,0,0,1)*e + 2*(0,1,0,2)*e\n"
     assert "step: rewrote" in err
+
+
+def test_f12_reduce_fractional_output_reparses(capsys):
+    args = ("f12-reduce", "--slopes", "1,-2,1,1")
+    code, out, _ = run(capsys, *args, "--element", "(1)/(1 + A)*(0,0,0,3)*e")
+    assert code == 0
+    assert out == "((-1)/(A + 1))*(0,0,0,1)*e + ((2)/(A + 1))*(0,1,0,2)*e\n"
+    element = parse_module_element(out)
+    assert element == normalize(
+        parse_module_element("(1)/(1 + A)*(0,0,0,3)*e"), SlopeData(1, -2, 1, 1)
+    )
+    # the printed normal form is accepted back as input and is already reduced
+    code, again, err = run(capsys, *args, "--element", out.strip())
+    assert code == 0 and again == out and "step:" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +196,33 @@ def test_cache_replay_is_byte_identical(capsys, tmp_path):
     assert out1 == out2
     files = list(tmp_path.iterdir())
     assert len(files) == 1 and files[0].suffix == ".json"
+
+
+def test_repeated_store_leaves_one_entry_and_no_temp(tmp_path):
+    cache = tmp_path / "cache"
+    cli._cache_store(str(cache), "k" * 64, b"first\n")
+    cli._cache_store(str(cache), "k" * 64, b"second\n")
+    assert [f.name for f in cache.iterdir()] == ["k" * 64 + ".json"]
+    assert (cache / ("k" * 64 + ".json")).read_bytes() == b"second\n"
+
+
+def test_store_leaves_another_writers_temp_alone(tmp_path):
+    # a second writer mid-store holds its own temp file; ours must not touch it
+    other = tmp_path / ("k" * 64 + ".json.tmp")
+    other.write_bytes(b"in flight\n")
+    cli._cache_store(str(tmp_path), "k" * 64, b"mine\n")
+    assert other.read_bytes() == b"in flight\n"
+    assert (tmp_path / ("k" * 64 + ".json")).read_bytes() == b"mine\n"
+
+
+def test_failed_store_removes_its_temp(capsys, tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    cli._cache_store(str(tmp_path), "k" * 64, b"data\n")
+    assert list(tmp_path.iterdir()) == []
+    assert "could not write cache entry" in capsys.readouterr().err
 
 
 def test_cache_key_depends_on_inputs_and_version(monkeypatch):

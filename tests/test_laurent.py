@@ -80,6 +80,31 @@ def test_shift_is_monomial_multiplication(p, k):
     assert p.shift(k) == p * A(k)
 
 
+def _rebuilt(p):
+    # the same coefficients pushed through the checking public constructor
+    return LaurentPoly(dict(p.items()))
+
+
+_raw_dicts = st.dictionaries(st.integers(-6, 6), st.integers(-3, 3), max_size=6)
+
+
+@given(_raw_dicts, _raw_dicts, st.integers(-8, 8))
+def test_arithmetic_results_are_canonical(d1, d2, k):
+    # +, *, - and A(k) build their results without the constructor's checks;
+    # they must still never store a zero and must match a checked rebuild
+    p, q = LaurentPoly(d1), LaurentPoly(d2)
+    for r in (p + q, p - q, p * q, -p, A(k), p * A(k), p + 0, 0 + p, p * 3):
+        assert all(isinstance(e, int) and isinstance(v, int) and v for e, v in r.items())
+        assert r == _rebuilt(r)
+        assert dict(r.items()) == dict(_rebuilt(r).items())
+
+
+def test_monomial_rejects_nonint_exponent():
+    for bad in (1.0, Fraction(1, 2), "1"):
+        with pytest.raises(TypeError):
+            A(bad)
+
+
 @given(laurent_polys())
 def test_format_parse_round_trip(p):
     assert parse_laurent(format_laurent(p)) == p

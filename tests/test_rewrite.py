@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinmod.laurent import LaurentPoly
+from skeinmod.laurent import LaurentFraction, LaurentPoly
 from skeinmod.rewrite import (
     Complexity,
     ModuleElement,
@@ -33,6 +33,8 @@ from skeinmod.rewrite import (
     parse_module_element,
     reduce_step,
 )
+
+from conftest import laurent_polys
 
 A = LaurentPoly.A
 
@@ -110,6 +112,35 @@ def module_elements(draw, max_terms=3, bound=4):
 @given(module_elements())
 @settings(max_examples=80)
 def test_round_trip(el):
+    assert parse_module_element(format_module_element(el)) == el
+
+
+@st.composite
+def fractional_module_elements(draw, max_terms=3, bound=4):
+    # coefficients with several terms, and proper fractions in Q(A)
+    el = ModuleElement.zero()
+    for _ in range(draw(st.integers(1, max_terms))):
+        label = tuple(draw(st.integers(-bound, bound)) for _ in range(4))
+        gen = draw(st.sampled_from(("e", "x1", "x2")))
+        num = draw(laurent_polys(max_terms=3, max_exp=3, max_coeff=4))
+        den = draw(laurent_polys(max_terms=3, max_exp=3, max_coeff=4).filter(bool))
+        el = el + ModuleElement.term(label, gen, LaurentFraction(num, den))
+    return el
+
+
+def test_fraction_round_trip_anchor():
+    el = ModuleElement.term((0, 0, 0, 3), "e", LaurentFraction(LaurentPoly.one(), A(1) + 1))
+    text = format_module_element(el)
+    assert text == "((1)/(A + 1))*(0,0,0,3)*e"
+    assert parse_module_element(text) == el
+    assert parse_module_element("(A + 1)*(0,0,0,3)*e") == ModuleElement.term(
+        (0, 0, 0, 3), "e", A(1) + 1
+    )
+
+
+@given(fractional_module_elements())
+@settings(max_examples=80, deadline=None)
+def test_round_trip_fractional_and_multiterm(el):
     assert parse_module_element(format_module_element(el)) == el
 
 
@@ -315,6 +346,50 @@ def test_normalize_logs_steps():
     log = []
     normalize(parse_module_element("(0,0,0,3)*e"), sl, log=log)
     assert log == [((0, 0, 0, 3), "e", 2)]
+
+
+def _max_scan_normalize(e, sl, max_steps=100000, log=None):
+    """Reference normalize: rescan for the largest public complexity each step."""
+    rank = {"e": 0, "x1": 1, "x2": 2}
+    terms = dict(e.terms)
+    steps = 0
+    while True:
+        live = [k for k in terms if not is_reduced_label(k[0], sl)]
+        if not live:
+            return ModuleElement(terms)
+        label, gen = max(
+            live, key=lambda k: (complexity(k[0], sl), tuple(-t for t in k[0]), -rank[k[1]])
+        )
+        if steps >= max_steps:
+            raise StepBudgetExceeded("budget", ModuleElement(terms))
+        steps += 1
+        coeff = terms.pop((label, gen))
+        step = ModuleElement({(lab, g): coeff * part for part, lab, g in reduce_step(label, gen, sl)})
+        terms = (ModuleElement(terms) + step).terms
+        if log is not None:
+            log.append((label, gen, len(terms)))
+
+
+def _budget_partial(fn, el, sl, max_steps):
+    try:
+        fn(el, sl, max_steps=max_steps)
+    except StepBudgetExceeded as exc:
+        return exc.partial
+    return None
+
+
+@given(module_elements(max_terms=3, bound=5))
+@settings(max_examples=40, deadline=None)
+def test_normalize_matches_max_scan_order(el):
+    # the heap must pick the same term at every step as the full scan
+    for sl in SLOPES:
+        log, ref_log = [], []
+        assert normalize(el, sl, log=log) == _max_scan_normalize(el, sl, log=ref_log)
+        assert log == ref_log
+        for budget in (0, 1, 2, 5):
+            assert _budget_partial(normalize, el, sl, budget) == _budget_partial(
+                _max_scan_normalize, el, sl, budget
+            )
 
 
 # ---------------------------------------------------------------------------
