@@ -5,8 +5,10 @@ printed when the corpus was captured, with timing_ms set to 0. The CLI
 writes envelopes as json.dumps(..., sort_keys=True, indent=2), so
 re-serializing a stored envelope the same way gives the expected stdout
 byte for byte. The corpus covers seifert-certify on the five criterion-7
-spaces, algebra-closure on rational and order-8 generators, and f12-reduce
-on multi-step elements for each benchmark slope. A case with a "stderr"
+spaces, algebra-closure on rational and order-8 generators, f12-reduce on
+multi-step elements for each benchmark slope, torus-mul on a product whose
+terms cancel and one that reaches the (0,0) unit slot, gamma and gamma',
+lens-quotient and jprime-check. A case with a "stderr"
 field also pins what the command wrote to stderr, which for f12-reduce is
 the `step: rewrote ...` log in rewrite order.
 """
