@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from fractions import Fraction
 
@@ -234,8 +233,11 @@ def _cache_store(cdir, key, raw):
     tmp = None
     try:
         os.makedirs(cdir, exist_ok=True)
-        # a temp name of its own per writer, so concurrent stores never share one
-        fd, tmp = tempfile.mkstemp(dir=cdir, prefix=key, suffix=".tmp")
+        # a temp name of its own per writer, so concurrent stores never share
+        # one; creating it with mode 0o666 lets the umask set the entry's mode
+        name = os.path.join(cdir, "%s.%s.tmp" % (key, os.urandom(8).hex()))
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "wb") as fh:
             fh.write(raw)
         os.replace(tmp, os.path.join(cdir, key + ".json"))

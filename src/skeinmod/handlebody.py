@@ -10,119 +10,55 @@ selected by a parity of the monomial.
 
 from __future__ import annotations
 
+import math
 import re
-from fractions import Fraction
 
 from .chebyshev import chebyshev_S, chebyshev_T
 from .gaussian import GaussRat, laurent_at_i
 from .laurent import LaurentPoly, parse_laurent
 from .linalg import bareiss_rank, field_rank
+from .sparse import SparseSum, accumulate
 from .torus import _split_top_level
 
 
-class Poly3:
-    """Polynomial in commuting x, y, z with coefficients in any exact ring.
+class Poly3(SparseSum):
+    """Polynomial in commuting x, y, z with coefficients in an exact domain.
 
     Keys are exponent triples (k, l, n); zero coefficients are dropped on
     construction. Coefficient types only need +, *, unary -, bool.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        out = {}
+        self.terms = {}
         if terms:
             for key, c in terms.items():
                 if len(key) != 3 or any(e < 0 for e in key):
                     raise ValueError(f"bad monomial key {key!r}")
-                if c:
-                    if key in out:
-                        out[key] = out[key] + c
-                        if not out[key]:
-                            del out[key]
-                    else:
-                        out[key] = c
-        self.terms = out
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly3):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    __hash__ = None
-
-    def __neg__(self):
-        return Poly3({k: -v for k, v in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, Poly3):
-            return NotImplemented
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            if k in t:
-                s = t[k] + v
-                if s:
-                    t[k] = s
-                else:
-                    del t[k]
-            else:
-                t[k] = v
-        out = Poly3.__new__(Poly3)
-        out.terms = t
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly3):
-            return NotImplemented
-        return self + (-other)
+                accumulate(self.terms, key, c)
 
     def __mul__(self, other):
-        if isinstance(other, Poly3):
-            t = {}
-            for (k1, l1, n1), v1 in self.terms.items():
-                for (k2, l2, n2), v2 in other.terms.items():
-                    key = (k1 + k2, l1 + l2, n1 + n2)
-                    prod = v1 * v2
-                    if key in t:
-                        s = t[key] + prod
-                        if s:
-                            t[key] = s
-                        else:
-                            del t[key]
-                    elif prod:
-                        t[key] = prod
-            out = Poly3.__new__(Poly3)
-            out.terms = t
-            return out
-        return self.scale(other)
+        if not isinstance(other, Poly3):
+            return self.scale(other)
+        t = {}
+        for (k1, l1, n1), v1 in self.terms.items():
+            for (k2, l2, n2), v2 in other.terms.items():
+                accumulate(t, (k1 + k2, l1 + l2, n1 + n2), v1 * v2)
+        return Poly3._wrap(t)
 
     def __rmul__(self, other):
         return self.scale(other)
 
-    def scale(self, c):
-        if not c:
-            return Poly3.zero()
-        return Poly3({k: v * c for k, v in self.terms.items()})
-
     def monomial_shift(self, k, l, n):
         """Multiply by x^k y^l z^n."""
-        return Poly3({(a + k, b + l, c + n): v for (a, b, c), v in self.terms.items()})
+        t = {(a + k, b + l, c + n): v for (a, b, c), v in self.terms.items()}
+        # a negative shift goes through the key check
+        return Poly3._wrap(t) if min(k, l, n) >= 0 else Poly3(t)
 
     def map_coeffs(self, fn):
-        return Poly3({k: fn(v) for k, v in self.terms.items()})
+        # evaluation can cancel a term (A^2 + 1 at A = i), so zeros are dropped
+        return Poly3._wrap({k: c for k, v in self.terms.items() if (c := fn(v))})
 
     def degree(self):
         if not self.terms:
@@ -508,17 +444,13 @@ def _rank_of_rows(rows, ncols):
         else:
             mixed = True
             break
-        den = 1
-        for f in comps.values():
-            den = den * f.denominator // _gcd(den, f.denominator)
+        den = math.lcm(*(f.denominator for f in comps.values()))
         int_rows.append({c: int(f * den) for c, f in comps.items()})
     if not mixed:
         # dedupe up to scalar
         seen = {}
         for row in int_rows:
-            g = 0
-            for v in row.values():
-                g = _gcd(g, abs(v))
+            g = math.gcd(*row.values())
             norm = tuple(sorted((c, v // g) for c, v in row.items()))
             lead = norm[0][1]
             if lead < 0:
@@ -538,12 +470,6 @@ def _rank_of_rows(rows, ncols):
             vec[c] = v
         dense.append(vec)
     return field_rank(dense)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def truncated_quotient_dimension(p, degree_bound, grading=None):

@@ -2,8 +2,9 @@
 
 LaurentPoly is the coefficient ring for skein algebra computations: exact
 integer coefficients, arbitrary positive and negative exponents.
-LaurentFraction is Q(A) in canonical reduced form, needed once elimination
-over the fraction field enters the picture.
+LaurentFraction is Q(A) in canonical reduced form. No elimination uses it;
+it holds the fractional coefficients that parse_module_element reads for
+f12-reduce.
 """
 
 from __future__ import annotations

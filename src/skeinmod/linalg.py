@@ -1,9 +1,10 @@
 """Exact linear algebra: ranks over Z and over exact fields, Smith normal form.
 
-Integer matrices go through fraction-free Bareiss elimination. Anything else
-(Fraction, GaussRat, CycNum, LaurentFraction entries) goes through plain
-field elimination; the entry type only has to support -, *, /, bool and
-coerce Python ints.
+Integer matrices go through fraction-free Bareiss elimination. Field entries
+(GaussRat rows from the handle-slide quotients, CycNum rows from the 2x2
+algebra closures, or plain Fractions) go through plain field elimination;
+the entry type only has to support -, *, /, bool and coerce Python ints.
+LaurentFraction would qualify, but no computation eliminates over Q(A).
 """
 
 from __future__ import annotations

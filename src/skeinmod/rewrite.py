@@ -23,22 +23,17 @@ from heapq import heappop, heappush
 from math import gcd
 
 from .laurent import LaurentPoly, parse_laurent, parse_laurent_fraction
-from .torus import _split_top_level
+from .sparse import SparseSum, accumulate
+from .torus import _canon, _split_top_level
 
 GENS = ("e", "x1", "x2")
 _GEN_RANK = {"e": 0, "x1": 1, "x2": 2}
 
 
-def _canon_pair(p, q):
-    if p < 0 or (p == 0 and q < 0):
-        return (-p, -q)
-    return (p, q)
-
-
 def normalize_label(label):
     """Canonical form of (a,b,c,d): each pair taken up to simultaneous sign flip."""
     a, b, c, d = label
-    return _canon_pair(a, b) + _canon_pair(c, d)
+    return _canon(a, b) + _canon(c, d)
 
 
 class SlopeData:
@@ -113,11 +108,7 @@ class StepBudgetExceeded(Exception):
         self.partial = partial
 
 
-def _coeff_is_zero(c):
-    return c == 0
-
-
-class ModuleElement:
+class ModuleElement(SparseSum):
     """Finite sum of labelled generator terms with coefficients in Q(A).
 
     Coefficients are LaurentPoly values when integral and LaurentFraction
@@ -125,88 +116,21 @@ class ModuleElement:
     stored in canonical form.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        out = {}
+        self.terms = {}
         if terms:
             for (label, gen), coeff in terms.items():
                 if gen not in _GEN_RANK:
                     raise ValueError(f"unknown generator {gen!r}")
                 if isinstance(coeff, int):
                     coeff = LaurentPoly.from_int(coeff)
-                if _coeff_is_zero(coeff):
-                    continue
-                key = (normalize_label(tuple(label)), gen)
-                if key in out:
-                    s = out[key] + coeff
-                    if _coeff_is_zero(s):
-                        del out[key]
-                    else:
-                        out[key] = s
-                else:
-                    out[key] = coeff
-        self.terms = out
-
-    @classmethod
-    def zero(cls):
-        return cls()
+                accumulate(self.terms, (normalize_label(tuple(label)), gen), coeff)
 
     @classmethod
     def term(cls, label, gen, coeff=1):
         return cls({(tuple(label), gen): coeff})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[k] == v for k, v in self.terms.items())
-
-    __hash__ = None
-
-    def __neg__(self):
-        out = ModuleElement.__new__(ModuleElement)
-        out.terms = {k: -v for k, v in self.terms.items()}
-        return out
-
-    def __add__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            if k in t:
-                s = t[k] + v
-                if _coeff_is_zero(s):
-                    del t[k]
-                else:
-                    t[k] = s
-            else:
-                t[k] = v
-        out = ModuleElement.__new__(ModuleElement)
-        out.terms = t
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.from_int(coeff)
-        if _coeff_is_zero(coeff):
-            return ModuleElement.zero()
-        out = ModuleElement.__new__(ModuleElement)
-        out.terms = {k: v * coeff for k, v in self.terms.items()}
-        return out
 
     def items(self):
         """Terms in a deterministic order: by generator, then label."""
@@ -349,19 +273,8 @@ def boundary_multiply(e, pair, boundary):
             det = c * q - d * p
             outs = [(det, (a, b, c + p, d + q)), (-det, (a, b, c - p, d - q))]
         for exp, lab in outs:
-            key = (normalize_label(lab), gen)
-            add = coeff * A(exp)
-            if key in acc:
-                s = acc[key] + add
-                if _coeff_is_zero(s):
-                    del acc[key]
-                else:
-                    acc[key] = s
-            else:
-                acc[key] = add
-    out = ModuleElement.__new__(ModuleElement)
-    out.terms = acc
-    return out
+            accumulate(acc, (normalize_label(lab), gen), coeff * A(exp))
+    return ModuleElement._wrap(acc)
 
 
 def _oriented(label, slopes):
@@ -418,15 +331,7 @@ def reduce_step(label, gen, slopes):
         raise NotReducible(f"label {tuple(label)} is inside the irreducible box")
     acc = {}
     for coeff, lab, g in raw:
-        key = (normalize_label(lab), g)
-        if key in acc:
-            s = acc[key] + coeff
-            if _coeff_is_zero(s):
-                del acc[key]
-            else:
-                acc[key] = s
-        else:
-            acc[key] = coeff
+        accumulate(acc, (normalize_label(lab), g), coeff)
     return [(acc[k], k[0], k[1]) for k in sorted(acc, key=lambda k: (_GEN_RANK[k[1]], k[0]))]
 
 
@@ -447,7 +352,7 @@ def normalize(e, slopes, max_steps=100000, log=None):
     rewrites do not finish, which the descent argument rules out for any
     honest budget.
     """
-    terms = dict(ModuleElement(dict(e.terms)).terms)
+    terms = ModuleElement(e.terms).terms
     a1, b1, a2, b2 = slopes.a1, slopes.b1, slopes.a2, slopes.b2
     box1, box2 = 2 * (a1 - b1), 2 * a2
     heap = []
@@ -469,9 +374,9 @@ def normalize(e, slopes, max_steps=100000, log=None):
         if pick not in terms:
             continue
         if steps >= max_steps:
-            out = ModuleElement.__new__(ModuleElement)
-            out.terms = terms
-            raise StepBudgetExceeded(f"no normal form within {max_steps} steps", out)
+            raise StepBudgetExceeded(
+                f"no normal form within {max_steps} steps", ModuleElement._wrap(terms)
+            )
         steps += 1
         coeff = terms.pop(pick)
         for part, lab, g in reduce_step(label, gen, slopes):
@@ -479,18 +384,16 @@ def normalize(e, slopes, max_steps=100000, log=None):
             add = coeff * part
             if key in terms:
                 s = terms[key] + add
-                if _coeff_is_zero(s):
-                    del terms[key]
-                else:
+                if s:
                     terms[key] = s
+                else:
+                    del terms[key]
             else:
                 terms[key] = add
                 push(lab, g)
         if log is not None:
             log.append((label, gen, len(terms)))
-    out = ModuleElement.__new__(ModuleElement)
-    out.terms = terms
-    return out
+    return ModuleElement._wrap(terms)
 
 
 def dehn_fill_quotient(e, boundary, slope, slopes):
@@ -505,9 +408,9 @@ def dehn_fill_quotient(e, boundary, slope, slopes):
     if boundary not in (1, 2):
         raise ValueError("boundary must be 1 or 2")
     want = (slopes.a1, slopes.b1) if boundary == 1 else (slopes.a2, slopes.b2)
-    if _canon_pair(*slope) != _canon_pair(*want):
+    if _canon(*slope) != _canon(*want):
         raise ValueError(f"slope {slope} is not the distinguished slope {want} of boundary {boundary}")
-    sa, sb = _canon_pair(*want)
+    sa, sb = _canon(*want)
     acc = ModuleElement.zero()
     for (label, gen), coeff in e.terms.items():
         a, b, c, d = label
@@ -526,7 +429,7 @@ def dehn_fill_quotient(e, boundary, slope, slopes):
 
 def _multiple_of(pair, slope):
     # m >= 1 with pair ~ m*slope up to sign, else None; (0,0) maps to m=0
-    p, q = _canon_pair(*pair)
+    p, q = _canon(*pair)
     sa, sb = slope
     if (p, q) == (0, 0):
         return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 
 from .laurent import LaurentPoly, format_laurent, parse_laurent
+from .sparse import accumulate
 
 
 def _canon(p, q):
@@ -47,22 +48,21 @@ class FGElement:
 
     def __init__(self, terms=None, unit=None):
         self.unit = _as_poly(unit) if unit is not None else LaurentPoly.zero()
-        out = {}
+        self.terms = {}
         if terms:
             for (p, q), c in terms.items():
                 c = _as_poly(c)
-                if not c:
-                    continue
-                if (p, q) == (0, 0):
+                if c and (p, q) == (0, 0):
                     raise ValueError("(0,0) is not a basis key; use the unit slot")
-                key = _canon(p, q)
-                if key in out:
-                    out[key] = out[key] + c
-                    if not out[key]:
-                        del out[key]
-                else:
-                    out[key] = c
-        self.terms = out
+                accumulate(self.terms, _canon(p, q), c)
+
+    @classmethod
+    def _wrap(cls, terms, unit):
+        """Adopt canonical parts: canonical nonzero labels, no zero values."""
+        out = object.__new__(cls)
+        out.terms = terms
+        out.unit = unit
+        return out
 
     @classmethod
     def zero(cls):
@@ -94,25 +94,15 @@ class FGElement:
     __hash__ = None
 
     def __neg__(self):
-        return FGElement({k: -v for k, v in self.terms.items()}, -self.unit)
+        return FGElement._wrap({k: -v for k, v in self.terms.items()}, -self.unit)
 
     def __add__(self, other):
         if not isinstance(other, FGElement):
             return NotImplemented
         t = dict(self.terms)
         for k, v in other.terms.items():
-            if k in t:
-                s = t[k] + v
-                if s:
-                    t[k] = s
-                else:
-                    del t[k]
-            else:
-                t[k] = v
-        out = FGElement.__new__(FGElement)
-        out.terms = t
-        out.unit = self.unit + other.unit
-        return out
+            accumulate(t, k, v)
+        return FGElement._wrap(t, self.unit + other.unit)
 
     def __sub__(self, other):
         if not isinstance(other, FGElement):
@@ -123,10 +113,7 @@ class FGElement:
         c = _as_poly(c)
         if not c:
             return FGElement.zero()
-        out = FGElement.__new__(FGElement)
-        out.terms = {k: v * c for k, v in self.terms.items()}
-        out.unit = self.unit * c
-        return out
+        return FGElement._wrap({k: v * c for k, v in self.terms.items()}, self.unit * c)
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -156,17 +143,6 @@ class FGElement:
         return f"FGElement({self.terms!r}, unit={self.unit!r})"
 
 
-def _accumulate(store, key, coeff):
-    if key in store:
-        s = store[key] + coeff
-        if s:
-            store[key] = s
-        else:
-            del store[key]
-    elif coeff:
-        store[key] = coeff
-
-
 def fg_multiply(x, y):
     """Product in the torus skein algebra.
 
@@ -178,25 +154,22 @@ def fg_multiply(x, y):
     out_unit = x.unit * y.unit
     if x.unit:
         for k, v in y.terms.items():
-            _accumulate(out_terms, k, x.unit * v)
+            accumulate(out_terms, k, x.unit * v)
     if y.unit:
         for k, v in x.terms.items():
-            _accumulate(out_terms, k, v * y.unit)
+            accumulate(out_terms, k, v * y.unit)
     for (p, q), cx in x.terms.items():
         for (r, s), cy in y.terms.items():
             c = cx * cy
             det = p * s - q * r
             plus = _canon(p + r, q + s)
             minus = _canon(p - r, q - s)
-            _accumulate(out_terms, plus, c.shift(det))
+            accumulate(out_terms, plus, c.shift(det))
             if minus == (0, 0):
                 out_unit = out_unit + 2 * c.shift(-det)
             else:
-                _accumulate(out_terms, minus, c.shift(-det))
-    out = FGElement.__new__(FGElement)
-    out.terms = out_terms
-    out.unit = out_unit
-    return out
+                accumulate(out_terms, minus, c.shift(-det))
+    return FGElement._wrap(out_terms, out_unit)
 
 
 def fg_chebyshev_basis(p, q, d):

@@ -1,6 +1,8 @@
 """Command line driver: output shapes, exit codes, and the result cache."""
 
 import json
+import os
+import stat
 
 from skeinmod import cli
 from skeinmod.rewrite import SlopeData, normalize, parse_module_element
@@ -213,6 +215,15 @@ def test_store_leaves_another_writers_temp_alone(tmp_path):
     cli._cache_store(str(tmp_path), "k" * 64, b"mine\n")
     assert other.read_bytes() == b"in flight\n"
     assert (tmp_path / ("k" * 64 + ".json")).read_bytes() == b"mine\n"
+
+
+def test_new_entry_follows_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        cli._cache_store(str(tmp_path), "k" * 64, b"data\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / ("k" * 64 + ".json")).stat().st_mode) == 0o644
 
 
 def test_failed_store_removes_its_temp(capsys, tmp_path, monkeypatch):
