@@ -67,10 +67,7 @@ class SparseSum:
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            accumulate(t, k, -v)
-        return self._wrap(t)
+        return self + (-other)
 
     def scale(self, c):
         if not c:
