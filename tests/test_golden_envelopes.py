@@ -8,7 +8,8 @@ byte for byte. The corpus covers seifert-certify on the five criterion-7
 spaces, algebra-closure on rational and order-8 generators, f12-reduce on
 multi-step elements for each benchmark slope, torus-mul on a product whose
 terms cancel and one that reaches the (0,0) unit slot, gamma and gamma',
-lens-quotient and jprime-check. A case with a "stderr"
+lens-quotient, jprime-check, chebyshev T and S from the smallest n up to
+n = 40, and homology on two fiber sets. A case with a "stderr"
 field also pins what the command wrote to stderr, which for f12-reduce is
 the `step: rewrote ...` log in rewrite order.
 """
