@@ -10,7 +10,7 @@ coefficients never stored.
 
 from __future__ import annotations
 
-import re
+from .text import format_power_sum, parse_power_sum
 
 
 def _recurrence(n, p_prev, p_cur):
@@ -66,61 +66,17 @@ def poly_eval(poly, x, one=1):
 
 
 def format_int_poly(poly, var="x"):
-    """Render like 'x^2 - 2', exponents descending."""
-    if not poly:
-        return "0"
-    out = []
-    for i, e in enumerate(sorted(poly, reverse=True)):
-        v = poly[e]
-        mag = abs(v)
-        if e == 0:
-            body = str(mag)
-        else:
-            core = var if e == 1 else f"{var}^{e}"
-            body = core if mag == 1 else f"{mag}*{core}"
-        if i == 0:
-            out.append(("-" if v < 0 else "") + body)
-        else:
-            out.append((" - " if v < 0 else " + ") + body)
-    return "".join(out)
+    """Render like 'x^2 - 2', exponents descending; "0" for the empty dict."""
+    return format_power_sum(poly, var)
 
 
 def parse_int_poly(text, var="x"):
-    """Inverse of format_int_poly."""
-    s = text.strip()
-    if s == "0":
-        return {}
-    v = re.escape(var)
-    term = re.compile(
-        rf"""\s*(?P<sign>[+-])?\s*
-             (?:
-                 (?P<coeff>\d+)\s*(?:\*\s*(?P<var1>{v}(?:\^(?P<exp1>\d+))?))?
-               | (?P<var2>{v}(?:\^(?P<exp2>\d+))?)
-             )\s*""",
-        re.X,
-    )
-    pos = 0
-    poly = {}
-    first = True
-    while pos < len(s):
-        m = term.match(s, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse polynomial at: {s[pos:]!r}")
-        if not first and m.group("sign") is None:
-            raise ValueError(f"missing +/- between terms in {text!r}")
-        mult = -1 if m.group("sign") == "-" else 1
-        if m.group("coeff") is not None:
-            c = int(m.group("coeff"))
-            var_part = m.group("var1")
-            exp = m.group("exp1")
-        else:
-            c = 1
-            var_part = m.group("var2")
-            exp = m.group("exp2")
-        e = 0 if var_part is None else (1 if exp is None else int(exp))
-        poly[e] = poly.get(e, 0) + mult * c
-        if not poly[e]:
-            del poly[e]
-        pos = m.end()
-        first = False
-    return poly
+    """Inverse of format_int_poly: a power sum in `var` (see skeinmod.text).
+
+    "" and "0" read as the empty dict. Raises ValueError on junk and on a
+    negative exponent, even one whose terms cancel.
+    """
+    poly = parse_power_sum(text, var)
+    if any(e < 0 for e in poly):
+        raise ValueError(f"negative exponent in {text!r}")
+    return {e: c for e, c in poly.items() if c}

@@ -60,20 +60,16 @@ class _Parser(argparse.ArgumentParser):
 # reported against the offending flag by name)
 
 
-def _fg_text(text):
-    try:
-        parse_fg(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return text
+def _parsed_by(parse):
+    # keeps the text as given once `parse` accepts it
+    def check(text):
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return text
 
-
-def _module_text(text):
-    try:
-        parse_module_element(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return text
+    return check
 
 
 def _slopes_text(text):
@@ -487,8 +483,8 @@ def build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p = subs.add_parser("torus-mul", help="multiply two torus basis combinations")
-    p.add_argument("left", type=_fg_text, help="element text, e.g. \"(1,0)\"")
-    p.add_argument("right", type=_fg_text, help="element text, e.g. \"(0,1)\"")
+    p.add_argument("left", type=_parsed_by(parse_fg), help="element text, e.g. \"(1,0)\"")
+    p.add_argument("right", type=_parsed_by(parse_fg), help="element text, e.g. \"(0,1)\"")
     _add_common(p)
     p.set_defaults(func=_cmd_torus_mul)
 
@@ -521,7 +517,7 @@ def build_parser():
 
     p = subs.add_parser("f12-reduce", help="rewrite an element to reduced form")
     p.add_argument("--slopes", type=_slopes_text, required=True, help="a1,b1,a2,b2")
-    p.add_argument("--element", type=_module_text, required=True)
+    p.add_argument("--element", type=_parsed_by(parse_module_element), required=True)
     p.add_argument("--max-steps", type=_positive_int, default=100000)
     _add_common(p)
     p.set_defaults(func=_cmd_f12_reduce)

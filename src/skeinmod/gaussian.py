@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .text import coeff_term, join_signed
+
 
 class GaussRat:
     """a + b*i with exact rational a, b."""
@@ -120,20 +122,7 @@ class GaussRat:
         return result
 
     def __str__(self):
-        def frac(f):
-            return str(f.numerator) if f.denominator == 1 else str(f)
-
-        if not self.im:
-            return frac(self.re)
-        if abs(self.im) == 1:
-            imag = "i" if self.im > 0 else "-i"
-        else:
-            imag = f"{frac(self.im)}*i" if self.im > 0 else f"-{frac(-self.im)}*i"
-        if not self.re:
-            return imag
-        joiner = " + " if self.im > 0 else " - "
-        mag = imag.lstrip("-") if self.im < 0 else imag
-        return f"{frac(self.re)}{joiner}{mag}"
+        return join_signed(coeff_term(str(c), label) for c, label in ((self.re, ""), (self.im, "i")) if c)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"

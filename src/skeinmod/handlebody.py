@@ -18,7 +18,7 @@ from .gaussian import GaussRat, laurent_at_i
 from .laurent import LaurentPoly, parse_laurent
 from .linalg import bareiss_rank, field_rank
 from .sparse import SparseSum, accumulate
-from .torus import _split_top_level
+from .text import power, split_coeff, split_terms
 
 
 class Poly3(SparseSum):
@@ -72,19 +72,11 @@ class Poly3(SparseSum):
         return len(self.gradings()) <= 1
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for key in sorted(self.terms, key=lambda k: (sum(k), [-e for e in k])):
-            names = []
-            for var, e in zip("xyz", key):
-                if e == 1:
-                    names.append(var)
-                elif e > 1:
-                    names.append(f"{var}^{e}")
-            mono = "*".join(names) if names else "1"
+            mono = "*".join(p for p in map(power, "xyz", key) if p) or "1"
             parts.append(f"({self.terms[key]})*{mono}")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"Poly3({self.terms!r})"
@@ -96,46 +88,29 @@ def monomial_grading(key):
     return ((k + n) % 2, (l + n) % 2)
 
 
-_MONO_TOKEN = re.compile(r"^([xyz])(?:\^(\d+))?$")
+_MONOMIAL = re.compile(r"(?:1|[xyz](?:\^\d+)?(?:\s*\*\s*[xyz](?:\^\d+)?)*)\s*$")
+_FACTOR = re.compile(r"([xyz])(?:\^(\d+))?")
 
 
-def parse_poly3(text, coeff_parser=parse_laurent):
-    """Inverse of Poly3.__str__; coefficients default to Laurent polynomials."""
-    text = text.strip()
-    if not text or text == "0":
-        return Poly3.zero()
-    acc = Poly3.zero()
-    for sign, chunk in _split_top_level(text):
-        if not chunk.startswith("("):
+def parse_poly3(text):
+    """Inverse of Poly3.__str__.
+
+    Reads a sum of `(coeff)*monomial` summands (see skeinmod.text): the
+    coefficient is a Laurent polynomial in A, always in parentheses, and the
+    monomial is 1 or a product of powers of x, y and z such as x^2*y. "" and
+    "0" read as zero. Raises ValueError on anything else.
+    """
+    terms = {}
+    for sign, chunk in split_terms(text):
+        coeff, m = split_coeff(chunk, _MONOMIAL)
+        if m is None or not chunk.startswith("("):
             raise ValueError(f"cannot parse polynomial term {chunk!r}")
-        depth = 0
-        end = None
-        for i, ch in enumerate(chunk):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    end = i
-                    break
-        if end is None:
-            raise ValueError(f"unbalanced parentheses in {chunk!r}")
-        coeff = coeff_parser(chunk[1:end])
-        rest = chunk[end + 1 :].strip()
-        if not rest.startswith("*"):
-            raise ValueError(f"missing monomial in {chunk!r}")
-        mono = rest[1:].strip()
         key = [0, 0, 0]
-        if mono != "1":
-            for tok in mono.split("*"):
-                m = _MONO_TOKEN.match(tok.strip())
-                if m is None:
-                    raise ValueError(f"bad monomial factor {tok!r}")
-                key["xyz".index(m.group(1))] += int(m.group(2) or 1)
-        if sign < 0:
-            coeff = -coeff
-        acc = acc + Poly3({tuple(key): coeff})
-    return acc
+        for var, exp in _FACTOR.findall(m.group()):
+            key["xyz".index(var)] += int(exp or 1)
+        c = parse_laurent(coeff)
+        accumulate(terms, tuple(key), -c if sign < 0 else c)
+    return Poly3._wrap(terms)
 
 
 def _y_poly(int_poly, scalar=1):

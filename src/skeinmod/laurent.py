@@ -10,8 +10,9 @@ f12-reduce.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
+
+from .text import format_power_sum, parse_power_sum, strip_parens
 
 
 class LaurentPoly:
@@ -214,70 +215,17 @@ class LaurentPoly:
 
 
 def format_laurent(p):
-    """Render as a sum of +-c*A^k terms, exponents descending."""
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for e in sorted(p._c, reverse=True):
-        v = p._c[e]
-        mag = abs(v)
-        if e == 0:
-            body = str(mag)
-        else:
-            var = "A" if e == 1 else f"A^{e}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        pieces.append((v < 0, body))
-    out = []
-    for i, (negative, body) in enumerate(pieces):
-        if i == 0:
-            out.append(("-" if negative else "") + body)
-        else:
-            out.append((" - " if negative else " + ") + body)
-    return "".join(out)
-
-
-_LAURENT_TERM = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>\d+)\s*(?:\*\s*(?P<var1>A(?:\^(?P<exp1>-?\d+))?))?
-          | (?P<var2>A(?:\^(?P<exp2>-?\d+))?)
-        )\s*""",
-    re.X,
-)
+    """Render as a sum of +-c*A^k terms, exponents descending; "0" for zero."""
+    return format_power_sum(p._c, "A")
 
 
 def parse_laurent(text):
-    """Inverse of format_laurent. Raises ValueError on junk."""
-    s = text.strip()
-    if s == "0":
-        return LaurentPoly.zero()
-    pos = 0
-    coeffs = {}
-    first = True
-    while pos < len(s):
-        m = _LAURENT_TERM.match(s, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse Laurent polynomial at: {s[pos:]!r}")
-        sign = m.group("sign")
-        if not first and sign is None:
-            raise ValueError(f"missing +/- between terms in {text!r}")
-        mult = -1 if sign == "-" else 1
-        if m.group("coeff") is not None:
-            c = int(m.group("coeff"))
-            var = m.group("var1")
-            exp = m.group("exp1")
-        else:
-            c = 1
-            var = m.group("var2")
-            exp = m.group("exp2")
-        if var is None:
-            e = 0
-        else:
-            e = 1 if exp is None else int(exp)
-        coeffs[e] = coeffs.get(e, 0) + mult * c
-        pos = m.end()
-        first = False
-    return LaurentPoly(coeffs)
+    """Inverse of format_laurent: a power sum in A (see skeinmod.text).
+
+    "" and "0" read as zero. Raises ValueError on anything else that is not
+    a sum of `c*A^k`, `A^k` and `c` terms, such as "A +", "+A" or "2**A".
+    """
+    return LaurentPoly(parse_power_sum(text, "A"))
 
 
 def _to_dense(p):
@@ -504,10 +452,20 @@ class LaurentFraction:
 
 
 def parse_laurent_fraction(text):
+    """Inverse of str(LaurentFraction): `(num)/(den)` or a Laurent polynomial.
+
+    num and den are Laurent polynomials, each in its own parentheses with
+    nothing between them and "/"; a plain polynomial may be wrapped in one
+    pair of parentheses. Raises ValueError on junk and on a zero denominator.
+    """
     s = text.strip()
-    m = re.fullmatch(r"\((?P<num>[^()]*)\)/\((?P<den>[^()]*)\)", s)
-    if m:
-        return LaurentFraction(parse_laurent(m.group("num")), parse_laurent(m.group("den")))
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    return LaurentFraction(parse_laurent(s))
+    num, slash, den = s.partition("/")
+    if not slash:
+        return LaurentFraction(parse_laurent(strip_parens(s)))
+    n, d = strip_parens(num), strip_parens(den)
+    if n == num or d == den:
+        raise ValueError(f"expected (num)/(den), got {text!r}")
+    num, den = parse_laurent(n), parse_laurent(d)
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return LaurentFraction(num, den)

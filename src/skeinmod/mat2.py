@@ -370,12 +370,12 @@ def standardize_pair(t):
     discriminant = tr * tr - 4
     if not discriminant.is_zero:
         lam1, lam2 = _eigenvalues_det1(tr)
-        v1 = _eigenvector(t, lam1)
-        v2 = _eigenvector(t, lam2)
+        v1 = eigenvector(t, lam1)
+        v2 = eigenvector(t, lam2)
         return Mat2.from_columns(v1, v2)
     # defective: single eigenvalue tr/2 = +-1
     lam = tr * Fraction(1, 2)
-    v1 = _eigenvector(t, lam)
+    v1 = eigenvector(t, lam)
     # complete to a basis deterministically
     for cand in ((CycNum.one(), CycNum.zero()), (CycNum.zero(), CycNum.one())):
         p = Mat2.from_columns(v1, cand)
@@ -384,7 +384,8 @@ def standardize_pair(t):
     raise AssertionError("eigenvector could not be completed to a basis")
 
 
-def _eigenvector(t, lam):
+def eigenvector(t, lam):
+    """A nonzero vector v with t*v = lam*v, as two CycNum coordinates."""
     shifted = [
         [t.a - lam, t.b],
         [t.c, t.d - lam],

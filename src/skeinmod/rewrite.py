@@ -24,7 +24,8 @@ from math import gcd
 
 from .laurent import LaurentPoly, parse_laurent, parse_laurent_fraction
 from .sparse import SparseSum, accumulate
-from .torus import _canon, _split_top_level
+from .text import coeff_term, join_signed, split_coeff, split_terms
+from .torus import canon
 
 GENS = ("e", "x1", "x2")
 _GEN_RANK = {"e": 0, "x1": 1, "x2": 2}
@@ -33,7 +34,7 @@ _GEN_RANK = {"e": 0, "x1": 1, "x2": 2}
 def normalize_label(label):
     """Canonical form of (a,b,c,d): each pair taken up to simultaneous sign flip."""
     a, b, c, d = label
-    return _canon(a, b) + _canon(c, d)
+    return canon(a, b) + canon(c, d)
 
 
 class SlopeData:
@@ -144,26 +145,14 @@ class ModuleElement(SparseSum):
 
 
 def format_module_element(e):
-    if e.is_zero:
-        return "0"
-    chunks = []
-    for (label, gen), coeff in e.items():
-        text = str(coeff)
-        neg = False
-        if " " not in text:
-            # single monomial, safe to pull a leading sign out of the chunk
-            if text.startswith("-"):
-                neg = True
-                text = text[1:]
-            head = "" if text == "1" else text + "*"
-        else:
-            head = "(" + text + ")*"
-        body = f"{head}({label[0]},{label[1]},{label[2]},{label[3]})*{gen}"
-        if not chunks:
-            chunks.append(("- " if neg else "") + body)
-        else:
-            chunks.append(("- " if neg else "+ ") + body)
-    return " ".join(chunks)
+    """Text form like '- (0,0,0,1)*e + 2*(0,1,0,2)*e', terms in items() order."""
+    return join_signed(
+        (
+            coeff_term(str(coeff), f"({label[0]},{label[1]},{label[2]},{label[3]})*{gen}")
+            for (label, gen), coeff in e.items()
+        ),
+        lead="- ",
+    )
 
 
 _TERM_TAIL = re.compile(
@@ -171,44 +160,30 @@ _TERM_TAIL = re.compile(
 )
 
 
-def _strip_enclosing_parens(text):
-    # drop one parenthesis pair only when it wraps all of text: "(A + 1)"
-    # and "((1)/(A + 1))" lose it, "(1)/(A + 1)" keeps both of its pairs
-    if not (text.startswith("(") and text.endswith(")")):
-        return text
-    depth = 0
-    for i, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if depth == 0:
-            return text[1:-1].strip() if i == len(text) - 1 else text
-    return text
-
-
 def parse_module_element(text):
-    """Inverse of format_module_element; accepts `coeff*(a,b,c,d)*gen` summands."""
-    text = text.strip()
-    if text == "0" or not text:
-        return ModuleElement.zero()
-    acc = ModuleElement.zero()
-    for sign, chunk in _split_top_level(text):
-        m = _TERM_TAIL.search(chunk)
-        if not m:
+    """Inverse of format_module_element.
+
+    Reads a sum of `coeff*(a,b,c,d)*gen` summands with gen one of e, x1, x2
+    (see skeinmod.text). A coefficient is a Laurent polynomial in A or a
+    quotient `(num)/(den)` of two, may be wrapped in one pair of
+    parentheses, and is 1 when left out. "" and "0" read as zero. Raises
+    ValueError on anything else, including a zero denominator.
+    """
+    terms = {}
+    for sign, chunk in split_terms(text):
+        coeff, m = split_coeff(chunk, _TERM_TAIL)
+        if m is None:
             raise ValueError(f"cannot parse module term {chunk!r}")
-        label = tuple(int(m.group(i)) for i in range(1, 5))
-        gen = m.group(5)
-        head = chunk[: m.start()].strip()
-        head = _strip_enclosing_parens(head.rstrip("*").strip())
-        if not head:
-            coeff = LaurentPoly.from_int(1)
+        if coeff is None:
+            c = LaurentPoly.one()
         else:
             try:
-                coeff = parse_laurent(head)
+                c = parse_laurent(coeff)
             except ValueError:
-                coeff = parse_laurent_fraction(head)
-        if sign < 0:
-            coeff = -coeff
-        acc = acc + ModuleElement.term(label, gen, coeff)
-    return acc
+                c = parse_laurent_fraction(coeff)
+        label = normalize_label(tuple(int(v) for v in m.group(1, 2, 3, 4)))
+        accumulate(terms, (label, m.group(5)), -c if sign < 0 else c)
+    return ModuleElement._wrap(terms)
 
 
 Relation = namedtuple("Relation", "index lhs rhs")
@@ -408,9 +383,9 @@ def dehn_fill_quotient(e, boundary, slope, slopes):
     if boundary not in (1, 2):
         raise ValueError("boundary must be 1 or 2")
     want = (slopes.a1, slopes.b1) if boundary == 1 else (slopes.a2, slopes.b2)
-    if _canon(*slope) != _canon(*want):
+    if canon(*slope) != canon(*want):
         raise ValueError(f"slope {slope} is not the distinguished slope {want} of boundary {boundary}")
-    sa, sb = _canon(*want)
+    sa, sb = canon(*want)
     acc = ModuleElement.zero()
     for (label, gen), coeff in e.terms.items():
         a, b, c, d = label
@@ -429,7 +404,7 @@ def dehn_fill_quotient(e, boundary, slope, slopes):
 
 def _multiple_of(pair, slope):
     # m >= 1 with pair ~ m*slope up to sign, else None; (0,0) maps to m=0
-    p, q = _canon(*pair)
+    p, q = canon(*pair)
     sa, sb = slope
     if (p, q) == (0, 0):
         return 0

@@ -20,8 +20,8 @@ from .cyclotomic import CycNum, root_of_unity, root_of_unity_with_trace
 from .linalg import smith_normal_form
 from .mat2 import (
     Mat2,
-    _eigenvector,
     algebra_closure,
+    eigenvector,
     is_irreducible,
     separating_witness,
     sl2_sqrt,
@@ -416,8 +416,8 @@ def _extend_chain(p_prev, mu, letter_trace, target_trace):
     a = (target_trace - muinv * letter_trace) / denom
     d = (mu * letter_trace - target_trace) / denom
     local = Mat2(a, 1, a * d - 1, d)
-    v1 = _eigenvector(p_prev, mu)
-    v2 = _eigenvector(p_prev, muinv)
+    v1 = eigenvector(p_prev, mu)
+    v2 = eigenvector(p_prev, muinv)
     e = Mat2.from_columns(v1, v2)
     return e * local * e.inverse()
 

@@ -13,10 +13,11 @@ import re
 
 from .laurent import LaurentPoly, format_laurent, parse_laurent
 from .sparse import accumulate
+from .text import coeff_term, join_signed, split_coeff, split_terms
 
 
-def _canon(p, q):
-    # representative with p > 0, or p == 0 and q >= 0
+def canon(p, q):
+    """Representative of (p,q) up to sign: p > 0, or p == 0 and q >= 0."""
     if p < 0 or (p == 0 and q < 0):
         return (-p, -q)
     return (p, q)
@@ -30,7 +31,7 @@ def fg_normalize(p, q):
     """
     if (p, q) == (0, 0):
         return (0, 0), LaurentPoly.from_int(2)
-    return _canon(p, q), None
+    return canon(p, q), None
 
 
 def _as_poly(c):
@@ -54,7 +55,7 @@ class FGElement:
                 c = _as_poly(c)
                 if c and (p, q) == (0, 0):
                     raise ValueError("(0,0) is not a basis key; use the unit slot")
-                accumulate(self.terms, _canon(p, q), c)
+                accumulate(self.terms, canon(p, q), c)
 
     @classmethod
     def _wrap(cls, terms, unit):
@@ -77,7 +78,7 @@ class FGElement:
         """The curve class (p,q); (0,0) collapses to the scalar 2."""
         if (p, q) == (0, 0):
             return cls(unit=2)
-        return cls({_canon(p, q): 1})
+        return cls({canon(p, q): 1})
 
     @property
     def is_zero(self):
@@ -162,8 +163,8 @@ def fg_multiply(x, y):
         for (r, s), cy in y.terms.items():
             c = cx * cy
             det = p * s - q * r
-            plus = _canon(p + r, q + s)
-            minus = _canon(p - r, q - s)
+            plus = canon(p + r, q + s)
+            minus = canon(p - r, q - s)
             accumulate(out_terms, plus, c.shift(det))
             if minus == (0, 0):
                 out_unit = out_unit + 2 * c.shift(-det)
@@ -196,111 +197,33 @@ _BASIS_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*$")
 def format_fg(el):
     """Text form like 'A*(1,1) + A^-1*(1,-1)', labels in descending order,
     scalar part last."""
-    if el.is_zero:
-        return "0"
-    chunks = []
-    for key in sorted(el.terms, reverse=True):
-        poly = el.terms[key]
-        label = f"({key[0]},{key[1]})"
-        mono = len(poly._c) == 1
-        if mono:
-            (e, v), = poly._c.items()
-            mag = abs(v)
-            if e == 0:
-                head = "" if mag == 1 else f"{mag}*"
-            else:
-                var = "A" if e == 1 else f"A^{e}"
-                head = (var if mag == 1 else f"{mag}*{var}") + "*"
-            chunks.append((v < 0, head + label))
-        else:
-            chunks.append((False, f"({format_laurent(poly)})*{label}"))
+    summands = [
+        coeff_term(format_laurent(el.terms[key]), f"({key[0]},{key[1]})")
+        for key in sorted(el.terms, reverse=True)
+    ]
     if el.unit:
-        if len(el.unit._c) == 1:
-            (e, v), = el.unit._c.items()
-            chunks.append((v < 0, format_laurent(-el.unit if v < 0 else el.unit)))
-        else:
-            chunks.append((False, f"({format_laurent(el.unit)})"))
-    out = []
-    for i, (negative, body) in enumerate(chunks):
-        if i == 0:
-            out.append(("-" if negative else "") + body)
-        else:
-            out.append((" - " if negative else " + ") + body)
-    return "".join(out)
-
-
-def _split_top_level(text):
-    """Split a sum into signed chunks at depth-0 +/- signs."""
-    chunks = []
-    depth = 0
-    cur = []
-    sign = 1
-    prev_sig = ""
-    started = False
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-        if ch in "+-" and depth == 0 and prev_sig != "^" and started:
-            chunks.append((sign, "".join(cur).strip()))
-            cur = []
-            sign = 1 if ch == "+" else -1
-            prev_sig = ""
-            started = False
-            continue
-        if ch == "-" and depth == 0 and not started and not cur:
-            sign = -sign
-            prev_sig = ""
-            continue
-        cur.append(ch)
-        if not ch.isspace():
-            prev_sig = ch
-            started = started or ch not in "+-"
-    if depth:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    tail = "".join(cur).strip()
-    if tail:
-        chunks.append((sign, tail))
-    return chunks
+        summands.append(coeff_term(format_laurent(el.unit), ""))
+    return join_signed(summands)
 
 
 def parse_fg(text):
-    """Inverse of format_fg."""
-    s = text.strip()
-    if s == "0":
-        return FGElement.zero()
-    result = FGElement.zero()
-    for sign, chunk in _split_top_level(s):
-        m = _BASIS_RE.search(chunk)
-        coeff_text = None
-        key = None
-        if m:
-            head = chunk[: m.start()].rstrip()
-            # a trailing pair of ints is a basis label unless the chunk is
-            # itself just a parenthesized scalar
-            key = (int(m.group(1)), int(m.group(2)))
-            if head.endswith("*"):
-                head = head[:-1].rstrip()
-            coeff_text = head
+    """Inverse of format_fg.
+
+    Reads a sum of `coeff*(p,q)` and scalar summands (see skeinmod.text).
+    Each coefficient is a Laurent polynomial in A, in one pair of
+    parentheses when it has more than one term, and is 1 when left out.
+    Scalars and the class (0,0), which is the scalar 2, go to the unit slot.
+    "" and "0" read as zero. Raises ValueError on anything else.
+    """
+    terms, unit = {}, LaurentPoly.zero()
+    for sign, chunk in split_terms(text):
+        coeff, m = split_coeff(chunk, _BASIS_RE)
+        poly = LaurentPoly.one() if coeff is None else parse_laurent(coeff)
+        poly = -poly if sign < 0 else poly
+        if m is None:
+            unit = unit + poly
+        elif (key := canon(int(m.group(1)), int(m.group(2)))) != (0, 0):
+            accumulate(terms, key, poly)
         else:
-            coeff_text = chunk
-        if coeff_text == "":
-            poly = LaurentPoly.one()
-        else:
-            if coeff_text.startswith("(") and coeff_text.endswith(")"):
-                inner = coeff_text[1:-1]
-                if inner.count("(") == inner.count(")") and "(" not in inner:
-                    coeff_text = inner
-            poly = parse_laurent(coeff_text)
-        if sign < 0:
-            poly = -poly
-        if key is None:
-            result = result + FGElement(unit=poly)
-        elif key == (0, 0):
-            result = result + FGElement(unit=2 * poly)
-        else:
-            result = result + FGElement({key: poly})
-    return result
+            unit = unit + 2 * poly
+    return FGElement._wrap(terms, unit)

@@ -90,6 +90,12 @@ def test_format_anchor():
     assert format_int_poly({}) == "0"
 
 
+def test_parse_rejects_junk():
+    for bad in ("x +", "+x", "x + -1", "2**x", "x x", "A", "x^-1", "x^-1 - x^-1", "0*x^-1"):
+        with pytest.raises(ValueError):
+            parse_int_poly(bad)
+
+
 @given(st.integers(0, 20))
 def test_format_parse_round_trip(n):
     for fam in (chebyshev_T, chebyshev_S):

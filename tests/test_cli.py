@@ -306,3 +306,13 @@ def test_gen_cyclotomic_coordinate_with_zero_denominator(capsys):
 def test_gen_ragged_rows(capsys):
     err = _bad_gen(capsys, "[[1, 2], [3]]")
     assert "row [3]" in err
+
+
+def test_f12_reduce_zero_denominator_exits_1(capsys):
+    for coeff in ("(1)/(0)", "(1)/(A - A)"):
+        code, out, err = run(
+            capsys, "f12-reduce", "--slopes", "1,-2,1,1", "--element", coeff + "*(0,0,0,1)*e"
+        )
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert "--element" in err and "zero denominator" in err and coeff in err

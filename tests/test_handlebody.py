@@ -84,7 +84,18 @@ def test_poly3_str_parse_round_trip(q):
 
 
 def test_parse_poly3_rejects_junk():
-    for bad in ("x + ", "(A)*w", "(A)x", "(A*(x"):
+    for bad in (
+        "x + ",
+        "(A)*w",
+        "(A)x",
+        "(A*(x",
+        "(1)*x + ",
+        "( )*x",
+        "(A)*x +-(A)*y",
+        "( + A)*x",
+        "A*x",
+        "(A)*1*x",
+    ):
         with pytest.raises(ValueError):
             parse_poly3(bad)
 

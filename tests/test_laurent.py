@@ -111,9 +111,15 @@ def test_format_parse_round_trip(p):
 
 
 def test_parse_rejects_junk():
-    for bad in ("A +", "2**A", "A^^2", "1 1", "x"):
+    for bad in ("A +", "1 +", "2**A", "A^^2", "1 1", "x", "+A", "A + -1", "--A", "-", "(A)"):
         with pytest.raises(ValueError):
             parse_laurent(bad)
+
+
+def test_fraction_parse_rejects_junk():
+    for bad in ("(1) / (A)", "1/A", "(1)/(A)/(2)", "((1))/(A)", "(1)/(0)", "(1)/(A - A)"):
+        with pytest.raises(ValueError):
+            parse_laurent_fraction(bad)
 
 
 @given(laurent_polys(), laurent_polys())

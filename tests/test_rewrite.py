@@ -7,6 +7,7 @@ membership is checked exactly after specializing A to rational values, a
 necessary condition that is oblivious to how the formulas were derived.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,27 @@ def test_parse_format_anchor():
     e = parse_module_element("2*(0,1,0,2)*e - (0,0,0,1)*e")
     assert format_module_element(e) == "- (0,0,0,1)*e + 2*(0,1,0,2)*e"
     assert parse_module_element(format_module_element(e)) == e
+
+
+def test_parse_rejects_junk():
+    for bad in (
+        "(0,0,0,1)*e +",
+        "*(0,0,0,1)*e",
+        "A**(0,0,0,1)*e",
+        "(A + 1)(0,0,0,1)*e",
+        "()*(0,0,0,1)*e",
+        "(0,0,0,1)*e +- (0,1,0,0)*e",
+        "(0,0,0,1)*f",
+        "(0,0,1)*e",
+    ):
+        with pytest.raises(ValueError):
+            parse_module_element(bad)
+
+
+def test_zero_denominator_names_the_coefficient():
+    for coeff in ("(1)/(0)", "(1)/(A - A)"):
+        with pytest.raises(ValueError, match=re.escape(coeff)):
+            parse_module_element(coeff + "*(0,0,0,1)*e")
 
 
 @st.composite

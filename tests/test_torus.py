@@ -148,6 +148,23 @@ def test_parse_anchor():
     assert parse_fg("2") == FGElement(unit=2)
 
 
+def test_parse_rejects_junk():
+    for bad in (
+        "2*(1,0) +",
+        "2(1,0)",
+        "*(1,0)",
+        "A**(1,0)",
+        "()*(1,0)",
+        "+2*(1,0)",
+        "A + -1",
+        "--A",
+        "(1,0",
+        "A^^2*(1,0)",
+    ):
+        with pytest.raises(ValueError):
+            parse_fg(bad)
+
+
 def test_scale_and_subtraction():
     x = FGElement.basis(1, 0)
     assert (x * 3 - x * 3).is_zero
