@@ -24,6 +24,7 @@ from . import __version__
 from .chebyshev import chebyshev_S, chebyshev_T, format_int_poly
 from .cyclotomic import CycNum
 from .handlebody import (
+    MAX_DEGREE,
     gamma,
     gamma_prime,
     parse_poly3,
@@ -112,6 +113,13 @@ def _positive_int(text):
         raise argparse.ArgumentTypeError("expected an integer")
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _degree_int(text):
+    value = _positive_int(text)
+    if value > MAX_DEGREE:
+        raise argparse.ArgumentTypeError("must be at most %d" % MAX_DEGREE)
     return value
 
 
@@ -505,7 +513,7 @@ def build_parser():
         help="truncated quotient dimension and torsion lower bound for even p",
     )
     p.add_argument("--p", type=_positive_int, required=True)
-    p.add_argument("--degree", type=_positive_int, required=True)
+    p.add_argument("--degree", type=_degree_int, required=True)
     p.add_argument("--grading", choices=sorted(_GRADING), default="ee")
     _add_common(p, json_switch=False)
     p.set_defaults(func=_cmd_lens_quotient)

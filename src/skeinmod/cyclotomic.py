@@ -26,6 +26,7 @@ from itertools import repeat
 from operator import add, floordiv, mul, neg, sub
 
 from .laurent import LaurentPoly
+from .text import format_power_sum
 
 # Above every order a certificate asks for: the largest certificate field
 # that the tests, the benchmark and the documented CLI runs use is order
@@ -467,15 +468,8 @@ class CycNum:
         return Fraction(self.num[0], self.den)
 
     def __str__(self):
-        coords = self.coords
-        if self.is_rational:
-            f = coords[0]
-            return str(f.numerator) if f.denominator == 1 else str(f)
-        terms = []
-        for j, c in enumerate(coords):
-            if c:
-                terms.append(f"{c}*z{self.order}^{j}" if j else str(c))
-        return " + ".join(terms)
+        # a power sum in z<order>, the primitive root, exponents descending
+        return format_power_sum({j: c for j, c in enumerate(self.coords) if c}, f"z{self.order}")
 
     def __repr__(self):
         return f"CycNum({self.order}, {list(self.coords)!r})"

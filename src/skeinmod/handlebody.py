@@ -5,7 +5,8 @@ Generic-A data lives in Poly3 with LaurentPoly coefficients; the quotient
 computations happen after specializing A to i, where coefficients become
 Gaussian rationals. Eight relation families span the quotient ideal; each is
 a fixed core polynomial times an arbitrary monomial, with the core variant
-selected by a parity of the monomial.
+selected by a parity of the monomial. The quotient dimensions turn each core
+into integer rows once and take ranks with the sparse linalg.bareiss_rank.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 from .chebyshev import chebyshev_S, chebyshev_T
 from .gaussian import GaussRat, laurent_at_i
 from .laurent import LaurentPoly, parse_laurent
-from .linalg import bareiss_rank, field_rank
+from .linalg import bareiss_rank
 from .sparse import SparseSum, accumulate
 from .text import power, split_coeff, split_terms
 
@@ -337,48 +338,115 @@ def monomials_leq(degree_bound, grading=None):
     return out
 
 
+# Largest degree bound the relation and quotient functions accept. The
+# measurements behind it are in README.md ("lens-quotient degree limits").
+MAX_DEGREE = 64
+
+
+def _check_degree(degree_bound):
+    if degree_bound > MAX_DEGREE:
+        raise ValueError(f"degree bound {degree_bound} exceeds the limit {MAX_DEGREE}")
+
+
+def _multiples(p, degree_bound, grading=None):
+    """The relation generators x^k y^l z^n * core of degree <= degree_bound,
+    as (cores, [(monomial, index into cores)]), monomials in graded-lex
+    order and families 1..8 within one monomial.
+
+    The core variant for a monomial is picked by the parity of l+n (families
+    1-4, 8) or k+n (families 5-7), that is, by the monomial's grading. The
+    grading of a shifted core is the core's grading plus the monomial's, mod
+    2, so under a grading filter each core is checked once for homogeneity
+    and only the multiples in the requested class are listed.
+    """
+    if p < 2:
+        raise ValueError("needs p >= 2")
+    if degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
+    cores = []
+    by_class = {(a, b): [] for a in (0, 1) for b in (0, 1)}
+    for family in range(1, 9):
+        bit = 1 if FAMILY_SELECTOR[family] == "ln" else 0
+        for parity in (0, 1):
+            core = relation_core(family, p, parity)
+            if core is None:
+                continue
+            classes = [g for g in by_class if g[bit] == parity]
+            if grading is not None:
+                core_classes = core.gradings()
+                if len(core_classes) != 1:
+                    raise ValueError("inhomogeneous relation under a grading filter")
+                (a, b) = core_classes.pop()
+                classes = [g for g in classes if ((g[0] + a) % 2, (g[1] + b) % 2) == grading]
+            if classes:
+                for g in classes:
+                    by_class[g].append((core.degree(), len(cores)))
+                cores.append(core)
+    pairs = []
+    for mono in monomials_leq(degree_bound):
+        room = degree_bound - sum(mono)
+        pairs.extend((mono, j) for degree, j in by_class[monomial_grading(mono)] if degree <= room)
+    return cores, pairs
+
+
 def relation_generators(p, degree_bound):
     """All monomial multiples of relation cores up to the degree bound.
 
     The core variant for a monomial x^k y^l z^n is picked by the parity of
     l+n (families 1-4, 8) or k+n (families 5-7).
     """
-    if p < 2:
-        raise ValueError("needs p >= 2")
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
-    cores = {}
-    for family in range(1, 9):
-        for parity in (0, 1):
-            cores[(family, parity)] = relation_core(family, p, parity)
-    out = []
-    for mono in monomials_leq(degree_bound):
-        k, l, n = mono
-        for family in range(1, 9):
-            parity = (l + n) % 2 if FAMILY_SELECTOR[family] == "ln" else (k + n) % 2
-            core = cores[(family, parity)]
-            if core is None:
-                continue
-            if k + l + n + core.degree() <= degree_bound:
-                out.append(core.monomial_shift(k, l, n))
-    return out
+    _check_degree(degree_bound)
+    cores, pairs = _multiples(p, degree_bound)
+    return [cores[j].monomial_shift(*mono) for mono, j in pairs]
 
 
-def _rows_from_polys(polys, col_index):
+def _integer_forms(cores):
+    """Integer row templates of GaussRat cores: (width, one list of
+    [(monomial, column offset, int)] rows per core).
+
+    A core whose coefficients are all real or all imaginary spans the same
+    line as one integer row, so if every core is like that (every even p)
+    each gives one row and width is 1. Otherwise each core R + iS, with its
+    denominators cleared, is realified into the integer rows [R | -S] and
+    [S | R]: monomial column j splits into 2j (real part) and 2j + 1
+    (imaginary part), width is 2, and the rank over Q of the realified rows
+    is twice the rank over Q(i) of the Gaussian ones.
+    """
+    forms = []
+    for core in cores:
+        den = math.lcm(*(v.re.denominator * v.im.denominator for v in core.terms.values()))
+        forms.append([(m, int(v.re * den), int(v.im * den)) for m, v in core.terms.items()])
+    if all(not any(re for _m, re, _im in f) or not any(im for _m, _re, im in f) for f in forms):
+        return 1, [[[(m, 0, re or im) for m, re, im in f]] for f in forms]
+    return 2, [
+        [
+            [(m, off, v) for m, re, im in f for off, v in ((0, re), (1, -im)) if v],
+            [(m, off, v) for m, re, im in f for off, v in ((0, im), (1, re)) if v],
+        ]
+        for f in forms
+    ]
+
+
+def _relation_rows(p, degree_bound, grading, cols):
+    """Integer relation rows {column: int} over the monomial columns `cols`,
+    with the width of `_integer_forms`; no Poly3 is built per multiple."""
+    cores, pairs = _multiples(p, degree_bound, grading)
+    width, forms = _integer_forms(cores)
+    col_index = {key: width * idx for idx, key in enumerate(cols)}
     rows = []
-    for poly in polys:
-        row = {}
-        for key, c in poly.terms.items():
-            idx = col_index.get(key)
-            if idx is None:
-                raise ValueError(f"relation monomial {key} outside the column set")
-            row[idx] = c
-        if row:
+    for (k, l, n), j in pairs:
+        for form in forms[j]:
+            row = {}
+            for (a, b, c), off, v in form:
+                idx = col_index.get((a + k, b + l, c + n))
+                if idx is None:
+                    raise ValueError(f"relation monomial {(a + k, b + l, c + n)} outside the column set")
+                row[idx + off] = v
             rows.append(row)
-    return rows
+    return width, rows
 
 
-def _eliminate_singletons(rows, ncols):
+def _eliminate_singletons(rows):
     """Columns hit by a one-term relation are directly in the span; peel them
     off and shrink the remaining rows. Returns (killed column set, rows)."""
     killed = set()
@@ -399,80 +467,29 @@ def _eliminate_singletons(rows, ncols):
     return killed, rows
 
 
-def _rank_of_rows(rows, ncols):
-    """Exact rank of sparse rows with GaussRat entries.
+def _rank_of_rows(rows):
+    """Exact rank of sparse integer rows: the singleton columns, plus the
+    rank bareiss_rank finds for what is left of the other rows."""
+    killed, rows = _eliminate_singletons(rows)
+    return len(killed) + bareiss_rank(rows)
 
-    Rows that are uniformly real or uniformly imaginary become integer rows
-    (fast fraction-free path); anything mixed falls back to field
-    elimination over Q(i).
-    """
-    if not rows:
-        return 0
-    int_rows = []
-    mixed = False
-    for row in rows:
-        vals = list(row.values())
-        if all(not v.im for v in vals):
-            comps = {c: v.re for c, v in row.items()}
-        elif all(not v.re for v in vals):
-            comps = {c: v.im for c, v in row.items()}
-        else:
-            mixed = True
-            break
-        den = math.lcm(*(f.denominator for f in comps.values()))
-        int_rows.append({c: int(f * den) for c, f in comps.items()})
-    if not mixed:
-        # dedupe up to scalar
-        seen = {}
-        for row in int_rows:
-            g = math.gcd(*row.values())
-            norm = tuple(sorted((c, v // g) for c, v in row.items()))
-            lead = norm[0][1]
-            if lead < 0:
-                norm = tuple((c, -v) for c, v in norm)
-            seen[norm] = row
-        dense = []
-        for norm in seen:
-            vec = [0] * ncols
-            for c, v in norm:
-                vec[c] = v
-            dense.append(vec)
-        return bareiss_rank(dense)
-    dense = []
-    for row in rows:
-        vec = [GaussRat.zero()] * ncols
-        for c, v in row.items():
-            vec[c] = v
-        dense.append(vec)
-    return field_rank(dense)
+
+def _check_grading(p, grading):
+    if grading is None:
+        return None
+    if p % 2:
+        raise ValueError("grading filter requires even p (homogeneous relations)")
+    return tuple(grading)
 
 
 def truncated_quotient_dimension(p, degree_bound, grading=None):
     """Dimension of (monomials of degree <= bound, optionally one grading
     class) modulo the degree-truncated relation span."""
-    if grading is not None:
-        if p % 2:
-            raise ValueError("grading filter requires even p (homogeneous relations)")
-        grading = tuple(grading)
+    grading = _check_grading(p, grading)
+    _check_degree(degree_bound)
     cols = monomials_leq(degree_bound, grading)
-    col_index = {key: idx for idx, key in enumerate(cols)}
-    polys = relation_generators(p, degree_bound)
-    if grading is not None:
-        kept = []
-        for poly in polys:
-            gs = poly.gradings()
-            if len(gs) != 1:
-                raise ValueError("inhomogeneous relation under a grading filter")
-            if next(iter(gs)) == grading:
-                kept.append(poly)
-        polys = kept
-    rows = _rows_from_polys(polys, col_index)
-    killed, rows = _eliminate_singletons(rows, len(cols))
-    # project surviving rows away from killed columns
-    rows = [{c: v for c, v in row.items() if c not in killed} for row in rows]
-    rows = [row for row in rows if row]
-    rank = len(killed) + _rank_of_rows(rows, len(cols))
-    return len(cols) - rank
+    width, rows = _relation_rows(p, degree_bound, grading, cols)
+    return len(cols) - _rank_of_rows(rows) // width
 
 
 def nested_truncation_dimension(p, window_degree, relation_degree, grading=None):
@@ -481,30 +498,15 @@ def nested_truncation_dimension(p, window_degree, relation_degree, grading=None)
 
     dim = #window monomials - (rank of all rows - rank of rows projected to
     the columns outside the window); increasing relation_degree can only
-    shrink it.
+    shrink it. Columns are ordered by degree, so the window is a prefix.
     """
     if relation_degree < window_degree:
         raise ValueError("relation degree must dominate the window")
-    if grading is not None:
-        if p % 2:
-            raise ValueError("grading filter requires even p (homogeneous relations)")
-        grading = tuple(grading)
+    grading = _check_grading(p, grading)
+    _check_degree(relation_degree)
     cols = monomials_leq(relation_degree, grading)
-    col_index = {key: idx for idx, key in enumerate(cols)}
     inside = sum(1 for key in cols if sum(key) <= window_degree)
-    polys = relation_generators(p, relation_degree)
-    if grading is not None:
-        polys = [
-            poly
-            for poly in polys
-            if poly.gradings() == {grading}
-        ]
-    rows = _rows_from_polys(polys, col_index)
-    full = _rank_of_rows(rows, len(cols))
-    outside_rows = []
-    for row in rows:
-        proj = {c: v for c, v in row.items() if sum(cols[c]) > window_degree}
-        if proj:
-            outside_rows.append(proj)
-    outside = _rank_of_rows(outside_rows, len(cols))
-    return inside - (full - outside)
+    width, rows = _relation_rows(p, relation_degree, grading, cols)
+    cut = width * inside
+    outside_rows = [proj for row in rows if (proj := {c: v for c, v in row.items() if c >= cut})]
+    return inside - (_rank_of_rows(rows) - _rank_of_rows(outside_rows)) // width

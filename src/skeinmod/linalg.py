@@ -1,42 +1,60 @@
 """Exact linear algebra: ranks over Z and over exact fields, Smith normal form.
 
-Integer matrices go through fraction-free Bareiss elimination. Field entries
-(GaussRat rows from the handle-slide quotients, CycNum rows from the 2x2
-algebra closures, or plain Fractions) go through plain field elimination;
-the entry type only has to support -, *, /, bool and coerce Python ints.
-LaurentFraction would qualify, but no computation eliminates over Q(A).
+Integer rows, dense or sparse, go through a fraction-free online echelon
+(`bareiss_rank`); the handle-slide quotients send their Gaussian rows there
+too, as integer rows (see `handlebody`). Field entries (CycNum rows from the
+2x2 algebra closures, or plain Fractions) go through plain field
+elimination; the entry type only has to support -, *, /, bool and coerce
+Python ints. LaurentFraction would qualify, but no computation eliminates
+over Q(A).
 """
 
 from __future__ import annotations
 
+import math
 
-def bareiss_rank(matrix):
-    """Rank of an integer matrix, fraction-free."""
-    m = [list(row) for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, nrows):
-            head = m[i][col]
-            for j in range(col + 1, ncols):
-                m[i][j] = (pivot * m[i][j] - head * m[rank][j]) // prev
-            m[i][col] = 0
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+
+def bareiss_rank(rows):
+    """Rank of an integer matrix, exact and fraction-free.
+
+    Each row is a {column: int} mapping or a dense sequence, read as
+    enumerate(row). The rows feed an online echelon that keeps one primitive
+    row per pivot column, the row's highest nonzero column. A new row is
+    reduced at every column that has a pivot row, highest first: at column
+    c, with (a, b) = (pivot[c], row[c]) / gcd, it becomes a*row - b*pivot,
+    divided by the gcd of its entries. A row that reaches zero depended on
+    the rows before it (duplicates and scalar multiples included); otherwise
+    it becomes the pivot of its highest column, with nonzeros only there and
+    at columns that had no pivot yet, which keeps later reductions short.
+    This is the fraction-free step of Bareiss (Math. Comp. 1968) with the
+    content taken out, so the entries stay small.
+    """
+    pivots = {}
+    for row in rows:
+        items = row.items() if hasattr(row, "items") else enumerate(row)
+        r = {c: v for c, v in items if v}
+        while hit := [c for c in r if c in pivots]:
+            col = max(hit)
+            pivot = pivots[col]
+            a, b = pivot[col], r[col]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                r = {c: a * v for c, v in r.items()}
+            for c, v in pivot.items():
+                v = r.get(c, 0) - b * v
+                if v:
+                    r[c] = v
+                else:
+                    del r[c]
+            if r and a != 1:
+                g = math.gcd(*r.values())
+                if g != 1:
+                    r = {c: v // g for c, v in r.items()}
+        if r:
+            g = math.gcd(*r.values())
+            pivots[max(r)] = {c: v // g for c, v in r.items()}
+    return len(pivots)
 
 
 def _field_rank(matrix):

@@ -281,6 +281,18 @@ def _cyc_dict(x):
     return {"order": x.order, "coords": _coord_pairs(x)}
 
 
+def _coords_text(x):
+    """The certificate's text form of x: its power-basis coordinates, ascending,
+    as `c*z<order>^j` summands joined by " + " (`1*z20^4 + -1*z20^6`).
+
+    The golden certificate envelopes and the benchmark's golden digests pin
+    the `crossing_trace` side condition in this form, which differs from the
+    signed power sum str(x) writes (`-z20^6 + z20^4`).
+    """
+    terms = [f"{c}*z{x.order}^{j}" if j else str(c) for j, c in enumerate(x.coords) if c]
+    return " + ".join(terms) or "0"
+
+
 class TorsionCertificate:
     """Verified witness that the skein module has torsion.
 
@@ -762,7 +774,7 @@ def _nonseparating_certificate(data):
                 side_conditions={
                     "classification": "positive_genus",
                     "torus_curve_doubled_class_nonzero": True,
-                    "crossing_trace": str(rep.word_image(delta).trace()),
+                    "crossing_trace": _coords_text(rep.word_image(delta).trace()),
                 },
             )
             if reverify_certificate(cert, data):

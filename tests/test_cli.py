@@ -316,3 +316,17 @@ def test_f12_reduce_zero_denominator_exits_1(capsys):
         assert code == 1 and out == ""
         assert "Traceback" not in err
         assert "--element" in err and "zero denominator" in err and coeff in err
+
+
+def test_lens_quotient_degree_above_the_cap_exits_1(capsys, monkeypatch):
+    from skeinmod import handlebody
+
+    def boom(*args, **kwargs):
+        raise AssertionError("monomials_leq ran above the degree cap")
+
+    monkeypatch.setattr(handlebody, "monomials_leq", boom)
+    for degree in (handlebody.MAX_DEGREE + 1, 10**9):
+        code, out, err = run(capsys, "lens-quotient", "--p", "4", "--degree", str(degree))
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert "--degree" in err and "at most %d" % handlebody.MAX_DEGREE in err

@@ -309,3 +309,23 @@ def test_order_cap_rejects_before_allocating():
         assert cli.main(["algebra-closure", "--gen", gen]) == 1
     assert set(cyclotomic._ROW_CACHE) == rows
     assert set(cyclotomic._CYCLO_CACHE) == polys
+
+
+# ---------------------------------------------------------------------------
+# text form: a power sum in the primitive root, as the shared grammar writes it
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (CycNum.zero(), "0"),
+        (CycNum.rational(-5), "-5"),
+        (CycNum.rational(Fraction(3, 2)), "3/2"),
+        (CycNum(12, [1, -1, 0, 0]), "-z12 + 1"),
+        (root_of_unity(5), "z5"),
+        (CycNum(8, [0, 0, Fraction(-1, 2), Fraction(3, 4)]), "3/4*z8^3 - 1/2*z8^2"),
+        (CycNum(60, [2] + [0] * 14 + [-1]), "-z60^15 + 2"),
+    ],
+)
+def test_str_anchors(x, text):
+    assert str(x) == text

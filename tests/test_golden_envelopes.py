@@ -8,9 +8,10 @@ byte for byte. The corpus covers seifert-certify on the five criterion-7
 spaces, algebra-closure on rational and order-8 generators, f12-reduce on
 multi-step elements for each benchmark slope, torus-mul on a product whose
 terms cancel and one that reaches the (0,0) unit slot, gamma and gamma',
-lens-quotient, jprime-check, chebyshev T and S from the smallest n up to
-n = 40, and homology on two fiber sets. A case with a "stderr"
-field also pins what the command wrote to stderr, which for f12-reduce is
+lens-quotient (p = 2, 4, 8 in every grading at degree 12, and p = 6 at
+degree 12 ee, 24 ee and 16 oo), jprime-check, chebyshev T and S from the
+smallest n up to n = 40, and homology on two fiber sets. A case with a
+"stderr" field also pins what the command wrote to stderr, which for f12-reduce is
 the `step: rewrote ...` log in rewrite order.
 """
 

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from skeinmod.chebyshev import chebyshev_T, poly_eval
 from skeinmod.gaussian import GaussRat, laurent_at_i
+from skeinmod import handlebody
 from skeinmod.handlebody import (
+    FAMILY_SELECTOR,
+    MAX_DEGREE,
     Poly3,
     crosscheck_relation_cores,
     gamma,
@@ -19,6 +22,7 @@ from skeinmod.handlebody import (
     nested_truncation_dimension,
     parse_poly3,
     relation_core,
+    relation_generators,
     specialize_at_i,
     truncated_quotient_dimension,
     v_restricted_cores,
@@ -186,3 +190,91 @@ def test_closed_form_agrees_with_chebyshev_evaluation():
         assert scaled.im == 0
         lhs = lhs + int(scaled.re) * poly_eval({deg: 1}, t, LaurentPoly.one())
     assert lhs == LaurentPoly.A(p) + LaurentPoly.A(-p)
+
+
+# ---------------------------------------------------------------------------
+# quotient dimensions pinned at the dense-elimination implementation
+
+GRADINGS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("p, degree, graded", [(4, 20, (12, 1, 2, 1)), (6, 12, (13, 2, 3, 2))])
+def test_ungraded_dimension_is_the_sum_of_the_graded_ones(p, degree, graded):
+    # even p: every relation is homogeneous, so the quotient splits by grading
+    assert tuple(truncated_quotient_dimension(p, degree, g) for g in GRADINGS) == graded
+    assert truncated_quotient_dimension(p, degree) == sum(graded)
+
+
+@pytest.mark.parametrize("p, degree, expected", [(3, 6, 3), (3, 8, 3), (5, 8, 7), (3, 10, 3)])
+def test_odd_p_ungraded_dimension(p, degree, expected):
+    # odd p mixes real and imaginary coefficients, the realified path
+    assert truncated_quotient_dimension(p, degree) == expected
+
+
+@pytest.mark.parametrize(
+    "p, window, relation, ungraded, graded",
+    [
+        (2, 2, 4, 5, (2, 1, 1, 1)),
+        (2, 4, 8, 6, (3, 1, 1, 1)),
+        (2, 6, 8, 7, (4, 1, 1, 1)),
+        (4, 4, 6, 7, (4, 1, 1, 1)),
+        (4, 6, 8, 8, (5, 1, 1, 1)),
+        (6, 2, 4, 6, (3, 1, 1, 1)),
+        (6, 4, 8, 10, (5, 2, 1, 2)),
+        (6, 6, 8, 12, (7, 2, 1, 2)),
+    ],
+)
+def test_nested_truncation_pins(p, window, relation, ungraded, graded):
+    assert nested_truncation_dimension(p, window, relation) == ungraded
+    assert tuple(nested_truncation_dimension(p, window, relation, g) for g in GRADINGS) == graded
+
+
+@pytest.mark.parametrize(
+    "p, window, relation, expected", [(3, 2, 4, 3), (3, 4, 6, 2), (3, 4, 8, 2), (5, 4, 6, 5), (5, 6, 8, 4)]
+)
+def test_nested_truncation_odd_p_pins(p, window, relation, expected):
+    assert nested_truncation_dimension(p, window, relation) == expected
+
+
+def _reference_generators(p, degree_bound):
+    # the definition, one Poly3 per monomial multiple
+    out = []
+    for k, l, n in monomials_leq(degree_bound):
+        for family in range(1, 9):
+            parity = (l + n) % 2 if FAMILY_SELECTOR[family] == "ln" else (k + n) % 2
+            core = relation_core(family, p, parity)
+            if core is not None and k + l + n + core.degree() <= degree_bound:
+                out.append(core.monomial_shift(k, l, n))
+    return out
+
+
+@pytest.mark.parametrize("p, degree", [(2, 5), (3, 6), (4, 7), (6, 8)])
+def test_relation_generators_match_the_definition(p, degree):
+    assert relation_generators(p, degree) == _reference_generators(p, degree)
+
+
+def test_degree_cap_fires_before_any_work(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("monomials_leq ran above the degree cap")
+
+    monkeypatch.setattr(handlebody, "monomials_leq", boom)
+    for huge in (MAX_DEGREE + 1, 10**9):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            truncated_quotient_dimension(4, huge, (0, 0))
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            truncated_quotient_dimension(5, huge)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            nested_truncation_dimension(4, 2, huge)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            relation_generators(4, huge)
+
+
+def test_quotient_argument_errors():
+    with pytest.raises(ValueError, match="needs p >= 2"):
+        truncated_quotient_dimension(1, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        truncated_quotient_dimension(2, -1)
+    with pytest.raises(ValueError, match="requires even p"):
+        truncated_quotient_dimension(3, 4, (0, 0))
+    with pytest.raises(ValueError, match="dominate"):
+        nested_truncation_dimension(2, 6, 4)
