@@ -12,6 +12,16 @@ from __future__ import annotations
 
 from .text import format_power_sum, parse_power_sum
 
+# Largest n that chebyshev_T and chebyshev_S accept; the recurrence costs
+# about n^2 steps on growing integers. The measurements behind it are in
+# README.md ("p and n limits").
+MAX_N = 4096
+
+
+def _check_n(n):
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the limit {MAX_N}")
+
 
 def _recurrence(n, p_prev, p_cur):
     for _ in range(n):
@@ -30,6 +40,7 @@ def chebyshev_T(n):
     """First kind, trace normalization: T(0) = 2, T(1) = x."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("chebyshev_T needs n >= 0")
+    _check_n(n)
     if n == 0:
         return {0: 2}
     return _recurrence(n - 1, {0: 2}, {1: 1})
@@ -39,6 +50,7 @@ def chebyshev_S(n):
     """Second kind: S(0) = 1, S(1) = x, and S(-1) = 0 by convention."""
     if not isinstance(n, int) or n < -1:
         raise ValueError("chebyshev_S needs n >= -1")
+    _check_n(n)
     if n == -1:
         return {}
     if n == 0:

@@ -21,10 +21,11 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .chebyshev import chebyshev_S, chebyshev_T, format_int_poly
+from .chebyshev import MAX_N, chebyshev_S, chebyshev_T, format_int_poly
 from .cyclotomic import CycNum
 from .handlebody import (
     MAX_DEGREE,
+    MAX_P,
     gamma,
     gamma_prime,
     parse_poly3,
@@ -106,21 +107,21 @@ def _gen_text(text):
     return text
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_range(low, high=None):
+    """An integer in [low, high]; no upper limit when high is None."""
 
+    def check(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError("must be at most %d" % high)
+        return value
 
-def _degree_int(text):
-    value = _positive_int(text)
-    if value > MAX_DEGREE:
-        raise argparse.ArgumentTypeError("must be at most %d" % MAX_DEGREE)
-    return value
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +321,6 @@ def _cmd_torus_mul(args):
 def _cmd_chebyshev(args):
     if args.family == "T" and args.n < 0:
         raise _usage(args, "argument --n: T requires n >= 0")
-    if args.family == "S" and args.n < -1:
-        raise _usage(args, "argument --n: S requires n >= -1")
     inputs = {"family": args.family, "n": args.n}
 
     def compute():
@@ -498,12 +497,12 @@ def build_parser():
 
     p = subs.add_parser("chebyshev", help="print a Chebyshev-type polynomial")
     p.add_argument("--family", choices=("T", "S"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_range(-1, MAX_N), required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_chebyshev)
 
     p = subs.add_parser("gamma", help="print the gamma relation polynomial for p")
-    p.add_argument("--p", type=_positive_int, required=True)
+    p.add_argument("--p", type=_int_range(1, MAX_P), required=True)
     p.add_argument("--prime", action="store_true", help="print the primed variant")
     _add_common(p)
     p.set_defaults(func=_cmd_gamma)
@@ -512,21 +511,21 @@ def build_parser():
         "lens-quotient",
         help="truncated quotient dimension and torsion lower bound for even p",
     )
-    p.add_argument("--p", type=_positive_int, required=True)
-    p.add_argument("--degree", type=_degree_int, required=True)
+    p.add_argument("--p", type=_int_range(1, MAX_P), required=True)
+    p.add_argument("--degree", type=_int_range(1, MAX_DEGREE), required=True)
     p.add_argument("--grading", choices=sorted(_GRADING), default="ee")
     _add_common(p, json_switch=False)
     p.set_defaults(func=_cmd_lens_quotient)
 
     p = subs.add_parser("jprime-check", help="verify the shifted-ideal containment for p")
-    p.add_argument("--p", type=_positive_int, required=True)
+    p.add_argument("--p", type=_int_range(1, MAX_P), required=True)
     _add_common(p, json_switch=False)
     p.set_defaults(func=_cmd_jprime_check)
 
     p = subs.add_parser("f12-reduce", help="rewrite an element to reduced form")
     p.add_argument("--slopes", type=_slopes_text, required=True, help="a1,b1,a2,b2")
     p.add_argument("--element", type=_parsed_by(parse_module_element), required=True)
-    p.add_argument("--max-steps", type=_positive_int, default=100000)
+    p.add_argument("--max-steps", type=_int_range(1), default=100000)
     _add_common(p)
     p.set_defaults(func=_cmd_f12_reduce)
 

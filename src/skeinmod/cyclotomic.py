@@ -439,10 +439,9 @@ class CycNum:
         return a * b.inverse()
 
     def __rtruediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return b * a.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n):
         if not isinstance(n, int):

@@ -119,10 +119,23 @@ def _y_poly(int_poly, scalar=1):
     return Poly3({(0, e, 0): scalar * v for e, v in int_poly.items()})
 
 
+# Largest p that gamma, gamma_prime, relation_core and
+# verify_Jprime_containment accept; their Chebyshev polynomials of degree p
+# cost about p^2 steps. The measurements behind it are in README.md ("p and
+# n limits").
+MAX_P = 1024
+
+
+def _check_p(p):
+    if p > MAX_P:
+        raise ValueError(f"p = {p} exceeds the limit {MAX_P}")
+
+
 def gamma(p):
     """Curve winding p times around one handle, generic A, via the recurrence."""
     if p < 1:
         raise ValueError("gamma needs p >= 1")
+    _check_p(p)
     A = LaurentPoly.A
     g1 = Poly3({(0, 1, 0): LaurentPoly.one()})
     if p == 1:
@@ -139,6 +152,7 @@ def gamma_prime(p):
     """Companion curve crossing the z-handle once, generic A."""
     if p < 1:
         raise ValueError("gamma_prime needs p >= 1")
+    _check_p(p)
     A = LaurentPoly.A
     g1 = Poly3({(0, 0, 1): LaurentPoly.one()})
     if p == 1:
@@ -188,6 +202,7 @@ def relation_core(family, p, parity):
         raise ValueError("parity must be 0 or 1")
     if family <= 4 and p < 2:
         raise ValueError("families 1-4 need p >= 2")
+    _check_p(p)
     one = GaussRat.one()
     i = GaussRat.i()
     sign = 1 if parity == 0 else -1
@@ -310,6 +325,7 @@ def verify_Jprime_containment(p):
     """
     if p % 2 or p < 2:
         raise ValueError("needs even p >= 2")
+    _check_p(p)
     report = {}
     ok = True
     for family, core in v_restricted_cores(p):

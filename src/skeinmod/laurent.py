@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .chebyshev import poly_eval
 from .text import format_power_sum, parse_power_sum, strip_parens
 
 
@@ -185,27 +186,9 @@ class LaurentPoly:
 
     def eval_at(self, x, xinv, one):
         """Evaluate as a ring homomorphism, A -> x, A^-1 -> xinv."""
-        total = x - x  # ring zero
-        # group by sign of exponent, walking powers incrementally
-        pos = sorted((e for e in self._c if e > 0))
-        neg = sorted((-e for e in self._c if e < 0))
-        if 0 in self._c:
-            total = total + self._c[0] * one
-        power = one
-        last = 0
-        for e in pos:
-            for _ in range(e - last):
-                power = power * x
-            last = e
-            total = total + self._c[e] * power
-        power = one
-        last = 0
-        for e in neg:
-            for _ in range(e - last):
-                power = power * xinv
-            last = e
-            total = total + self._c[-e] * power
-        return total
+        pos = {e: c for e, c in self._c.items() if e >= 0}
+        neg = {-e: c for e, c in self._c.items() if e < 0}
+        return poly_eval(pos, x, one) + poly_eval(neg, xinv, one)
 
     def __str__(self):
         return format_laurent(self)

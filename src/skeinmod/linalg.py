@@ -1,17 +1,29 @@
-"""Exact linear algebra: ranks over Z and over exact fields, Smith normal form.
+"""Exact linear algebra: ranks over Z and over exact fields, kernels, Smith
+normal form.
 
-Integer rows, dense or sparse, go through a fraction-free online echelon
-(`bareiss_rank`); the handle-slide quotients send their Gaussian rows there
-too, as integer rows (see `handlebody`). Field entries (CycNum rows from the
-2x2 algebra closures, or plain Fractions) go through plain field
-elimination; the entry type only has to support -, *, /, bool and coerce
-Python ints. LaurentFraction would qualify, but no computation eliminates
-over Q(A).
+There are two eliminations, one per kind of entry:
+
+- over the integers, `bareiss_rank`: fraction-free, pivoting on each row's
+  highest column and dividing out the content. Its only divisions are
+  exact, by gcds, so entries stay integers, and on the sparse rows of the
+  handle-slide quotients (see `handlebody`, which sends its Gaussian rows
+  as integer rows) the highest-column pivot keeps the rows short;
+- over a field, `FieldEchelon`: the reduced row echelon form, pivoting on
+  each row's lowest column and scaling it by one inverse. The reduced form
+  of a span is unique, so its rows and its kernel basis do not depend on
+  the order of the rows. It serves `field_rank`, `field_nullspace` and the
+  2x2 algebra closures of `mat2`.
+
+One loop for both would have to branch on its entry type at every step.
+Field entries are CycNum, Fraction or GaussRat, or ints mixed in with them;
+the type only has to support -, *, Fraction(1) / x and bool, and coerce
+Python ints.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def bareiss_rank(rows):
@@ -57,83 +69,79 @@ def bareiss_rank(rows):
     return len(pivots)
 
 
-def _field_rank(matrix):
-    m = [list(row) for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, nrows):
-            if m[i][col]:
-                factor = m[i][col] / pivot
-                for j in range(col, ncols):
-                    m[i][j] = m[i][j] - factor * m[rank][j]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+class FieldEchelon:
+    """Reduced row echelon form of the span of the rows inserted so far.
+
+    Each pivot row is 1 at its pivot column, the row's lowest nonzero
+    column, and 0 at every other pivot column.
+    """
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self._pivots = {}  # pivot column -> row
+
+    @classmethod
+    def of(cls, matrix):
+        rows = list(matrix)
+        ech = cls(len(rows[0]) if rows else 0)
+        for row in rows:
+            ech.insert(row)
+        return ech
+
+    @property
+    def rank(self):
+        return len(self._pivots)
+
+    def insert(self, vec):
+        """Add a row to the span; True if it was not in the span already."""
+        vec = list(vec)
+        for col in sorted(self._pivots):
+            factor = vec[col]
+            if factor:
+                vec = [v - factor * r for v, r in zip(vec, self._pivots[col])]
+        col = next((c for c, v in enumerate(vec) if v), None)
+        if col is None:
+            return False
+        inv = Fraction(1) / vec[col]  # exact for an int pivot too
+        row = [v * inv for v in vec]
+        for c, other in self._pivots.items():
+            f = other[col]
+            if f:
+                self._pivots[c] = [o - f * r for o, r in zip(other, row)]
+        self._pivots[col] = row
+        return True
+
+    def rows(self):
+        """The pivot rows, by pivot column."""
+        return [self._pivots[c] for c in sorted(self._pivots)]
+
+    def kernel(self):
+        """Basis of the right kernel, one vector per free column: 1 there,
+        0 at the other free columns, and minus the pivot rows' entries in
+        that column at the pivot columns. The 0/1 fill is Python ints, which
+        every entry type here coerces on contact."""
+        basis = []
+        for free in range(self.ncols):
+            if free not in self._pivots:
+                vec = [0] * self.ncols
+                vec[free] = 1
+                for c, row in self._pivots.items():
+                    vec[c] = -row[free]
+                basis.append(vec)
+        return basis
 
 
 def field_rank(matrix):
     """Exact rank; integer matrices take the Bareiss path automatically."""
     rows = list(matrix)
-    if not rows or not rows[0]:
-        return 0
     if all(isinstance(v, int) for row in rows for v in row):
         return bareiss_rank(rows)
-    return _field_rank(rows)
+    return FieldEchelon.of(rows).rank
 
 
 def field_nullspace(matrix):
-    """Basis of the right kernel over the entry field.
-
-    Fill-in values are Python ints 0/1, which every coefficient type here
-    coerces on contact.
-    """
-    m = [list(row) for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        m[rank] = [v / pivot for v in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    basis = []
-    pivot_set = set(pivots)
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][free]
-        basis.append(vec)
-    return basis
+    """Basis of the right kernel over the entry field (FieldEchelon.kernel)."""
+    return FieldEchelon.of(matrix).kernel()
 
 
 def _xgcd(a, b):

@@ -4,7 +4,9 @@ trace machinery for representation certificates.
 Subalgebras of M2 are classified against the named ones: diagonal (D), upper
 and lower triangular (U, L), the Jordan line spanned by I and E12 (J), all
 of M2, or OTHER. Classification happens in standard position; callers
-conjugate first (standardize_pair).
+conjugate first (standardize_pair). Closures and eigenvectors are field
+elimination through `linalg.FieldEchelon`; see the `linalg` docstring for
+why the integer elimination is a separate loop.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .cyclotomic import (
     root_of_unity,
     root_of_unity_with_trace,
 )
-from .linalg import field_nullspace
+from .linalg import FieldEchelon, field_nullspace
 
 
 def _cyc(v):
@@ -150,53 +152,6 @@ class Mat2:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
-def _vec(m):
-    return [m.a, m.b, m.c, m.d]
-
-
-def _mat(vec):
-    return Mat2(vec[0], vec[1], vec[2], vec[3])
-
-
-class _Echelon:
-    """Row echelon span of 4-vectors over the cyclotomic field."""
-
-    def __init__(self):
-        self.pivots = {}  # coord index -> normalized vector
-
-    def reduce(self, vec):
-        vec = list(vec)
-        for idx in range(4):
-            if vec[idx] and idx in self.pivots:
-                factor = vec[idx]
-                row = self.pivots[idx]
-                vec = [v - factor * r for v, r in zip(vec, row)]
-        return vec
-
-    def insert(self, vec):
-        """Returns True if vec enlarged the span."""
-        vec = self.reduce(vec)
-        for idx in range(4):
-            if vec[idx]:
-                inv = vec[idx].inverse()
-                row = [v * inv for v in vec]
-                # back-substitute into existing pivots
-                for j, other in self.pivots.items():
-                    if other[idx]:
-                        f = other[idx]
-                        self.pivots[j] = [o - f * r for o, r in zip(other, row)]
-                self.pivots[idx] = row
-                return True
-        return False
-
-    @property
-    def dim(self):
-        return len(self.pivots)
-
-    def basis(self):
-        return [_mat(self.pivots[idx]) for idx in sorted(self.pivots)]
-
-
 SubalgebraClass = namedtuple("SubalgebraClass", ["tag", "basis", "dim"])
 
 _E11 = (1, 0, 0, 0)
@@ -222,28 +177,28 @@ def algebra_closure(gens):
     """
     if not gens:
         raise ValueError("need at least one generator")
-    ech = _Echelon()
-    ech.insert(_vec(Mat2.identity()))
+    ech = FieldEchelon(4)
+    ech.insert(Mat2.identity().entries)
     fresh = [Mat2.identity()]
     for g in gens:
-        if ech.insert(_vec(g)):
+        if ech.insert(g.entries):
             fresh.append(g)
-    while fresh and ech.dim < 4:
-        basis_now = ech.basis()
+    while fresh and ech.rank < 4:
+        basis_now = [Mat2(*row) for row in ech.rows()]
         new_fresh = []
         for x in fresh:
             for y in basis_now:
                 for prod in (x * y, y * x):
-                    if ech.insert(_vec(prod)):
+                    if ech.insert(prod.entries):
                         new_fresh.append(prod)
-            if ech.dim == 4:
+            if ech.rank == 4:
                 break
         fresh = new_fresh
-    basis = ech.basis()
+    basis = [Mat2(*row) for row in ech.rows()]
     tag = _classify(basis)
     if tag in _CANONICAL_BASIS:
-        basis = [_mat(v) for v in _CANONICAL_BASIS[tag]]
-    return SubalgebraClass(tag, basis, ech.dim)
+        basis = [Mat2(*v) for v in _CANONICAL_BASIS[tag]]
+    return SubalgebraClass(tag, basis, ech.rank)
 
 
 def _classify(basis):

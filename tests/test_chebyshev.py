@@ -6,7 +6,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeinmod import chebyshev
 from skeinmod.chebyshev import (
+    MAX_N,
     chebyshev_S,
     chebyshev_T,
     format_int_poly,
@@ -31,6 +33,19 @@ def test_domain_errors():
         chebyshev_T(-1)
     with pytest.raises(ValueError):
         chebyshev_S(-2)
+
+
+def test_size_cap_fires_before_the_recurrence(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the recurrence ran above the cap")
+
+    monkeypatch.setattr(chebyshev, "_recurrence", boom)
+    for n in (MAX_N + 1, 10**9):
+        for family in (chebyshev_T, chebyshev_S):
+            with pytest.raises(ValueError, match="n = %d exceeds the limit %d" % (n, MAX_N)):
+                family(n)
+    monkeypatch.setattr(chebyshev, "_recurrence", lambda *args: "ran")
+    assert chebyshev_T(MAX_N) == chebyshev_S(MAX_N) == "ran"
 
 
 def _sympy_poly(expr, x):

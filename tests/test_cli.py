@@ -330,3 +330,28 @@ def test_lens_quotient_degree_above_the_cap_exits_1(capsys, monkeypatch):
         assert code == 1 and out == ""
         assert "Traceback" not in err
         assert "--degree" in err and "at most %d" % handlebody.MAX_DEGREE in err
+
+
+def test_p_and_n_above_their_caps_exit_1(capsys, monkeypatch):
+    from skeinmod import chebyshev, handlebody
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a computation ran above the cap")
+
+    for name in ("gamma", "gamma_prime", "truncated_quotient_dimension",
+                 "verify_Jprime_containment", "chebyshev_T", "chebyshev_S"):
+        monkeypatch.setattr(cli, name, boom)
+    for p in (handlebody.MAX_P + 1, 10**9):
+        for argv in (("gamma", "--p", str(p)), ("gamma", "--p", str(p), "--prime"),
+                     ("lens-quotient", "--p", str(p), "--degree", "12"),
+                     ("jprime-check", "--p", str(p))):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert "Traceback" not in err
+            assert "argument --p: must be at most %d" % handlebody.MAX_P in err
+    for n in (chebyshev.MAX_N + 1, 10**9):
+        for family in ("T", "S"):
+            code, out, err = run(capsys, "chebyshev", "--family", family, "--n", str(n))
+            assert code == 1 and out == ""
+            assert "Traceback" not in err
+            assert "argument --n: must be at most %d" % chebyshev.MAX_N in err

@@ -5,7 +5,8 @@ printed when the corpus was captured, with timing_ms set to 0. The CLI
 writes envelopes as json.dumps(..., sort_keys=True, indent=2), so
 re-serializing a stored envelope the same way gives the expected stdout
 byte for byte. The corpus covers seifert-certify on the five criterion-7
-spaces, algebra-closure on rational and order-8 generators, f12-reduce on
+spaces, algebra-closure on rational and order-8 generators (OTHER at
+dimensions 1, 2 and 3, whose bases are the field echelon's rows), f12-reduce on
 multi-step elements for each benchmark slope, torus-mul on a product whose
 terms cancel and one that reaches the (0,0) unit slot, gamma and gamma',
 lens-quotient (p = 2, 4, 8 in every grading at degree 12, and p = 6 at

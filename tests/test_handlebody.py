@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from skeinmod.chebyshev import chebyshev_T, poly_eval
 from skeinmod.gaussian import GaussRat, laurent_at_i
-from skeinmod import handlebody
+from skeinmod import chebyshev, handlebody
 from skeinmod.handlebody import (
     FAMILY_SELECTOR,
     MAX_DEGREE,
+    MAX_P,
     Poly3,
     crosscheck_relation_cores,
     gamma,
@@ -267,6 +268,33 @@ def test_degree_cap_fires_before_any_work(monkeypatch):
             nested_truncation_dimension(4, 2, huge)
         with pytest.raises(ValueError, match="exceeds the limit"):
             relation_generators(4, huge)
+
+
+def test_p_cap_fires_before_any_work(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a recurrence ran above the p cap")
+
+    monkeypatch.setattr(chebyshev, "_recurrence", boom)
+    monkeypatch.setattr(Poly3, "monomial_shift", boom)
+    for huge in (MAX_P + 1, 10**9):
+        message = "p = %d exceeds the limit %d" % (huge, MAX_P)
+        for fn in (gamma, gamma_prime):
+            with pytest.raises(ValueError, match=message):
+                fn(huge)
+        for family in (1, 3, 5):
+            with pytest.raises(ValueError, match=message):
+                relation_core(family, huge, 1)
+        with pytest.raises(ValueError, match=message):
+            truncated_quotient_dimension(huge, 4)
+    monkeypatch.setattr(handlebody, "relation_core", boom)
+    for huge in (MAX_P + 2, 10**9):
+        with pytest.raises(ValueError, match="p = %d exceeds the limit %d" % (huge, MAX_P)):
+            verify_Jprime_containment(huge)
+
+
+def test_p_cap_admits_the_cap(monkeypatch):
+    monkeypatch.setattr(handlebody, "chebyshev_T", lambda n: {0: 1})
+    assert relation_core(1, MAX_P, 0) is not None
 
 
 def test_quotient_argument_errors():

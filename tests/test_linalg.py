@@ -1,17 +1,26 @@
 """Integer and field linear algebra, checked against sympy; the sparse
-integer echelon also against field elimination over Q and Q(i)."""
+integer echelon also against field elimination over Q and Q(i), and the
+field echelon over Q(zeta_8) and Q(zeta_12) by its own laws."""
 
 import math
 from fractions import Fraction
 
+import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeinmod.cyclotomic import CycNum, totient
 from skeinmod.gaussian import GaussRat
 from skeinmod.handlebody import Poly3, _integer_forms
-from skeinmod.linalg import bareiss_rank, field_nullspace, field_rank, smith_normal_form
+from skeinmod.linalg import (
+    FieldEchelon,
+    bareiss_rank,
+    field_nullspace,
+    field_rank,
+    smith_normal_form,
+)
 
 
 def int_matrices(max_dim=5, bound=9):
@@ -186,3 +195,113 @@ def test_realified_rank_anchor():
     rows = [{width * m[0] + off: v for m, off, v in form} for templates in forms for form in templates]
     assert width == 2
     assert bareiss_rank(rows) == 2
+
+
+# ---------------------------------------------------------------------------
+# FieldEchelon: the reduced row echelon form of a span
+
+
+@st.composite
+def spans(draw, max_dim=5, bound=6):
+    """Integer rows, then a few integer combinations of them."""
+    m = draw(int_matrices(max_dim, bound))
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
+        m.append([sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(len(m[0]))])
+    return m
+
+
+def _fractions(m):
+    return [[Fraction(v) for v in row] for row in m]
+
+
+def _check_kernel(rows, ech):
+    kernel = ech.kernel()
+    assert len(kernel) == ech.ncols - ech.rank
+    for vec in kernel:
+        assert any(vec)
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+@given(spans(), st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_echelon_rows_are_sympy_rref(m, rng):
+    ref, pivots = sympy.Matrix(m).rref()
+    expected = [[Fraction(int(v.p), int(v.q)) for v in ref.row(i)] for i in range(len(pivots))]
+    rows = _fractions(m)
+    ech = FieldEchelon.of(rows)
+    assert ech.rows() == expected
+    assert ech.rank == len(pivots) == field_rank(rows)
+    _check_kernel(rows, ech)
+    rng.shuffle(rows)
+    assert FieldEchelon.of(rows).rows() == expected
+
+
+def test_echelon_anchors():
+    ech = FieldEchelon(3)
+    assert ech.rank == 0 and ech.rows() == []
+    assert ech.kernel() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert ech.insert([0, Fraction(2), Fraction(4)])
+    assert not ech.insert([0, Fraction(-1), Fraction(-2)])
+    assert not ech.insert([0, 0, 0])
+    assert ech.insert([Fraction(3), Fraction(1), 0])
+    assert ech.rows() == [[1, 0, Fraction(-2, 3)], [0, 1, 2]]
+    assert ech.kernel() == [[Fraction(2, 3), -2, 1]]
+    assert FieldEchelon.of([]).kernel() == []
+
+
+def test_int_entries_stay_exact():
+    basis = field_nullspace([[2, 3], [4, 6]])
+    assert basis == [[Fraction(-3, 2), 1]]
+    assert not any(isinstance(v, float) for v in basis[0])
+
+
+def _cyc_entries(order):
+    phi = totient(order)
+    return st.one_of(
+        st.just(CycNum.zero()),
+        st.lists(st.integers(-2, 2), min_size=phi, max_size=phi).map(lambda c: CycNum(order, c)),
+    )
+
+
+@st.composite
+def cyclotomic_spans(draw):
+    """Rows over Q(zeta_8) or Q(zeta_12), then a few combinations of them
+    with cyclotomic coefficients; returns (order, base rows, all rows)."""
+    order = draw(st.sampled_from((8, 12)))
+    entries = _cyc_entries(order)
+    ncols = draw(st.integers(1, 4))
+    base = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(entries, min_size=len(base), max_size=len(base)))
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, base)), CycNum.zero()) for j in range(ncols)])
+    return order, base, rows
+
+
+@given(cyclotomic_spans(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_echelon_laws_over_cyclotomic_fields(case, rng):
+    order, base, rows = case
+    ech = FieldEchelon.of(rows)
+    assert ech.rank == FieldEchelon.of(base).rank <= min(len(base), ech.ncols)
+    # reduced: 1 at the row's own pivot, 0 at every other pivot column
+    echelon = ech.rows()
+    pivots = [next(c for c, v in enumerate(row) if v) for row in echelon]
+    assert pivots == sorted(pivots)
+    for row, col in zip(echelon, pivots):
+        assert [row[c] for c in pivots] == [int(c == col) for c in pivots]
+    _check_kernel(rows, ech)
+    rng.shuffle(rows)
+    assert FieldEchelon.of(rows).rows() == echelon
+
+
+@pytest.mark.parametrize("order", [8, 12])
+@given(spans(max_dim=4, bound=4))
+@settings(max_examples=40, deadline=None)
+def test_cyclotomic_rank_of_rational_rows_is_fraction_rank(order, m):
+    lifted = [[CycNum.rational(v).lift(order) for v in row] for row in m]
+    ech = FieldEchelon.of(lifted)
+    assert ech.rank == field_rank(_fractions(m))
+    _check_kernel(lifted, ech)
