@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -128,19 +127,11 @@ def _int_range(low, high=None):
 # JSON serialization of exact values
 
 
-def _cyc_to_json(value):
-    den = value.den
-    return {
-        "order": value.order,
-        "coords": [[c // (g := math.gcd(c, den)), den // g] for c in value.num],
-    }
-
-
 def _mat_to_json(mat):
     order = mat.order
     return {
         "order": order,
-        "entries": [_cyc_to_json(e.lift(order))["coords"] for e in mat.entries],
+        "entries": [e.lift(order).as_dict()["coords"] for e in mat.entries],
     }
 
 

@@ -8,9 +8,12 @@ fields. All arithmetic runs on plain Python ints: products convolve the
 integer vectors (term by term when an operand has few terms, otherwise as
 one packed big-int product by Kronecker substitution) and then fold the
 result mod Phi_N; inverses run extended Euclid on primitive integer
-remainders. Mixed-order arithmetic lifts both operands to the lcm order
-automatically, so callers can treat roots of unity of different orders as
-living in one big field.
+remainders. Both the remainders and Phi_N itself (x^N - 1 divided by the
+product of the Phi_d of the proper divisors d) come from
+laurent.pseudo_divmod, the one integer polynomial division of the package.
+Mixed-order arithmetic lifts both operands to the lcm order automatically,
+so callers can treat roots of unity of different orders as living in one
+big field.
 
 A CycNum or root of unity asked for at an order above MAX_ORDER is
 rejected before any table is built: the power rows of zeta_N hold phi(N)
@@ -25,7 +28,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, floordiv, mul, neg, sub
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, pseudo_divmod, trim
 from .text import format_power_sum
 
 # Above every order a certificate asks for: the largest certificate field
@@ -61,25 +64,6 @@ def totient(n):
     return result
 
 
-def _dense_divexact(num, den):
-    # integer polynomial division known to be exact; lists are constant-first
-    num = list(num)
-    dlead = den[-1]
-    out = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(num) - len(den), -1, -1):
-        coef = num[shift + len(den) - 1]
-        if coef % dlead:
-            raise ValueError("inexact polynomial division")
-        q = coef // dlead
-        out[shift] = q
-        if q:
-            for i, dv in enumerate(den):
-                num[shift + i] -= q * dv
-    if any(num):
-        raise ValueError("inexact polynomial division")
-    return out
-
-
 # n -> nonzero (j, c_j) with j < phi(n) of the monic Phi_n = x^phi + sum c_j x^j
 _CYCLO_CACHE = {}
 
@@ -87,11 +71,15 @@ _CYCLO_CACHE = {}
 def _cyclo_tail(n):
     tail = _CYCLO_CACHE.get(n)
     if tail is None:
-        poly = [-1] + [0] * (n - 1) + [1]
-        # divide x^n - 1 by the cyclotomic polynomials of the proper divisors
+        # x^n - 1 over the product of the Phi_d of the proper divisors d: one
+        # division by a long divisor, not one per divisor by short ones
+        den = [1]
         for d in range(1, n):
             if n % d == 0:
-                poly = _dense_divexact(poly, cyclotomic_poly(d))
+                den = _convolve(den, cyclotomic_poly(d))
+        mult, poly, rem = pseudo_divmod([-1] + [0] * (n - 1) + [1], den)
+        if mult != 1 or rem:
+            raise ArithmeticError(f"x^{n} - 1 is not divisible by its proper cyclotomic factors")
         tail = _CYCLO_CACHE[n] = tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
     return tail
 
@@ -194,45 +182,22 @@ def _fold(n, vec, phi):
     return vec
 
 
-def _trim(poly):
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
 def _inverse_mod(n, vec):
     """(t, c) with vec * t == c mod Phi_n: t an integer vector, c a nonzero int.
 
-    Extended Euclid on primitive integer remainders. Each remainder r_i
-    carries a cofactor t_i / e_i (integer vector, positive scalar) with
-    r_i == (t_i / e_i) * vec mod Phi_n, kept in lowest terms so that only
-    the true rational cofactor's size is ever stored.
+    Extended Euclid on primitive pseudo-remainders (pseudo_divmod). Each
+    remainder r_i carries a cofactor t_i / e_i (integer vector, positive
+    scalar) with r_i == (t_i / e_i) * vec mod Phi_n, kept in lowest terms so
+    that only the true rational cofactor's size is ever stored.
     """
     r0 = cyclotomic_poly(n)
-    r1 = _trim(list(vec))
+    r1 = trim(list(vec))
     content = math.gcd(*r1)
     r1 = list(map(floordiv, r1, repeat(content)))
     t0, e0 = [], 1
     t1, e1 = [1], content  # r1 == vec / content
     while len(r1) > 1:
-        # pseudo-division: mult * r0 == q * r1 + rem
-        lc = r1[-1]
-        size = len(r1)
-        rem = list(r0)
-        q = [0] * (len(rem) - size + 1)
-        mult = 1
-        while len(rem) >= size:
-            g = math.gcd(rem[-1], lc)
-            a, b = lc // g, rem[-1] // g
-            if a != 1:
-                rem = list(map(mul, rem, repeat(a)))
-                q = list(map(mul, q, repeat(a)))
-                mult *= a
-            shift = len(rem) - size
-            q[shift] += b
-            rem[shift:] = map(sub, rem[shift:], map(mul, r1, repeat(b)))
-            rem.pop()
-            _trim(rem)
+        mult, q, rem = pseudo_divmod(r0, r1)
         if not rem:
             raise ArithmeticError("cyclotomic polynomial not coprime to element")
         g = math.gcd(*rem)
@@ -249,7 +214,7 @@ def _inverse_mod(n, vec):
             e2 //= h
             t2 = list(map(floordiv, t2, repeat(h)))
         r0, r1 = r1, rem
-        t0, e0, t1, e1 = t1, e1, _trim(t2), e2
+        t0, e0, t1, e1 = t1, e1, trim(t2), e2
     # r1 == [c] == (t1 / e1) * vec
     return t1, r1[0] * e1
 
@@ -466,6 +431,12 @@ class CycNum:
             raise ValueError("not a rational value")
         return Fraction(self.num[0], self.den)
 
+    def as_dict(self):
+        """JSON form: the order and the coordinates as reduced [num, den] pairs."""
+        den = self.den
+        coords = [[c // (g := math.gcd(c, den)), den // g] for c in self.num]
+        return {"order": self.order, "coords": coords}
+
     def __str__(self):
         # a power sum in z<order>, the primitive root, exponents descending
         return format_power_sum({j: c for j, c in enumerate(self.coords) if c}, f"z{self.order}")
@@ -550,7 +521,11 @@ def rational_sqrt_cyclotomic(q):
     return result
 
 
-def root_of_unity_with_trace(x, extra_orders=(1, 4, 8, 12, 24)):
+# root_of_unity_with_trace scans Q(zeta_m), m = lcm(N, t), for x of order N and each t here
+_TRACE_ORDERS = (1, 4, 8, 12, 24)
+
+
+def root_of_unity_with_trace(x):
     """Find (m, k) with zeta_m^k + zeta_m^-k equal to x, scanning bounded orders.
 
     Returns None when no root of unity in the scanned fields has trace x.
@@ -561,7 +536,7 @@ def root_of_unity_with_trace(x, extra_orders=(1, 4, 8, 12, 24)):
         # a trace of a root of unity is an algebraic integer
         return None
     seen = set()
-    for mult in extra_orders:
+    for mult in _TRACE_ORDERS:
         m = math.lcm(x.order, mult)
         if m in seen:
             continue

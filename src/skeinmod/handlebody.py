@@ -131,6 +131,15 @@ def _check_p(p):
         raise ValueError(f"p = {p} exceeds the limit {MAX_P}")
 
 
+def _handle_recurrence(g1, g2, p):
+    """Term p of g_(k+1) = A*y*g_k - A^2*g_(k-1), started at g1, g2 (p >= 2)."""
+    A = LaurentPoly.A
+    prev, cur = g1, g2
+    for _ in range(p - 2):
+        prev, cur = cur, cur.monomial_shift(0, 1, 0).scale(A(1)) - prev.scale(A(2))
+    return cur
+
+
 def gamma(p):
     """Curve winding p times around one handle, generic A, via the recurrence."""
     if p < 1:
@@ -141,11 +150,7 @@ def gamma(p):
     if p == 1:
         return g1
     g2 = Poly3({(0, 2, 0): A(1), (0, 0, 0): -A(1) - A(-3)})
-    prev, cur = g1, g2
-    for _ in range(p - 2):
-        step = cur.monomial_shift(0, 1, 0).scale(A(1)) - prev.scale(A(2))
-        prev, cur = cur, step
-    return cur
+    return _handle_recurrence(g1, g2, p)
 
 
 def gamma_prime(p):
@@ -158,11 +163,7 @@ def gamma_prime(p):
     if p == 1:
         return g1
     g2 = Poly3({(0, 1, 1): A(1), (1, 0, 0): A(-1)})
-    prev, cur = g1, g2
-    for _ in range(p - 2):
-        step = cur.monomial_shift(0, 1, 0).scale(A(1)) - prev.scale(A(2))
-        prev, cur = cur, step
-    return cur
+    return _handle_recurrence(g1, g2, p)
 
 
 def specialize_at_i(poly):

@@ -4,13 +4,18 @@ LaurentPoly is the coefficient ring for skein algebra computations: exact
 integer coefficients, arbitrary positive and negative exponents.
 LaurentFraction is Q(A) in canonical reduced form. No elimination uses it;
 it holds the fractional coefficients that parse_module_element reads for
-f12-reduce.
+f12-reduce, and it stays as the one Q(A) path of the package. Its gcd
+(laurent_gcd) and exact division (divexact) run on pseudo_divmod, the one
+integer polynomial division, which CycNum.inverse and cyclotomic_poly in
+skeinmod.cyclotomic share.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, mul, sub
 
 from .chebyshev import poly_eval
 from .text import format_power_sum, parse_power_sum, strip_parens
@@ -97,13 +102,6 @@ class LaurentPoly:
 
     def coeff(self, exp):
         return self._c.get(exp, 0)
-
-    def content(self):
-        """gcd of the coefficients, 0 for the zero polynomial."""
-        g = 0
-        for v in self._c.values():
-            g = math.gcd(g, v)
-        return g
 
     def __neg__(self):
         return LaurentPoly._wrap({e: -v for e, v in self._c.items()})
@@ -211,97 +209,85 @@ def parse_laurent(text):
     return LaurentPoly(parse_power_sum(text, "A"))
 
 
-def _to_dense(p):
-    # ordinary integer polynomial as a list, constant first; p must have min_exp >= 0
-    if p.is_zero:
-        return []
-    out = [0] * (p.max_exp + 1)
-    for e, v in p.items():
-        out[e] = v
+def trim(poly):
+    """Drop the trailing zeros of a constant-first list in place; returns it."""
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def pseudo_divmod(a, b):
+    """(mult, q, rem) with mult * a == q * b + rem and len(rem) < len(b).
+
+    a and b are constant-first integer lists, b trimmed and nonzero; q and
+    rem are lists, rem trimmed. Each step scales by the least positive
+    factor that cancels the leading terms, so mult > 0, and mult == 1
+    exactly when b divides a over Z. This is the one integer polynomial
+    division in the package: Laurent gcds and exact quotients, cyclotomic
+    polynomials and CycNum inverses all run through it.
+    """
+    lc = b[-1]
+    sign = -1 if lc < 0 else 1
+    size = len(b)
+    rem = trim(list(a))
+    q = [0] * max(len(rem) - size + 1, 0)
+    mult = 1
+    while len(rem) >= size:
+        g = sign * math.gcd(rem[-1], lc)  # the sign of lc, so s > 0
+        s, f = lc // g, rem[-1] // g
+        if s != 1:
+            rem = list(map(mul, rem, repeat(s)))
+            q = list(map(mul, q, repeat(s)))
+            mult *= s
+        shift = len(rem) - size
+        q[shift] += f
+        rem[shift:] = map(sub, rem[shift:], map(mul, b, repeat(f)))
+        rem.pop()
+        trim(rem)
+    return mult, q, rem
+
+
+def _dense(p):
+    # (A^-min_exp * p) as a constant-first list; [] for zero
+    low = min(p._c, default=0)
+    out = [0] * (max(p._c, default=-1) - low + 1)
+    for e, v in p._c.items():
+        out[e - low] = v
     return out
 
 
 def _primitive(vec):
-    g = 0
-    for v in vec:
-        g = math.gcd(g, v)
-    if g == 0:
-        return []
-    return [v // g for v in vec]
-
-
-def _poly_gcd_dense(a, b):
-    # primitive gcd of integer polynomial coefficient lists via Fraction Euclid
-    a = _primitive(a)
-    b = _primitive(b)
-    while b:
-        fa = [Fraction(x) for x in a]
-        fb = [Fraction(x) for x in b]
-        # remainder of fa by fb
-        while len(fa) >= len(fb) and any(fa):
-            while fa and fa[-1] == 0:
-                fa.pop()
-            if len(fa) < len(fb):
-                break
-            factor = fa[-1] / fb[-1]
-            shift = len(fa) - len(fb)
-            for i, coef in enumerate(fb):
-                fa[i + shift] -= factor * coef
-            while fa and fa[-1] == 0:
-                fa.pop()
-        den = math.lcm(*[f.denominator for f in fa]) if fa else 1
-        r = [int(f * den) for f in fa]
-        a, b = b, _primitive(r)
-    return a
+    return list(map(floordiv, vec, repeat(math.gcd(*vec)))) if any(vec) else []
 
 
 def laurent_gcd(p, q):
-    """Primitive gcd in Z[A^(+-1)], normalized to min_exp 0, positive lowest coefficient."""
-    if p.is_zero:
-        base = q
-    elif q.is_zero:
-        base = p
+    """Primitive gcd in Z[A^(+-1)], normalized to min_exp 0, positive lowest coefficient.
+
+    Euclid on primitive pseudo-remainders. With a zero argument the other
+    one is returned normalized the same way, its content kept.
+    """
+    if p and q:
+        a, b = _primitive(_dense(p)), _primitive(_dense(q))
+        while b:
+            a, b = b, _primitive(pseudo_divmod(a, b)[2])
     else:
-        a = _to_dense(p.shift(-p.min_exp))
-        b = _to_dense(q.shift(-q.min_exp))
-        g = _poly_gcd_dense(a, b)
-        base = LaurentPoly({i: v for i, v in enumerate(g)})
-    if base.is_zero:
-        return base
-    base = base.shift(-base.min_exp)
-    if base.coeff(base.min_exp) < 0:
-        base = -base
-    return base
+        a = _dense(p or q)
+    # a divides a polynomial with a nonzero constant term, so a[0] != 0
+    sign = -1 if a and a[0] < 0 else 1
+    return LaurentPoly._wrap({e: sign * v for e, v in enumerate(a) if v})
 
 
 def divexact(p, q):
-    """Exact division in Z[A^(+-1)]; raises if q does not divide p."""
+    """Exact division in Z[A^(+-1)]; raises ValueError if q does not divide p."""
     if q.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero:
         return LaurentPoly.zero()
-    rem = dict(p._c)
-    qlow = q.min_exp
-    qlead = q.coeff(qlow)
-    # an exact quotient cannot have exponents above this
-    top = p.max_exp - q.max_exp
-    out = {}
-    while rem:
-        e = min(rem)
-        v = rem[e]
-        if v % qlead or e - qlow > top:
-            raise ValueError("not an exact division")
-        factor = v // qlead
-        shift = e - qlow
-        out[shift] = factor
-        for qe, qv in q.items():
-            key = qe + shift
-            s = rem.get(key, 0) - factor * qv
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return LaurentPoly(out)
+    mult, quo, rem = pseudo_divmod(_dense(p), _dense(q))
+    if mult != 1 or rem:
+        raise ValueError("not an exact division")
+    low = p.min_exp - q.min_exp
+    return LaurentPoly._wrap({e + low: v for e, v in enumerate(quo) if v})
 
 
 class LaurentFraction:
@@ -331,21 +317,17 @@ class LaurentFraction:
             self.num = LaurentPoly.zero()
             self.den = LaurentPoly.one()
             return
-        g = laurent_gcd(num, den)
-        if not (g == LaurentPoly.one()):
-            num = divexact(num, g)
-            den = divexact(den, g)
-        # shift denominator to lowest exponent 0, fold the shift into num
-        num = num.shift(-den.min_exp)
-        den = den.shift(-den.min_exp)
-        if den.coeff(0) < 0:
-            num, den = -num, -den
-        cg = math.gcd(num.content(), den.content())
-        if cg > 1:
-            num = LaurentPoly({e: v // cg for e, v in num.items()})
-            den = LaurentPoly({e: v // cg for e, v in den.items()})
-        self.num = num
-        self.den = den
+        # cancel the gcd on the dense forms; the gcd is primitive, so both
+        # quotients are exact over Z, and den's constant term stays nonzero
+        g = _dense(laurent_gcd(num, den))
+        n = pseudo_divmod(_dense(num), g)[1]
+        d = pseudo_divmod(_dense(den), g)[1]
+        # the common content, signed to make den's lowest coefficient positive
+        c = math.gcd(*n, *d) if d[0] > 0 else -math.gcd(*n, *d)
+        # den gets lowest exponent 0; num carries the shift
+        shift = num.min_exp - den.min_exp
+        self.num = LaurentPoly._wrap({e + shift: v // c for e, v in enumerate(n) if v})
+        self.den = LaurentPoly._wrap({e: v // c for e, v in enumerate(d) if v})
 
     @classmethod
     def zero(cls):

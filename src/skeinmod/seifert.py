@@ -265,20 +265,10 @@ class Representation:
         return {
             "order": self.order,
             "images": {
-                sym: [_coord_pairs(entry) for entry in m.entries]
+                sym: [entry.as_dict()["coords"] for entry in m.entries]
                 for sym, m in self.images.items()
             },
         }
-
-
-def _coord_pairs(x):
-    """Coordinates of x as reduced [numerator, denominator] pairs."""
-    den = x.den
-    return [[c // (g := gcd(c, den)), den // g] for c in x.num]
-
-
-def _cyc_dict(x):
-    return {"order": x.order, "coords": _coord_pairs(x)}
 
 
 def _coords_text(x):
@@ -325,7 +315,7 @@ class TorsionCertificate:
             w = {}
             for key, val in self.witness.items():
                 if key.startswith("trace"):
-                    w[key] = _cyc_dict(val)
+                    w[key] = val.as_dict()
                 else:
                     w[key] = {"letters": [[s, e] for s, e in val], "text": format_word(val)}
             out["witness"] = w
@@ -367,6 +357,8 @@ def psi_evaluate(word_list, rep):
 # representation constructions
 
 _SQRT_TAUS = (-1, 0, 1, -3, 2)  # traces t with t+2 a square of a known cyclotomic
+_MAX_CANDIDATES = 512  # chain parameter choices tried per case before BuildError
+_LAMBDA_ORDERS = (5, 7, 9, 11, 13)  # orders of lambda tried by the diagonal construction
 
 
 def _exponent_schedule(order):
@@ -445,13 +437,13 @@ def _chain_layout(data, case):
     return qs
 
 
-def _chain_candidates(data, case, params=None):
+def _chain_candidates(data, case):
     """Representations for the sphere_base / rp2_base / rp2_small chains.
 
     Yields (rep, meta) for every parameter choice that completes and passes
-    the build-level checks; the schedule is deterministic and capped.
+    the build-level checks; the schedule is deterministic and capped at
+    _MAX_CANDIDATES.
     """
-    params = params or {}
     pres = presentation(data)
     chain = _chain_layout(data, case)
     m = len(chain)
@@ -474,11 +466,8 @@ def _chain_candidates(data, case, params=None):
     for j in sched_range:
         slots.append((f"tau_{j}", exps))
     if case == "rp2_base":
-        taus = [params["final_tau"]] if "final_tau" in params else list(_SQRT_TAUS)
-        slots.append(("final_tau", taus))
-    if "s" in params:
-        s_cands = [("raw", params["s"])]
-    elif case == "rp2_small":
+        slots.append(("final_tau", list(_SQRT_TAUS)))
+    if case == "rp2_small":
         s_cands = [("raw", 1), ("raw", 2)] + [("target_tau", t) for t in _SQRT_TAUS]
     else:
         s_cands = [("raw", 1), ("raw", 2)] + [("target_exp", e) for e in exps]
@@ -486,9 +475,7 @@ def _chain_candidates(data, case, params=None):
 
     names = [name for name, _ in slots]
     spaces = [cands for _, cands in slots]
-    cap = params.get("max_candidates", 512)
-
-    for combo in itertools.islice(itertools.product(*spaces), cap):
+    for combo in itertools.islice(itertools.product(*spaces), _MAX_CANDIDATES):
         assign = dict(zip(names, combo))
         try:
             rep, meta = _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign)
@@ -515,7 +502,7 @@ def _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign):
     base = prod + prod.inverse()
     s_kind, s_val = assign["s"]
     if s_kind == "raw":
-        s = CycNum.rational(s_val) if not isinstance(s_val, CycNum) else s_val
+        s = CycNum.rational(s_val)
     elif s_kind == "target_tau":
         s = CycNum.rational(s_val) - base
     else:  # target_exp: aim the product trace at a scheduled root of unity
@@ -592,11 +579,10 @@ def _irreducible_pair(rep, syms):
     return None
 
 
-def _abelian_candidates(data, params=None):
+def _abelian_candidates(data):
     """Diagonal representations for positive_genus: every generator maps to
     diag(lambda^e, lambda^-e) for an exponent vector orthogonal to the
     abelianized relators."""
-    params = params or {}
     pres = presentation(data)
     exponents = {sym: 0 for sym in pres.generators}
     if data.g > 0:
@@ -613,8 +599,7 @@ def _abelian_candidates(data, params=None):
     for row in _abelianized_rows(pres):
         if sum(row[idx[s]] * e for s, e in exponents.items()):
             raise BuildError("exponent vector misses the abelianized relators")
-    orders = [params["lambda_order"]] if "lambda_order" in params else [5, 7, 9, 11, 13]
-    for order in orders:
+    for order in _LAMBDA_ORDERS:
         lam = root_of_unity(order, 1)
         images = {
             sym: Mat2.diagonal(lam ** exponents[sym], lam ** (-exponents[sym]))
@@ -631,23 +616,21 @@ def _abelian_candidates(data, params=None):
         }
 
 
-def _representation_candidates(data, case, params=None):
+def _representation_candidates(data, case):
     if case == "positive_genus":
-        return _abelian_candidates(data, params)
+        return _abelian_candidates(data)
     if case in ("sphere_base", "rp2_base", "rp2_small"):
-        return _chain_candidates(data, case, params)
+        return _chain_candidates(data, case)
     raise ValueError(f"no representation construction for case {case!r}")
 
 
-def build_representation(data, case, params=None):
+def build_representation(data, case):
     """First representation in the deterministic schedule for the case.
 
-    params can pin choices instead of scheduling: lambda_order for the
-    diagonal construction; s, final_tau, max_candidates for the chains.
     Raises BuildError when the schedule is exhausted, and also when a
     relator check fails (that one indicates a bug, not bad input).
     """
-    for rep, _meta in _representation_candidates(data, case, params):
+    for rep, _meta in _representation_candidates(data, case):
         return rep
     raise BuildError(f"parameter schedule exhausted for case {case!r}")
 

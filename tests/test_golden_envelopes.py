@@ -7,7 +7,10 @@ re-serializing a stored envelope the same way gives the expected stdout
 byte for byte. The corpus covers seifert-certify on the five criterion-7
 spaces, algebra-closure on rational and order-8 generators (OTHER at
 dimensions 1, 2 and 3, whose bases are the field echelon's rows), f12-reduce on
-multi-step elements for each benchmark slope, torus-mul on a product whose
+multi-step elements for each benchmark slope and on Q(A) coefficients in the
+canonical LaurentFraction form (a fraction that cancels to a polynomial, a
+denominator with a negative leading coefficient, a common factor and an
+integer content that cancel), torus-mul on a product whose
 terms cancel and one that reaches the (0,0) unit slot, gamma and gamma',
 lens-quotient (p = 2, 4, 8 in every grading at degree 12, and p = 6 at
 degree 12 ee, 24 ee and 16 oo), jprime-check, chebyshev T and S from the

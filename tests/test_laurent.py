@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from skeinmod.laurent import (
     laurent_gcd,
     parse_laurent,
     parse_laurent_fraction,
+    pseudo_divmod,
 )
 
 from conftest import laurent_polys
@@ -144,6 +146,77 @@ def test_gcd_divides_both(p, q):
 def test_divexact_rejects_nondivisor():
     with pytest.raises(ValueError):
         divexact(A(1) + 1, A(1) - 1)
+
+
+# ---------------------------------------------------------------------------
+# the integer polynomial division kernel
+
+_coeffs = st.integers(-9, 9)
+_int_lists = st.lists(_coeffs, max_size=7)
+# trimmed nonzero divisors; half of them have a negative leading coefficient
+_divisors = st.builds(
+    lambda body, lead: body + [lead],
+    st.lists(_coeffs, max_size=4),
+    _coeffs.filter(bool),
+)
+
+
+def _poly(vec):
+    return LaurentPoly(dict(enumerate(vec)))
+
+
+@given(_int_lists, _divisors)
+def test_pseudo_divmod_identity(a, b):
+    mult, q, rem = pseudo_divmod(a, b)
+    assert mult > 0
+    assert len(rem) < len(b)
+    assert not rem or rem[-1]
+    assert _poly(a) * mult == _poly(q) * _poly(b) + _poly(rem)
+
+
+@given(_int_lists, _divisors)
+def test_pseudo_divmod_is_exact_on_multiples(c, b):
+    for divisor in (b, [-v for v in b]):
+        a = dict((_poly(c) * _poly(divisor)).items())
+        dense = [a.get(e, 0) for e in range(max(a, default=-1) + 1)]
+        mult, q, rem = pseudo_divmod(dense, divisor)
+        assert (mult, rem) == (1, [])
+        assert _poly(q) == _poly(c)
+
+
+def test_pseudo_divmod_scales_only_when_inexact():
+    # 2x + 1 does not divide x^2 over Z: two steps, each scaled by 2
+    assert pseudo_divmod([0, 0, 1], [1, 2]) == (4, [-1, 2], [1])
+    assert pseudo_divmod([0, 0, 1], [1, -2]) == (4, [-1, -2], [1])
+    assert pseudo_divmod([1, 2], [0, 0, 1]) == (1, [], [1, 2])
+
+
+def _shifted_sympy(p, x):
+    return sympy.Poly(sum(c * x ** (e - p.min_exp) for e, c in p.items()), x)
+
+
+@given(laurent_polys(max_terms=4, max_exp=4), laurent_polys(max_terms=4, max_exp=4))
+@settings(max_examples=60, deadline=None)
+def test_gcd_matches_sympy(p, q):
+    if p.is_zero or q.is_zero:
+        return
+    x = sympy.symbols("x")
+    _, want = sympy.gcd(_shifted_sympy(p, x), _shifted_sympy(q, x)).primitive()
+    coeffs = [int(c) for c in reversed(want.all_coeffs())]
+    if coeffs[0] < 0:
+        coeffs = [-c for c in coeffs]
+    assert laurent_gcd(p, q) == _poly(coeffs)
+
+
+@given(laurent_polys(), laurent_polys())
+def test_divexact_undoes_multiplication(p, q):
+    if not q.is_zero:
+        assert divexact(p * q, q) == p
+
+
+def test_divexact_rejects_zero_divisor():
+    with pytest.raises(ZeroDivisionError):
+        divexact(A(1), LaurentPoly.zero())
 
 
 class TestLaurentFraction:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeinmod import seifert
 from skeinmod.cyclotomic import CycNum
 from skeinmod.mat2 import Mat2
 from skeinmod.seifert import (
@@ -219,10 +220,11 @@ def test_psi_evaluate_is_minus_trace_product():
     assert psi_evaluate([], rep) == CycNum.one()
 
 
-def test_build_representation_rejects_exhausted_schedule():
+def test_build_representation_rejects_exhausted_schedule(monkeypatch):
+    monkeypatch.setattr(seifert, "_MAX_CANDIDATES", 0)
     data = SeifertData(0, 0, [(1, 2)] * 4)
     with pytest.raises(BuildError):
-        build_representation(data, "sphere_base", params={"max_candidates": 0})
+        build_representation(data, "sphere_base")
 
 
 # ---------------------------------------------------------------------------
