@@ -7,10 +7,12 @@ so zero is (0, ..., 0) over 1 and equal values of one order have equal
 fields. All arithmetic runs on plain Python ints: products convolve the
 integer vectors (term by term when an operand has few terms, otherwise as
 one packed big-int product by Kronecker substitution) and then fold the
-result mod Phi_N; inverses run extended Euclid on primitive integer
-remainders. Both the remainders and Phi_N itself (x^N - 1 divided by the
-product of the Phi_d of the proper divisors d) come from
-laurent.pseudo_divmod, the one integer polynomial division of the package.
+result mod Phi_N; a sum of two products, the entry of a 2x2 matrix
+product, convolves twice and folds once (dot2). Inverses run extended
+Euclid on primitive integer remainders. Both the remainders and Phi_N
+itself (x^N - 1 divided by the product of the Phi_d of the proper divisors
+d) come from laurent.pseudo_divmod, the one integer polynomial division of
+the package.
 Mixed-order arithmetic lifts both operands to the lcm order automatically,
 so callers can treat roots of unity of different orders as living in one
 big field.
@@ -413,14 +415,9 @@ class CycNum:
             raise TypeError("integer powers only")
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycNum.one().lift(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return CycNum.one().lift(self.order)
+        return positive_power(self, n)
 
     @property
     def is_rational(self):
@@ -443,6 +440,51 @@ class CycNum:
 
     def __repr__(self):
         return f"CycNum({self.order}, {list(self.coords)!r})"
+
+
+def positive_power(x, n):
+    """x ** n for n >= 1 by binary powering, for any type with `*`.
+
+    The result starts as x^(lowest set bit of n), not as an identity, and
+    nothing is squared after the highest bit: floor(log2 n) squarings plus
+    popcount(n) - 1 further products.
+    """
+    while not n & 1:
+        x = x * x
+        n >>= 1
+    result = x
+    n >>= 1
+    while n:
+        x = x * x
+        if n & 1:
+            result = result * x
+        n >>= 1
+    return result
+
+
+def dot2(a, b, c, d):
+    """a*b + c*d for CycNums a, b, c, d, at the lcm of their four orders.
+
+    The fused kernel of a 2x2 product entry: two convolutions, the sum over
+    one common denominator, then one fold mod Phi_N and one canonical form,
+    where a*b + c*d would fold and normalize three times. The value and the
+    order are those of a*b + c*d.
+    """
+    n = a.order
+    if not n == b.order == c.order == d.order:
+        n = math.lcm(n, b.order, c.order, d.order)
+        a, b, c, d = (x if x.order == n else x.lift(n) for x in (a, b, c, d))
+    u = _convolve(a.num, b.num)
+    v = _convolve(c.num, d.num)
+    du, dv = a.den * b.den, c.den * d.den
+    if du == dv:
+        num = list(map(add, u, v))
+    else:
+        g = math.gcd(du, dv)
+        fu, fv = dv // g, du // g
+        num = list(map(add, map(mul, u, repeat(fu)), map(mul, v, repeat(fv))))
+        du *= fu
+    return _canonical(n, _fold(n, num, len(a.num)), du)
 
 
 def root_of_unity(n, k=1):

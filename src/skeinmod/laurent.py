@@ -264,14 +264,15 @@ def laurent_gcd(p, q):
     """Primitive gcd in Z[A^(+-1)], normalized to min_exp 0, positive lowest coefficient.
 
     Euclid on primitive pseudo-remainders. With a zero argument the other
-    one is returned normalized the same way, its content kept.
+    one is returned primitive and normalized the same way; the gcd of two
+    zeros is zero.
     """
     if p and q:
         a, b = _primitive(_dense(p)), _primitive(_dense(q))
         while b:
             a, b = b, _primitive(pseudo_divmod(a, b)[2])
     else:
-        a = _dense(p or q)
+        a = _primitive(_dense(p or q))
     # a divides a polynomial with a nonzero constant term, so a[0] != 0
     sign = -1 if a and a[0] < 0 else 1
     return LaurentPoly._wrap({e: sign * v for e, v in enumerate(a) if v})

@@ -1,6 +1,12 @@
 """Exact 2x2 matrices over cyclotomic fields, subalgebra closures, and the
 trace machinery for representation certificates.
 
+A matrix product computes each entry with one fused kernel,
+`cyclotomic.dot2(a, b, c, d) == a*b + c*d` (two convolutions, one fold mod
+Phi_N and one canonical form), and so does the determinant; each entry
+keeps the lcm of its four operands' orders, as a*b + c*d would. Powers
+start from the base, not from the identity (`cyclotomic.positive_power`).
+
 Subalgebras of M2 are classified against the named ones: diagonal (D), upper
 and lower triangular (U, L), the Jordan line spanned by I and E12 (J), all
 of M2, or OTHER. Classification happens in standard position; callers
@@ -17,6 +23,8 @@ from fractions import Fraction
 
 from .cyclotomic import (
     CycNum,
+    dot2,
+    positive_power,
     rational_sqrt_cyclotomic,
     root_of_unity,
     root_of_unity_with_trace,
@@ -92,12 +100,9 @@ class Mat2:
 
     def __mul__(self, other):
         if isinstance(other, Mat2):
-            return Mat2(
-                self.a * other.a + self.b * other.c,
-                self.a * other.b + self.b * other.d,
-                self.c * other.a + self.d * other.c,
-                self.c * other.b + self.d * other.d,
-            )
+            a, b, c, d = self.a, self.b, self.c, self.d
+            e, f, g, h = other.a, other.b, other.c, other.d
+            return Mat2(dot2(a, e, b, g), dot2(a, f, b, h), dot2(c, e, d, g), dot2(c, f, d, h))
         if isinstance(other, (int, Fraction, CycNum)):
             return Mat2(self.a * other, self.b * other, self.c * other, self.d * other)
         return NotImplemented
@@ -111,7 +116,7 @@ class Mat2:
         return self.a + self.d
 
     def det(self):
-        return self.a * self.d - self.b * self.c
+        return dot2(self.a, self.d, -self.b, self.c)
 
     def inverse(self):
         det = self.det()
@@ -125,14 +130,9 @@ class Mat2:
             raise TypeError("integer powers only")
         if n < 0:
             return self.inverse() ** (-n)
-        result = Mat2.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return Mat2.identity()
+        return positive_power(self, n)
 
     def conjugate_by(self, p):
         """p^-1 * self * p."""
@@ -179,7 +179,8 @@ def algebra_closure(gens):
         raise ValueError("need at least one generator")
     ech = FieldEchelon(4)
     ech.insert(Mat2.identity().entries)
-    fresh = [Mat2.identity()]
+    # the identity is in the span but not fresh: its products add nothing
+    fresh = []
     for g in gens:
         if ech.insert(g.entries):
             fresh.append(g)

@@ -16,7 +16,7 @@ import itertools
 from collections import namedtuple
 from math import gcd, lcm
 
-from .cyclotomic import CycNum, root_of_unity, root_of_unity_with_trace
+from .cyclotomic import MAX_ORDER, CycNum, root_of_unity, root_of_unity_with_trace
 from .linalg import smith_normal_form
 from .mat2 import (
     Mat2,
@@ -71,8 +71,9 @@ Presentation = namedtuple("Presentation", "generators relators")
 
 
 class BuildError(Exception):
-    """Representation construction failed: either a parameter schedule ran
-    out, or a relator check failed (which signals a bug, never bad input)."""
+    """Representation construction failed: the fibers need a certificate
+    field above cyclotomic.MAX_ORDER, a parameter schedule ran out, or a
+    relator check failed (which signals a bug, never bad input)."""
 
 
 def word_inverse(word):
@@ -234,9 +235,13 @@ class Representation:
         return self.images[sym]
 
     def word_image(self, word):
-        acc = Mat2.identity()
-        for sym, e in word:
-            acc = acc * (self.images[sym] ** e)
+        if not word:
+            return Mat2.identity()
+        images = self.images
+        (sym, e), *rest = word
+        acc = images[sym] ** e
+        for sym, e in rest:
+            acc = acc * (images[sym] ** e)
         return acc
 
     def word_image_alt(self, word):
@@ -259,7 +264,9 @@ class Representation:
         return all(ev(rel) == ident for rel in relators)
 
     def conjugated(self, p):
-        return Representation({sym: m.conjugate_by(p) for sym, m in self.images.items()})
+        """p^-1 * m * p for every image m, with p inverted once."""
+        pinv = p.inverse()
+        return Representation({sym: pinv * m * p for sym, m in self.images.items()})
 
     def as_dict(self):
         return {
@@ -442,14 +449,21 @@ def _chain_candidates(data, case):
 
     Yields (rep, meta) for every parameter choice that completes and passes
     the build-level checks; the schedule is deterministic and capped at
-    _MAX_CANDIDATES.
+    _MAX_CANDIDATES. Raises BuildError before the search when the field
+    that the fiber letters need is above cyclotomic.MAX_ORDER.
     """
+    d_orders = _fiber_orders(data)
+    field_order = lcm(4, *d_orders)
+    if field_order > MAX_ORDER:
+        raise BuildError(
+            f"fibers {list(data.fibers)} need a certificate field of order "
+            f"{field_order} = lcm(4, {', '.join(map(str, d_orders))}), "
+            f"above the limit {MAX_ORDER}"
+        )
     pres = presentation(data)
     chain = _chain_layout(data, case)
     m = len(chain)
-    d_orders = _fiber_orders(data)
     d_by_sym = {f"q{l + 1}": d for l, d in enumerate(d_orders)}
-    field_order = lcm(4, *d_orders) if d_orders else 4
     exps = _exponent_schedule(field_order)
 
     # schedule slots; the rightmost slot cycles fastest under product()
@@ -542,10 +556,10 @@ def _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign):
             root = sl2_sqrt(partial.inverse())
         except ValueError:
             raise _Skip from None
-        if case == "rp2_base" and data.n:
+        if case == "rp2_base" and data.n and data.fibers:
             # the chain was rotated: conjugate the square root back
-            u = Mat2.identity()
-            for l in range(len(data.fibers)):
+            u = images["q1"]
+            for l in range(1, len(data.fibers)):
                 u = u * images[f"q{l + 1}"]
             root = u * root * u.inverse()
         images["a1"] = root

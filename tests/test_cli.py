@@ -355,3 +355,16 @@ def test_p_and_n_above_their_caps_exit_1(capsys, monkeypatch):
             assert code == 1 and out == ""
             assert "Traceback" not in err
             assert "argument --n: must be at most %d" % chebyshev.MAX_N in err
+
+
+def test_certify_above_the_field_order_cap_exits_1(capsys):
+    argv = ["seifert-certify", "--genus", "0"]
+    for fiber in ("1,2", "1,3", "1,5", "1,7", "1,11"):
+        argv += ["--fiber", fiber]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert err == (
+        "error: fibers [(1, 2), (1, 3), (1, 5), (1, 7), (1, 11)] need a certificate "
+        "field of order 4620 = lcm(4, 4, 6, 10, 14, 22), above the limit 4096\n"
+    )

@@ -22,6 +22,7 @@ from skeinmod.cyclotomic import (
     MAX_ORDER,
     CycNum,
     cyclotomic_poly,
+    dot2,
     laurent_eval,
     rational_sqrt_cyclotomic,
     root_of_unity,
@@ -100,6 +101,42 @@ def test_pow_negative():
     z = root_of_unity(5)
     assert z ** -1 == z ** 4
     assert z ** -7 == z ** 3
+
+
+@given(cyc_numbers(orders=(1, 4, 8, 12, 60)))
+@settings(max_examples=40, deadline=None)
+def test_pow_matches_repeated_multiplication(x):
+    one = CycNum.one().lift(x.order)
+    assert (x ** 0).order == x.order and x ** 0 == one
+    for n in range(-3, 10):
+        if n < 0 and x.is_zero:
+            continue
+        base = x if n >= 0 else x.inverse()
+        want = one
+        for _ in range(abs(n)):
+            want = want * base
+        got = x ** n
+        _assert_canonical(got)
+        assert got == want and got.order == want.order
+
+
+@st.composite
+def dot_operands(draw, orders=(1, 4, 8, 12, 60)):
+    """A CycNum of a mixed order, zero one time in five, with non-unit
+    denominators among its coordinates."""
+    order = draw(st.sampled_from(orders))
+    if draw(st.integers(0, 4)) == 0:
+        return CycNum.zero().lift(order)
+    return draw(cyc_numbers(orders=(order,)))
+
+
+@given(dot_operands(), dot_operands(), dot_operands(), dot_operands())
+@settings(max_examples=120, deadline=None)
+def test_dot2_is_the_sum_of_two_products(a, b, c, d):
+    got, want = dot2(a, b, c, d), a * b + c * d
+    _assert_canonical(got)
+    assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+    assert got.order == math.lcm(a.order, b.order, c.order, d.order)
 
 
 def test_rational_recognition():

@@ -208,6 +208,12 @@ def test_gcd_matches_sympy(p, q):
     assert laurent_gcd(p, q) == _poly(coeffs)
 
 
+def test_gcd_with_a_zero_argument_is_primitive():
+    assert laurent_gcd(LaurentPoly.zero(), 2 * A(1)) == 1
+    assert laurent_gcd(2 * A(1) + 2, LaurentPoly.zero()) == A(1) + 1
+    assert laurent_gcd(LaurentPoly.zero(), LaurentPoly.zero()).is_zero
+
+
 @given(laurent_polys(), laurent_polys())
 def test_divexact_undoes_multiplication(p, q):
     if not q.is_zero:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import rational_mat2
+from conftest import cyc_numbers, rational_mat2
 from skeinmod.cyclotomic import CycNum, root_of_unity
 from skeinmod.mat2 import (
     Mat2,
@@ -81,6 +81,50 @@ def test_conjugation(m, p):
     assert conj == p.inverse() * m * p
     assert conj.trace() == m.trace()
     assert conj.det() == m.det()
+
+
+@st.composite
+def mixed_mat2(draw, orders=(1, 4, 8, 12, 60)):
+    """Entries of mixed orders with non-unit denominators; about one entry
+    in four is zero, at its own order."""
+    entries = []
+    for _ in range(4):
+        x = draw(cyc_numbers(orders=orders))
+        entries.append(CycNum.zero().lift(x.order) if draw(st.integers(0, 3)) == 0 else x)
+    return Mat2(*entries)
+
+
+def _same(x, y):
+    return (x.order, x.num, x.den) == (y.order, y.num, y.den)
+
+
+@given(mixed_mat2(), mixed_mat2())
+@settings(max_examples=60, deadline=None)
+def test_product_and_det_match_the_entrywise_formula(m, n):
+    prod = m * n
+    want = (
+        m.a * n.a + m.b * n.c,
+        m.a * n.b + m.b * n.d,
+        m.c * n.a + m.d * n.c,
+        m.c * n.b + m.d * n.d,
+    )
+    assert all(_same(x, y) for x, y in zip(prod.entries, want))
+    assert _same(m.det(), m.a * m.d - m.b * m.c)
+
+
+@given(mixed_mat2(orders=(1, 4, 12)))
+@settings(max_examples=30, deadline=None)
+def test_pow_matches_repeated_multiplication(m):
+    assert m ** 0 == Mat2.identity()
+    invertible = not m.det().is_zero
+    for n in range(-3, 10):
+        if n < 0 and not invertible:
+            continue
+        base = m if n >= 0 else m.inverse()
+        want = Mat2.identity()
+        for _ in range(abs(n)):
+            want = want * base
+        assert m ** n == want
 
 
 def test_order_of_cyclotomic_entries():

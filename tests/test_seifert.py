@@ -1,5 +1,7 @@
 """Seifert data, group presentations, homology, and torsion certificates."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,6 +210,47 @@ def test_word_image_paths_agree():
     assert rep.word_image(w) == rep.word_image_alt(w)
 
 
+def test_empty_word_image_is_the_identity():
+    rep = build_representation(FIVE_INSTANCES[0], "sphere_base")
+    assert rep.word_image(()) == Mat2.identity()
+    assert rep.word_image_alt(()) == Mat2.identity()
+
+
+@pytest.fixture
+def mat2_products(monkeypatch):
+    """A list that grows by one entry per Mat2 product taken."""
+    calls = []
+    plain = Mat2.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Mat2):
+            calls.append(1)
+        return plain(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counted)
+    return calls
+
+
+def test_no_wasted_products_in_powers_and_word_images(mat2_products):
+    rep = build_representation(FIVE_INSTANCES[0], "sphere_base")
+    m = rep.image("q1")
+
+    def products(fn, *args):
+        mat2_products.clear()
+        value = fn(*args)
+        return len(mat2_products), value
+
+    assert products(lambda: m ** 1) == (0, m)
+    assert products(lambda: m ** 8)[0] == 3
+    assert products(rep.word_image, (("q1", 1),))[0] == 0
+    assert products(rep.word_image, (("q1", -1),))[0] == 0
+    letters = (("q1", 1), ("q2", -1), ("h", 1), ("q3", 1), ("q4", -1), ("q1", -1))
+    for k in range(1, len(letters) + 1):
+        count, value = products(rep.word_image, letters[:k])
+        assert count == k - 1
+        assert value == rep.word_image_alt(letters[:k])
+
+
 def test_psi_evaluate_is_minus_trace_product():
     data = FIVE_INSTANCES[0]
     rep = build_representation(data, classify(data))
@@ -225,6 +268,17 @@ def test_build_representation_rejects_exhausted_schedule(monkeypatch):
     data = SeifertData(0, 0, [(1, 2)] * 4)
     with pytest.raises(BuildError):
         build_representation(data, "sphere_base")
+
+
+def test_certificate_field_above_the_order_cap_fails_before_the_search():
+    data = SeifertData(0, 0, [(1, 2), (1, 3), (1, 5), (1, 7), (1, 11)])
+    start = time.perf_counter()
+    with pytest.raises(BuildError) as info:
+        certify(data)
+    assert time.perf_counter() - start < 0.5
+    message = str(info.value)
+    assert "[(1, 2), (1, 3), (1, 5), (1, 7), (1, 11)]" in message
+    assert "order 4620" in message and "limit 4096" in message
 
 
 # ---------------------------------------------------------------------------
