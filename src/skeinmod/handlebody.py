@@ -5,8 +5,11 @@ Generic-A data lives in Poly3 with LaurentPoly coefficients; the quotient
 computations happen after specializing A to i, where coefficients become
 Gaussian rationals. Eight relation families span the quotient ideal; each is
 a fixed core polynomial times an arbitrary monomial, with the core variant
-selected by a parity of the monomial. The quotient dimensions turn each core
-into integer rows once and take ranks with the sparse linalg.bareiss_rank.
+selected by a parity of the monomial. Families 1-4 are a base polynomial
+plus or minus a multiple of the closed forms gamma_at_i_closed and
+gamma_prime_at_i_closed, so one closed form gives both variants of a family.
+The quotient dimensions build each family once per call, turn each core into
+integer rows once and take ranks with the sparse linalg.bareiss_rank.
 """
 
 from __future__ import annotations
@@ -119,10 +122,10 @@ def _y_poly(int_poly, scalar=1):
     return Poly3({(0, e, 0): scalar * v for e, v in int_poly.items()})
 
 
-# Largest p that gamma, gamma_prime, relation_core and
-# verify_Jprime_containment accept; their Chebyshev polynomials of degree p
-# cost about p^2 steps. The measurements behind it are in README.md ("p and
-# n limits").
+# Largest p that gamma, gamma_prime, their closed forms at i, relation_core
+# and verify_Jprime_containment accept; their Chebyshev polynomials of
+# degree p cost about p^2 steps. The measurements behind it are in README.md
+# ("p and n limits").
 MAX_P = 1024
 
 
@@ -175,6 +178,7 @@ def gamma_at_i_closed(p):
     """Closed form i^(p-1) * T_p(y)."""
     if p < 1:
         raise ValueError("needs p >= 1")
+    _check_p(p)
     return _y_poly(chebyshev_T(p), GaussRat.i() ** (p - 1))
 
 
@@ -182,6 +186,7 @@ def gamma_prime_at_i_closed(p):
     """Closed form i^(p-1) z S_{p-1}(y) + i^(p+1) x S_{p-2}(y)."""
     if p < 1:
         raise ValueError("needs p >= 1")
+    _check_p(p)
     zpart = _y_poly(chebyshev_S(p - 1), GaussRat.i() ** (p - 1)).monomial_shift(0, 0, 1)
     xpart = _y_poly(chebyshev_S(p - 2), GaussRat.i() ** (p + 1)).monomial_shift(1, 0, 0)
     return zpart + xpart
@@ -189,6 +194,33 @@ def gamma_prime_at_i_closed(p):
 
 # family index -> which monomial parity picks the core variant
 FAMILY_SELECTOR = {1: "ln", 2: "ln", 3: "ln", 4: "ln", 5: "kn", 6: "kn", 7: "kn", 8: "ln"}
+
+
+def _variants(family, p):
+    """(even, odd) cores of one family, None where a variant is absent or zero.
+
+    Families 1-4 are base -+ inner, with inner a multiple of a closed form:
+    2 -+ i*gamma_p, y -+ gamma_(p-1), x -+ i*gamma'_p and
+    (i z - i x y) -+ (-i)*gamma'_(p-1). Families 5-8 do not depend on p.
+    """
+    one, i = GaussRat.one(), GaussRat.i()
+    if family >= 5:
+        return tuple(Poly3(terms) or None for terms in {
+            5: ({(2, 0, 0): one}, {(0, 0, 0): 4 * one, (2, 0, 0): -one}),
+            6: ({}, {(1, 0, 0): 2 * one}),
+            7: ({(1, 0, 1): one}, {(0, 1, 0): 2 * one, (1, 0, 1): -one}),
+            8: ({(0, 0, 1): 2 * i, (1, 1, 0): -i}, {(1, 1, 0): i}),
+        }[family])
+    if family == 1:
+        base, inner = {(0, 0, 0): 2 * one}, gamma_at_i_closed(p).scale(i)
+    elif family == 2:
+        base, inner = {(0, 1, 0): one}, gamma_at_i_closed(p - 1)
+    elif family == 3:
+        base, inner = {(1, 0, 0): one}, gamma_prime_at_i_closed(p).scale(i)
+    else:
+        base, inner = {(0, 0, 1): i, (1, 1, 0): -i}, gamma_prime_at_i_closed(p - 1).scale(-i)
+    base = Poly3(base)
+    return tuple(core or None for core in (base - inner, base + inner))
 
 
 def relation_core(family, p, parity):
@@ -204,47 +236,7 @@ def relation_core(family, p, parity):
     if family <= 4 and p < 2:
         raise ValueError("families 1-4 need p >= 2")
     _check_p(p)
-    one = GaussRat.one()
-    i = GaussRat.i()
-    sign = 1 if parity == 0 else -1
-    if family == 1:
-        # 2 -+ i^p T_p(y)
-        core = Poly3({(0, 0, 0): 2 * one}) - _y_poly(chebyshev_T(p), sign * i**p)
-    elif family == 2:
-        # y +- i^p T_{p-1}(y)
-        core = Poly3({(0, 1, 0): one}) + _y_poly(chebyshev_T(p - 1), sign * i**p)
-    elif family == 3:
-        # x -+ i^p (z S_{p-1}(y) - x S_{p-2}(y))
-        inner = _y_poly(chebyshev_S(p - 1)).monomial_shift(0, 0, 1) - _y_poly(
-            chebyshev_S(p - 2)
-        ).monomial_shift(1, 0, 0)
-        core = Poly3({(1, 0, 0): one}) - inner.scale(sign * i**p)
-    elif family == 4:
-        # i z - i x y +- i^(p-1) (z S_{p-2}(y) - x S_{p-3}(y))
-        inner = _y_poly(chebyshev_S(p - 2)).monomial_shift(0, 0, 1) - _y_poly(
-            chebyshev_S(p - 3)
-        ).monomial_shift(1, 0, 0)
-        core = Poly3({(0, 0, 1): i, (1, 1, 0): -i}) + inner.scale(sign * i ** (p - 1))
-    elif family == 5:
-        if parity == 0:
-            core = Poly3({(2, 0, 0): one})
-        else:
-            core = Poly3({(0, 0, 0): 4 * one, (2, 0, 0): -one})
-    elif family == 6:
-        if parity == 0:
-            return None
-        core = Poly3({(1, 0, 0): 2 * one})
-    elif family == 7:
-        if parity == 0:
-            core = Poly3({(1, 0, 1): one})
-        else:
-            core = Poly3({(0, 1, 0): 2 * one, (1, 0, 1): -one})
-    else:
-        if parity == 0:
-            core = Poly3({(0, 0, 1): 2 * i, (1, 1, 0): -i})
-        else:
-            core = Poly3({(1, 1, 0): i})
-    return None if core.is_zero else core
+    return _variants(family, p)[parity]
 
 
 def crosscheck_relation_cores(p):
@@ -288,32 +280,12 @@ def crosscheck_relation_cores(p):
     return report
 
 
-def _core_variant_grading(family, p):
-    # both variants of a family share one grading class (checked for even p)
-    for parity in (0, 1):
-        core = relation_core(family, p, parity)
-        if core is not None:
-            gs = core.gradings()
-            if len(gs) == 1:
-                return next(iter(gs))
-    return None
-
-
 def v_restricted_cores(p):
     """The one variant of each family whose monomial multiples can land in
     the trivially graded part, as (family, core) pairs."""
     if p % 2 or p < 2:
         raise ValueError("needs even p >= 2")
-    out = []
-    for family in range(1, 9):
-        g_core = _core_variant_grading(family, p)
-        if g_core is None:
-            continue
-        parity = g_core[1] if FAMILY_SELECTOR[family] == "ln" else g_core[0]
-        core = relation_core(family, p, parity)
-        if core is not None:
-            out.append((family, core))
-    return out
+    return _multiples(p, 0, (0, 0))[0]
 
 
 def verify_Jprime_containment(p):
@@ -367,8 +339,8 @@ def _check_degree(degree_bound):
 
 def _multiples(p, degree_bound, grading=None):
     """The relation generators x^k y^l z^n * core of degree <= degree_bound,
-    as (cores, [(monomial, index into cores)]), monomials in graded-lex
-    order and families 1..8 within one monomial.
+    as ([(family, core)], [(monomial, index into that list)]), monomials in
+    graded-lex order and families 1..8 within one monomial.
 
     The core variant for a monomial is picked by the parity of l+n (families
     1-4, 8) or k+n (families 5-7), that is, by the monomial's grading. The
@@ -380,12 +352,12 @@ def _multiples(p, degree_bound, grading=None):
         raise ValueError("needs p >= 2")
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
+    _check_p(p)
     cores = []
     by_class = {(a, b): [] for a in (0, 1) for b in (0, 1)}
     for family in range(1, 9):
         bit = 1 if FAMILY_SELECTOR[family] == "ln" else 0
-        for parity in (0, 1):
-            core = relation_core(family, p, parity)
+        for parity, core in enumerate(_variants(family, p)):
             if core is None:
                 continue
             classes = [g for g in by_class if g[bit] == parity]
@@ -398,7 +370,7 @@ def _multiples(p, degree_bound, grading=None):
             if classes:
                 for g in classes:
                     by_class[g].append((core.degree(), len(cores)))
-                cores.append(core)
+                cores.append((family, core))
     pairs = []
     for mono in monomials_leq(degree_bound):
         room = degree_bound - sum(mono)
@@ -414,7 +386,7 @@ def relation_generators(p, degree_bound):
     """
     _check_degree(degree_bound)
     cores, pairs = _multiples(p, degree_bound)
-    return [cores[j].monomial_shift(*mono) for mono, j in pairs]
+    return [cores[j][1].monomial_shift(*mono) for mono, j in pairs]
 
 
 def _integer_forms(cores):
@@ -448,7 +420,7 @@ def _relation_rows(p, degree_bound, grading, cols):
     """Integer relation rows {column: int} over the monomial columns `cols`,
     with the width of `_integer_forms`; no Poly3 is built per multiple."""
     cores, pairs = _multiples(p, degree_bound, grading)
-    width, forms = _integer_forms(cores)
+    width, forms = _integer_forms(core for _family, core in cores)
     col_index = {key: width * idx for idx, key in enumerate(cols)}
     rows = []
     for (k, l, n), j in pairs:

@@ -88,7 +88,8 @@ def _forms(label, slopes):
 def complexity(label, slopes):
     """Lexicographic measure (c1/a1 + c2/a2, -c1) with c_i = |a_i q - b_i p|."""
     c1, c2 = _forms(label, slopes)
-    return Complexity(Fraction(c1, slopes.a1) + Fraction(c2, slopes.a2), Fraction(-c1))
+    a1, a2 = slopes.a1, slopes.a2
+    return Complexity(Fraction(c1 * a2 + c2 * a1, a1 * a2), Fraction(-c1))
 
 
 def is_reduced_label(label, slopes):

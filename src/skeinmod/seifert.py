@@ -113,42 +113,20 @@ def presentation(data):
     Non-orientable base (g < 0): |g| crosscap loops a_i with a h a^-1 = h^-1,
     and the long product ends in the squares a_i^2.
     """
-    k = len(data.fibers)
-    qs = [f"q{l + 1}" for l in range(k)]
+    qs = [f"q{l + 1}" for l in range(len(data.fibers))]
     cs = [f"c{j + 1}" for j in range(data.n)]
-    rel = []
     if data.g >= 0:
-        surf = []
-        for i in range(data.g):
-            surf += [f"a{i + 1}", f"b{i + 1}"]
-        gens = surf + qs + cs + ["h"]
-        for s in surf:
-            rel.append(_commutator("h", s))
-        for s in cs:
-            rel.append(_commutator("h", s))
-        for s in qs:
-            rel.append(_commutator("h", s))
-        for q, (beta, alpha) in zip(qs, data.fibers):
-            rel.append(((q, alpha), ("h", beta)))
-        long = tuple((q, 1) for q in qs) + tuple((c, 1) for c in cs)
-        for i in range(data.g):
-            long += _commutator(f"a{i + 1}", f"b{i + 1}")
-        rel.append(long)
+        surf = [f"{s}{i + 1}" for i in range(data.g) for s in "ab"]
+        rel = [_commutator("h", s) for s in surf]
+        tail = tuple(t for a, b in zip(surf[::2], surf[1::2]) for t in _commutator(a, b))
     else:
-        crosscaps = [f"a{i + 1}" for i in range(-data.g)]
-        gens = crosscaps + qs + cs + ["h"]
-        for s in crosscaps:
-            rel.append(((s, 1), ("h", 1), (s, -1), ("h", 1)))
-        for s in cs:
-            rel.append(_commutator("h", s))
-        for s in qs:
-            rel.append(_commutator("h", s))
-        for q, (beta, alpha) in zip(qs, data.fibers):
-            rel.append(((q, alpha), ("h", beta)))
-        long = tuple((q, 1) for q in qs) + tuple((c, 1) for c in cs)
-        long += tuple((s, 2) for s in crosscaps)
-        rel.append(long)
-    return Presentation(tuple(gens), tuple(rel))
+        surf = [f"a{i + 1}" for i in range(-data.g)]
+        rel = [((s, 1), ("h", 1), (s, -1), ("h", 1)) for s in surf]
+        tail = tuple((s, 2) for s in surf)
+    rel += [_commutator("h", s) for s in cs + qs]
+    rel += [((q, alpha), ("h", beta)) for q, (beta, alpha) in zip(qs, data.fibers)]
+    rel.append(tuple((s, 1) for s in qs + cs) + tail)
+    return Presentation(tuple(surf + qs + cs + ["h"]), tuple(rel))
 
 
 def _abelianized_rows(pres):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinmod.chebyshev import chebyshev_T, poly_eval
+from skeinmod.chebyshev import chebyshev_S, chebyshev_T, poly_eval
 from skeinmod.gaussian import GaussRat, laurent_at_i
 from skeinmod import chebyshev, handlebody
 from skeinmod.handlebody import (
@@ -121,6 +121,57 @@ def test_core_variants_are_graded(p):
             core = relation_core(family, p, parity)
             if core is not None:
                 assert len(core.gradings()) == 1, (family, parity)
+
+
+def _in_y(int_poly, coeff, k=0, n=0):
+    # coeff * x^k * int_poly(y) * z^n
+    return Poly3({(k, e, n): coeff * v for e, v in int_poly.items()})
+
+
+def _stated_core(family, p, parity):
+    # families 1-4 as the paper lists them; the upper sign is the even variant
+    i, one = GaussRat.i(), GaussRat.one()
+    s = 1 if parity == 0 else -1
+    if family == 1:
+        # 2 -+ i^p T_p(y)
+        core = Poly3({(0, 0, 0): 2 * one}) - _in_y(chebyshev_T(p), s * i**p)
+    elif family == 2:
+        # y +- i^p T_(p-1)(y)
+        core = Poly3({(0, 1, 0): one}) + _in_y(chebyshev_T(p - 1), s * i**p)
+    elif family == 3:
+        # x -+ i^p (z S_(p-1)(y) - x S_(p-2)(y))
+        c = s * i**p
+        core = Poly3({(1, 0, 0): one}) - _in_y(chebyshev_S(p - 1), c, n=1) + _in_y(chebyshev_S(p - 2), c, k=1)
+    else:
+        # i z - i x y +- i^(p-1) (z S_(p-2)(y) - x S_(p-3)(y))
+        c = s * i ** (p - 1)
+        core = Poly3({(0, 0, 1): i, (1, 1, 0): -i})
+        core = core + _in_y(chebyshev_S(p - 2), c, n=1) - _in_y(chebyshev_S(p - 3), c, k=1)
+    return core or None
+
+
+@pytest.mark.parametrize("p", range(2, 17))
+def test_relation_cores_match_the_stated_families(p):
+    for family in (1, 2, 3, 4):
+        for parity in (0, 1):
+            assert relation_core(family, p, parity) == _stated_core(family, p, parity), (family, parity)
+
+
+def test_a_quotient_call_builds_each_family_once(monkeypatch):
+    # families 1-4 need T_p, T_(p-1), S_(p-1), S_(p-2), S_(p-2), S_(p-3):
+    # one closed form per family gives both parity variants
+    calls = []
+    for name in ("chebyshev_T", "chebyshev_S"):
+        fn = getattr(handlebody, name)
+        monkeypatch.setattr(handlebody, name, lambda n, fn=fn: calls.append(n) or fn(n))
+    for call, args in (
+        (truncated_quotient_dimension, (6, 10, (0, 0))),
+        (truncated_quotient_dimension, (5, 8)),
+        (verify_Jprime_containment, (6,)),
+    ):
+        calls.clear()
+        call(*args)
+        assert len(calls) <= 6, (call.__name__, args, calls)
 
 
 def test_family_crosscheck(p=4):
@@ -278,7 +329,7 @@ def test_p_cap_fires_before_any_work(monkeypatch):
     monkeypatch.setattr(Poly3, "monomial_shift", boom)
     for huge in (MAX_P + 1, 10**9):
         message = "p = %d exceeds the limit %d" % (huge, MAX_P)
-        for fn in (gamma, gamma_prime):
+        for fn in (gamma, gamma_prime, gamma_at_i_closed, gamma_prime_at_i_closed):
             with pytest.raises(ValueError, match=message):
                 fn(huge)
         for family in (1, 3, 5):
