@@ -6,6 +6,10 @@ starts 1, x and shows up in the longitude expansions.
 
 Polynomials are plain dicts mapping degree to int coefficient, zero
 coefficients never stored.
+
+The generic ring helpers poly_eval and positive_power live here, below
+every ring type, so laurent, gaussian, cyclotomic and mat2 import them
+with no cycle.
 """
 
 from __future__ import annotations
@@ -75,6 +79,26 @@ def poly_eval(poly, x, one=1):
         last = e
         total = total + poly[e] * power
     return total
+
+
+def positive_power(x, n):
+    """x ** n for n >= 1 by binary powering, for any type with `*`.
+
+    The result starts as x^(lowest set bit of n), not as an identity, and
+    nothing is squared after the highest bit: floor(log2 n) squarings plus
+    popcount(n) - 1 further products.
+    """
+    while not n & 1:
+        x = x * x
+        n >>= 1
+    result = x
+    n >>= 1
+    while n:
+        x = x * x
+        if n & 1:
+            result = result * x
+        n >>= 1
+    return result
 
 
 def format_int_poly(poly, var="x"):

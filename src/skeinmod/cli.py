@@ -39,7 +39,16 @@ from .rewrite import (
     normalize,
     parse_module_element,
 )
-from .seifert import BuildError, NoTorsionResult, SeifertData, certify, homology
+from .seifert import (
+    MAX_BOUNDARY,
+    MAX_FIBERS,
+    MAX_GENUS,
+    BuildError,
+    NoTorsionResult,
+    SeifertData,
+    certify,
+    homology,
+)
 from .torus import fg_multiply, format_fg, parse_fg
 
 TOOL_NAME = "skeinmod"
@@ -531,21 +540,17 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=_cmd_algebra_closure)
 
-    p = subs.add_parser("seifert-certify", help="produce a torsion certificate")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--boundary", type=int, default=0)
-    p.add_argument("--fiber", type=_fiber_text, action="append", default=[],
-                   help="beta,alpha pair, repeatable")
-    _add_common(p, json_switch=False)
-    p.set_defaults(func=_cmd_seifert_certify)
-
-    p = subs.add_parser("homology", help="first homology invariant factors")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--boundary", type=int, default=0)
-    p.add_argument("--fiber", type=_fiber_text, action="append", default=[],
-                   help="beta,alpha pair, repeatable")
-    _add_common(p, json_switch=False)
-    p.set_defaults(func=_cmd_homology)
+    for name, text, func in (
+        ("seifert-certify", "produce a torsion certificate", _cmd_seifert_certify),
+        ("homology", "first homology invariant factors", _cmd_homology),
+    ):
+        p = subs.add_parser(name, help=text)
+        p.add_argument("--genus", type=_int_range(-MAX_GENUS, MAX_GENUS), required=True)
+        p.add_argument("--boundary", type=_int_range(0, MAX_BOUNDARY), default=0)
+        p.add_argument("--fiber", type=_fiber_text, action="append", default=[],
+                       help="beta,alpha pair, repeatable up to %d times" % MAX_FIBERS)
+        _add_common(p, json_switch=False)
+        p.set_defaults(func=func)
 
     return parser
 

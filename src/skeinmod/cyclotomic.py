@@ -30,6 +30,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, floordiv, mul, neg, sub
 
+from .chebyshev import positive_power
 from .laurent import LaurentPoly, pseudo_divmod, trim
 from .text import format_power_sum
 
@@ -415,9 +416,7 @@ class CycNum:
             raise TypeError("integer powers only")
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 0:
-            return CycNum.one().lift(self.order)
-        return positive_power(self, n)
+        return positive_power(self, n) if n else CycNum.one().lift(self.order)
 
     @property
     def is_rational(self):
@@ -440,26 +439,6 @@ class CycNum:
 
     def __repr__(self):
         return f"CycNum({self.order}, {list(self.coords)!r})"
-
-
-def positive_power(x, n):
-    """x ** n for n >= 1 by binary powering, for any type with `*`.
-
-    The result starts as x^(lowest set bit of n), not as an identity, and
-    nothing is squared after the highest bit: floor(log2 n) squarings plus
-    popcount(n) - 1 further products.
-    """
-    while not n & 1:
-        x = x * x
-        n >>= 1
-    result = x
-    n >>= 1
-    while n:
-        x = x * x
-        if n & 1:
-            result = result * x
-        n >>= 1
-    return result
 
 
 def dot2(a, b, c, d):

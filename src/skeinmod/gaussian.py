@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .chebyshev import positive_power
 from .text import coeff_term, join_signed
 
 
@@ -112,14 +113,7 @@ class GaussRat:
             raise TypeError("integer powers only")
         if n < 0:
             return self.inverse() ** (-n)
-        result = GaussRat.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return positive_power(self, n) if n else GaussRat.one()
 
     def __str__(self):
         return join_signed(coeff_term(str(c), label) for c, label in ((self.re, ""), (self.im, "i")) if c)

@@ -1,7 +1,9 @@
 """Laurent polynomials in one variable A over Z, and their fraction field.
 
 LaurentPoly is the coefficient ring for skein algebra computations: exact
-integer coefficients, arbitrary positive and negative exponents.
+integer coefficients, arbitrary positive and negative exponents, stored as
+a sparse.SparseSum over exponent keys, so it shares its merge, negation
+and equality code with the other linear combinations of the package.
 LaurentFraction is Q(A) in canonical reduced form. No elimination uses it;
 it holds the fractional coefficients that parse_module_element reads for
 f12-reduce, and it stays as the one Q(A) path of the package. Its gcd
@@ -17,14 +19,16 @@ from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, mul, sub
 
-from .chebyshev import poly_eval
+from .chebyshev import poly_eval, positive_power
+from .sparse import SparseSum
 from .text import format_power_sum, parse_power_sum, strip_parens
 
 
-class LaurentPoly:
-    """Integer Laurent polynomial. Immutable; zero coefficients never stored."""
+class LaurentPoly(SparseSum):
+    """Integer Laurent polynomial: `terms` maps exponents to nonzero ints.
+    Immutable; ints coerce to constants on either side of +, -, * and ==."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
         c = {}
@@ -37,18 +41,12 @@ class LaurentPoly:
                     c[exp] = c.get(exp, 0) + coeff
                     if not c[exp]:
                         del c[exp]
-        self._c = c
+        self.terms = c
 
-    @classmethod
-    def _wrap(cls, c):
-        """Adopt a dict that is already canonical: int keys, nonzero int values."""
-        p = object.__new__(cls)
-        p._c = c
-        return p
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return LaurentPoly.from_int(other)
+        return other if isinstance(other, LaurentPoly) else None
 
     @classmethod
     def one(cls):
@@ -70,83 +68,33 @@ class LaurentPoly:
         return cls._wrap({exp: 1})
 
     def items(self):
-        return self._c.items()
-
-    @property
-    def is_zero(self):
-        return not self._c
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    __hash__ = None
+        return self.terms.items()
 
     @property
     def min_exp(self):
-        if not self._c:
+        if not self.terms:
             raise ValueError("zero polynomial has no degree span")
-        return min(self._c)
+        return min(self.terms)
 
     @property
     def max_exp(self):
-        if not self._c:
+        if not self.terms:
             raise ValueError("zero polynomial has no degree span")
-        return max(self._c)
+        return max(self.terms)
 
     def coeff(self, exp):
-        return self._c.get(exp, 0)
+        return self.terms.get(exp, 0)
 
-    def __neg__(self):
-        return LaurentPoly._wrap({e: -v for e, v in self._c.items()})
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return LaurentPoly.from_int(other)
-        if isinstance(other, LaurentPoly):
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in o._c.items():
-            s = c.get(e, 0) + v
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        return LaurentPoly._wrap(c)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+    # bound here too: perfbench/tracer.py wraps them from this class's __dict__
+    __add__ = __radd__ = SparseSum.__add__
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in o._c.items():
+        for e1, v1 in self.terms.items():
+            for e2, v2 in o.terms.items():
                 e = e1 + e2
                 s = c.get(e, 0) + v1 * v2
                 if s:
@@ -160,44 +108,37 @@ class LaurentPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("nonnegative integer powers only")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return positive_power(self, n) if n else LaurentPoly.one()
 
     def shift(self, k):
         """Multiply by A^k."""
-        return LaurentPoly({e + k: v for e, v in self._c.items()})
+        return LaurentPoly({e + k: v for e, v in self.terms.items()})
 
     def eval_unit(self, u):
         """Evaluate at A = u for u in {1, -1}."""
         if u not in (1, -1):
             raise ValueError("eval_unit expects 1 or -1")
         total = 0
-        for e, v in self._c.items():
+        for e, v in self.terms.items():
             total += v if (u == 1 or e % 2 == 0) else -v
         return total
 
     def eval_at(self, x, xinv, one):
         """Evaluate as a ring homomorphism, A -> x, A^-1 -> xinv."""
-        pos = {e: c for e, c in self._c.items() if e >= 0}
-        neg = {-e: c for e, c in self._c.items() if e < 0}
+        pos = {e: c for e, c in self.terms.items() if e >= 0}
+        neg = {-e: c for e, c in self.terms.items() if e < 0}
         return poly_eval(pos, x, one) + poly_eval(neg, xinv, one)
 
     def __str__(self):
         return format_laurent(self)
 
     def __repr__(self):
-        return f"LaurentPoly({self._c!r})"
+        return f"LaurentPoly({self.terms!r})"
 
 
 def format_laurent(p):
     """Render as a sum of +-c*A^k terms, exponents descending; "0" for zero."""
-    return format_power_sum(p._c, "A")
+    return format_power_sum(p.terms, "A")
 
 
 def parse_laurent(text):
@@ -249,9 +190,9 @@ def pseudo_divmod(a, b):
 
 def _dense(p):
     # (A^-min_exp * p) as a constant-first list; [] for zero
-    low = min(p._c, default=0)
-    out = [0] * (max(p._c, default=-1) - low + 1)
-    for e, v in p._c.items():
+    low = min(p.terms, default=0)
+    out = [0] * (max(p.terms, default=-1) - low + 1)
+    for e, v in p.terms.items():
         out[e - low] = v
     return out
 

@@ -5,14 +5,15 @@ A matrix product computes each entry with one fused kernel,
 `cyclotomic.dot2(a, b, c, d) == a*b + c*d` (two convolutions, one fold mod
 Phi_N and one canonical form), and so does the determinant; each entry
 keeps the lcm of its four operands' orders, as a*b + c*d would. Powers
-start from the base, not from the identity (`cyclotomic.positive_power`).
+start from the base, not from the identity (`chebyshev.positive_power`).
 
 Subalgebras of M2 are classified against the named ones: diagonal (D), upper
 and lower triangular (U, L), the Jordan line spanned by I and E12 (J), all
 of M2, or OTHER. Classification happens in standard position; callers
-conjugate first (standardize_pair). Closures and eigenvectors are field
-elimination through `linalg.FieldEchelon`; see the `linalg` docstring for
-why the integer elimination is a separate loop.
+conjugate first (standardize_pair). Closures are field elimination
+through `linalg.FieldEchelon`; see the `linalg` docstring for why the
+integer elimination is a separate loop. An eigenvector is the kernel
+vector that the reduced echelon form of t - lam gives, in closed form.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from .chebyshev import positive_power
 from .cyclotomic import (
     CycNum,
     dot2,
-    positive_power,
     rational_sqrt_cyclotomic,
     root_of_unity,
     root_of_unity_with_trace,
 )
-from .linalg import FieldEchelon, field_nullspace
+from .linalg import FieldEchelon
 
 
 def _cyc(v):
@@ -130,9 +131,7 @@ class Mat2:
             raise TypeError("integer powers only")
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 0:
-            return Mat2.identity()
-        return positive_power(self, n)
+        return positive_power(self, n) if n else Mat2.identity()
 
     def conjugate_by(self, p):
         """p^-1 * self * p."""
@@ -341,13 +340,13 @@ def standardize_pair(t):
 
 
 def eigenvector(t, lam):
-    """A nonzero vector v with t*v = lam*v, as two CycNum coordinates."""
-    shifted = [
-        [t.a - lam, t.b],
-        [t.c, t.d - lam],
-    ]
-    basis = field_nullspace(shifted)
-    if not basis:
+    """A nonzero vector v with t*v = lam*v, as two CycNum coordinates: the
+    kernel vector of the reduced echelon form of t - lam, free coordinate 1."""
+    a, b, c, d = t.a - lam, t.b, t.c, t.d - lam
+    if not dot2(a, d, -b, c).is_zero:
         raise ValueError("claimed eigenvalue has no eigenvector")
-    v = basis[0]
-    return [_cyc(v[0]), _cyc(v[1])]
+    if not a.is_zero:
+        return [-b / a, CycNum.one()]
+    if b.is_zero and not c.is_zero:
+        return [-d / c, CycNum.one()]
+    return [CycNum.one(), CycNum.zero()]

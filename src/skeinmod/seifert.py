@@ -29,12 +29,20 @@ from .mat2 import (
     trace_triple_realize,
 )
 
+# Input limits, checked before anything is built: homology's dense Smith
+# normal form grows fast with |g| and the fiber count on a non-orientable
+# base. The measurements are in README.md ("Seifert input limits").
+MAX_GENUS = 64
+MAX_BOUNDARY = 64
+MAX_FIBERS = 8
+
 
 class SeifertData:
     """Base genus, boundary count, and exceptional fibers of a fibered space.
 
     fibers is a sequence of (beta, alpha) with alpha >= 2 and gcd = 1; g < 0
-    means a non-orientable base of genus |g|.
+    means a non-orientable base of genus |g|. Raises ValueError when |g|, n
+    or the number of fibers exceeds MAX_GENUS, MAX_BOUNDARY or MAX_FIBERS.
     """
 
     __slots__ = ("g", "n", "fibers")
@@ -42,8 +50,14 @@ class SeifertData:
     def __init__(self, g, n, fibers=()):
         if not isinstance(g, int) or not isinstance(n, int):
             raise TypeError("genus and boundary count must be integers")
+        if abs(g) > MAX_GENUS:
+            raise ValueError(f"genus {g} is outside the limit +-{MAX_GENUS}")
         if n < 0:
             raise ValueError("boundary count must be nonnegative")
+        if n > MAX_BOUNDARY:
+            raise ValueError(f"boundary count {n} exceeds the limit {MAX_BOUNDARY}")
+        if len(fibers) > MAX_FIBERS:
+            raise ValueError(f"{len(fibers)} fibers exceed the limit {MAX_FIBERS}")
         clean = []
         for beta, alpha in fibers:
             beta, alpha = int(beta), int(alpha)

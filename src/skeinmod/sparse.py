@@ -2,10 +2,13 @@
 
 `accumulate` is the one merge rule: add into a key, drop the key when the
 sum vanishes. `SparseSum` carries the arithmetic that every such
-combination shares; a subclass adds its own key check, coefficient
-coercion, products and text form. Coefficients come from an integral
-domain (Laurent polynomials, Q(A), Gaussian rationals), so a product of
-nonzero coefficients is never zero and scaled terms need no filtering.
+combination shares: Laurent polynomials (exponent keys, int coefficients),
+torus skein elements (curve labels, with the empty-link scalar under the
+key ()), handlebody polynomials and boundary-module elements. A subclass
+adds its own key check, coefficient coercion (`_coerce`), products and
+text form. Coefficients come from an integral domain (Z, Laurent
+polynomials, Q(A), Gaussian rationals), so a product of nonzero
+coefficients is never zero and scaled terms need no filtering.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ class SparseSum:
         out.terms = terms
         return out
 
+    def _coerce(self, other):
+        """`other` as an instance of this class, or None when it does not
+        convert. An instance method: a classmethod call costs more per call."""
+        return other if isinstance(other, type(self)) else None
+
     @classmethod
     def zero(cls):
         return cls._wrap({})
@@ -47,9 +55,10 @@ class SparseSum:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, type(self)):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.terms == o.terms
 
     __hash__ = None
 
@@ -57,17 +66,31 @@ class SparseSum:
         return self._wrap({k: -v for k, v in self.terms.items()})
 
     def __add__(self, other):
-        if not isinstance(other, type(self)):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
         t = dict(self.terms)
-        for k, v in other.terms.items():
-            accumulate(t, k, v)
+        for k, v in o.terms.items():  # accumulate's rule, without a call per term
+            s = t[k] + v if k in t else v
+            if s:
+                t[k] = s
+            else:
+                del t[k]
         return self._wrap(t)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self + (-other)
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
 
     def scale(self, c):
         if not c:

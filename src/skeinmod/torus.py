@@ -1,10 +1,11 @@
 """Skein algebra of the thickened torus in the symmetrized curve basis.
 
-Basis labels are pairs (p,q) of integers up to simultaneous sign flip; the
-label (0,0) is not stored as a basis key but folded into a scalar `unit`
-slot, twice the empty link. The product of two basis curves is a two-term
-sum with monomial coefficients, and it is genuinely noncommutative until A
-is specialized to a value with A^2 = A^-2.
+Basis labels are pairs (p,q) of integers up to simultaneous sign flip. The
+empty link is the key (), and the class (0,0) is not a basis key but twice
+the empty link. An element is a sparse.SparseSum over these keys with
+Laurent coefficients. The product of two basis curves is a two-term sum
+with monomial coefficients, and it is genuinely noncommutative until A is
+specialized to a value with A^2 = A^-2.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .laurent import LaurentPoly, format_laurent, parse_laurent
-from .sparse import accumulate
+from .sparse import SparseSum, accumulate
 from .text import coeff_term, join_signed, split_coeff, split_terms
 
 
@@ -26,8 +27,8 @@ def canon(p, q):
 def fg_normalize(p, q):
     """Canonical label for (p,q) under (p,q) ~ (-p,-q).
 
-    Returns (label, trivial_scalar). The scalar slot is None except for
-    (0,0), whose curve class is not a basis key but the constant 2.
+    Returns (label, trivial_scalar). The scalar is None except for (0,0),
+    whose curve class is not a basis key but the constant 2.
     """
     if (p, q) == (0, 0):
         return (0, 0), LaurentPoly.from_int(2)
@@ -42,32 +43,22 @@ def _as_poly(c):
     raise TypeError(f"coefficient must be int or LaurentPoly, got {type(c).__name__}")
 
 
-class FGElement:
-    """Finite linear combination of curve classes with Laurent coefficients."""
+class FGElement(SparseSum):
+    """Finite linear combination of curve classes with Laurent coefficients.
+    The empty link is the key (); the constructor takes it apart as `unit`."""
 
-    __slots__ = ("terms", "unit")
+    __slots__ = ()
 
     def __init__(self, terms=None, unit=None):
-        self.unit = _as_poly(unit) if unit is not None else LaurentPoly.zero()
         self.terms = {}
+        if unit is not None:
+            accumulate(self.terms, (), _as_poly(unit))
         if terms:
             for (p, q), c in terms.items():
                 c = _as_poly(c)
                 if c and (p, q) == (0, 0):
-                    raise ValueError("(0,0) is not a basis key; use the unit slot")
+                    raise ValueError("(0,0) is not a basis key; pass it as unit")
                 accumulate(self.terms, canon(p, q), c)
-
-    @classmethod
-    def _wrap(cls, terms, unit):
-        """Adopt canonical parts: canonical nonzero labels, no zero values."""
-        out = object.__new__(cls)
-        out.terms = terms
-        out.unit = unit
-        return out
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def one(cls):
@@ -81,40 +72,9 @@ class FGElement:
         return cls({canon(p, q): 1})
 
     @property
-    def is_zero(self):
-        return not self.terms and self.unit.is_zero
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __eq__(self, other):
-        if not isinstance(other, FGElement):
-            return NotImplemented
-        return self.unit == other.unit and self.terms == other.terms
-
-    __hash__ = None
-
-    def __neg__(self):
-        return FGElement._wrap({k: -v for k, v in self.terms.items()}, -self.unit)
-
-    def __add__(self, other):
-        if not isinstance(other, FGElement):
-            return NotImplemented
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            accumulate(t, k, v)
-        return FGElement._wrap(t, self.unit + other.unit)
-
-    def __sub__(self, other):
-        if not isinstance(other, FGElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        c = _as_poly(c)
-        if not c:
-            return FGElement.zero()
-        return FGElement._wrap({k: v * c for k, v in self.terms.items()}, self.unit * c)
+    def unit(self):
+        """The coefficient of the empty link."""
+        return self.terms.get((), LaurentPoly.zero())
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -130,47 +90,41 @@ class FGElement:
 
     def specialize_unit(self, u):
         """Coefficients at A = u for u in {1,-1}: (unit value, {label: int})."""
-        t = {}
-        for k, v in self.terms.items():
-            n = v.eval_unit(u)
-            if n:
-                t[k] = n
+        t = {k: n for k, v in self.terms.items() if k and (n := v.eval_unit(u))}
         return self.unit.eval_unit(u), t
 
     def __str__(self):
         return format_fg(self)
 
     def __repr__(self):
-        return f"FGElement({self.terms!r}, unit={self.unit!r})"
+        labels = {k: v for k, v in self.terms.items() if k}
+        return f"FGElement({labels!r}, unit={self.unit!r})"
 
 
 def fg_multiply(x, y):
     """Product in the torus skein algebra.
 
     Each pair of curve classes contributes two terms, a sum label and a
-    difference label, with opposite monomial twists. The order of the
-    factors matters: swapping x and y flips every twist exponent.
+    difference label, with opposite monomial twists; a difference (0,0) is
+    twice the empty link (), and () times a label keeps the label. The
+    order of the factors matters: swapping x and y flips every twist exponent.
     """
-    out_terms = {}
-    out_unit = x.unit * y.unit
-    if x.unit:
-        for k, v in y.terms.items():
-            accumulate(out_terms, k, x.unit * v)
-    if y.unit:
-        for k, v in x.terms.items():
-            accumulate(out_terms, k, v * y.unit)
-    for (p, q), cx in x.terms.items():
-        for (r, s), cy in y.terms.items():
+    out = {}
+    for kx, cx in x.terms.items():
+        for ky, cy in y.terms.items():
             c = cx * cy
+            if not (kx and ky):
+                accumulate(out, kx or ky, c)
+                continue
+            (p, q), (r, s) = kx, ky
             det = p * s - q * r
-            plus = canon(p + r, q + s)
+            accumulate(out, canon(p + r, q + s), c.shift(det))
             minus = canon(p - r, q - s)
-            accumulate(out_terms, plus, c.shift(det))
             if minus == (0, 0):
-                out_unit = out_unit + 2 * c.shift(-det)
+                accumulate(out, (), 2 * c.shift(-det))
             else:
-                accumulate(out_terms, minus, c.shift(-det))
-    return FGElement._wrap(out_terms, out_unit)
+                accumulate(out, minus, c.shift(-det))
+    return FGElement._wrap(out)
 
 
 def fg_chebyshev_basis(p, q, d):
@@ -181,7 +135,7 @@ def fg_chebyshev_basis(p, q, d):
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    # T(0) = 2 means the constant term lands on the unit slot with weight 2
+    # T(0) = 2 means the constant term is the empty link with weight 2
     prev = FGElement(unit=2)
     if d == 0:
         return prev
@@ -196,14 +150,11 @@ _BASIS_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*$")
 
 def format_fg(el):
     """Text form like 'A*(1,1) + A^-1*(1,-1)', labels in descending order,
-    scalar part last."""
-    summands = [
-        coeff_term(format_laurent(el.terms[key]), f"({key[0]},{key[1]})")
+    scalar part last (the key () sorts below every label)."""
+    return join_signed(
+        coeff_term(format_laurent(el.terms[key]), "(%d,%d)" % key if key else "")
         for key in sorted(el.terms, reverse=True)
-    ]
-    if el.unit:
-        summands.append(coeff_term(format_laurent(el.unit), ""))
-    return join_signed(summands)
+    )
 
 
 def parse_fg(text):
@@ -212,18 +163,17 @@ def parse_fg(text):
     Reads a sum of `coeff*(p,q)` and scalar summands (see skeinmod.text).
     Each coefficient is a Laurent polynomial in A, in one pair of
     parentheses when it has more than one term, and is 1 when left out.
-    Scalars and the class (0,0), which is the scalar 2, go to the unit slot.
-    "" and "0" read as zero. Raises ValueError on anything else.
+    Scalars and the class (0,0), which is the scalar 2, go to the empty
+    link (). "" and "0" read as zero. Raises ValueError on anything else.
     """
-    terms, unit = {}, LaurentPoly.zero()
+    terms = {}
     for sign, chunk in split_terms(text):
         coeff, m = split_coeff(chunk, _BASIS_RE)
         poly = LaurentPoly.one() if coeff is None else parse_laurent(coeff)
         poly = -poly if sign < 0 else poly
         if m is None:
-            unit = unit + poly
-        elif (key := canon(int(m.group(1)), int(m.group(2)))) != (0, 0):
-            accumulate(terms, key, poly)
-        else:
-            unit = unit + 2 * poly
-    return FGElement._wrap(terms, unit)
+            key = ()
+        elif (key := canon(int(m.group(1)), int(m.group(2)))) == (0, 0):
+            key, poly = (), 2 * poly
+        accumulate(terms, key, poly)
+    return FGElement._wrap(terms)

@@ -357,6 +357,35 @@ def test_p_and_n_above_their_caps_exit_1(capsys, monkeypatch):
             assert "argument --n: must be at most %d" % chebyshev.MAX_N in err
 
 
+def test_seifert_inputs_above_their_caps_exit_1(capsys, monkeypatch):
+    from skeinmod import seifert
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a space was built above the cap")
+
+    monkeypatch.setattr(cli, "SeifertData", boom)
+    g, n = seifert.MAX_GENUS, seifert.MAX_BOUNDARY
+    for sub in ("homology", "seifert-certify"):
+        for flags, message in (
+            (("--genus", str(g + 1)), "argument --genus: must be at most %d" % g),
+            (("--genus=%d" % (-g - 1),), "argument --genus: must be at least %d" % -g),
+            (("--genus", "0", "--boundary", str(n + 1)), "argument --boundary: must be at most %d" % n),
+            (("--genus", "0", "--boundary", str(10**9)), "argument --boundary: must be at most %d" % n),
+            (("--genus", "0", "--boundary=-1"), "argument --boundary: must be at least 0"),
+        ):
+            code, out, err = run(capsys, sub, *flags)
+            assert code == 1 and out == ""
+            assert "Traceback" not in err
+            assert message in err
+    monkeypatch.undo()
+    # the fiber count is checked when the space is built, before homology runs
+    monkeypatch.setattr(cli, "homology", boom)
+    argv = ["homology", "--genus", "0"] + ["--fiber=1,2"] * (seifert.MAX_FIBERS + 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: %d fibers exceed the limit %d\n" % (seifert.MAX_FIBERS + 1, seifert.MAX_FIBERS)
+
+
 def test_certify_above_the_field_order_cap_exits_1(capsys):
     argv = ["seifert-certify", "--genus", "0"]
     for fiber in ("1,2", "1,3", "1,5", "1,7", "1,11"):

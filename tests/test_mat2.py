@@ -6,11 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import cyc_numbers, rational_mat2
+from conftest import cyc_numbers, laurent_polys, rational_mat2, small_fractions
 from skeinmod.cyclotomic import CycNum, root_of_unity
+from skeinmod.gaussian import GaussRat
+from skeinmod.linalg import field_nullspace
 from skeinmod.mat2 import (
     Mat2,
     algebra_closure,
+    eigenvector,
     is_irreducible,
     separating_witness,
     sl2_sqrt,
@@ -112,16 +115,28 @@ def test_product_and_det_match_the_entrywise_formula(m, n):
     assert _same(m.det(), m.a * m.d - m.b * m.c)
 
 
-@given(mixed_mat2(orders=(1, 4, 12)))
-@settings(max_examples=30, deadline=None)
+_ring_elements = st.one_of(
+    mixed_mat2(orders=(1, 4, 12)),
+    laurent_polys(max_terms=3, max_exp=3, max_coeff=3),
+    st.builds(GaussRat, small_fractions(), small_fractions()),
+)
+
+
+@given(_ring_elements)
+@settings(max_examples=90, deadline=None)
 def test_pow_matches_repeated_multiplication(m):
-    assert m ** 0 == Mat2.identity()
-    invertible = not m.det().is_zero
+    # Mat2, LaurentPoly and GaussRat share one binary power; LaurentPoly
+    # takes no negative exponent
+    if isinstance(m, Mat2):
+        one, invertible = Mat2.identity(), not m.det().is_zero
+    else:
+        one, invertible = type(m).one(), isinstance(m, GaussRat) and bool(m)
+    assert m ** 0 == one
     for n in range(-3, 10):
         if n < 0 and not invertible:
             continue
         base = m if n >= 0 else m.inverse()
-        want = Mat2.identity()
+        want = one
         for _ in range(abs(n)):
             want = want * base
         assert m ** n == want
@@ -357,3 +372,39 @@ def test_standardize_triangularizes(m):
     assert not p.det().is_zero
     conj = m.conjugate_by(p)
     assert conj.c.is_zero
+
+
+@st.composite
+def _eigen_cases(draw):
+    # a matrix whose first eigenvalue lies in its entries' field: t = p d p^-1
+    # for a triangular d, and sometimes a scalar or a matrix with a zero row
+    kind = draw(st.sampled_from(("conjugated", "scalar", "triangular")))
+    lam = draw(cyc_numbers(orders=(1, 4, 12)))
+    if kind == "scalar":
+        return Mat2(lam, 0, 0, lam), lam
+    mu = draw(cyc_numbers(orders=(1, 4, 12)))
+    x = draw(cyc_numbers(orders=(1, 4, 12)))
+    if kind == "triangular":
+        upper = draw(st.booleans())
+        return (Mat2(lam, x, 0, mu) if upper else Mat2(mu, 0, x, lam)), lam
+    p = draw(rational_mat2(bound=3))
+    assume(not p.det().is_zero)
+    return p * Mat2(lam, x, 0, mu) * p.inverse(), lam
+
+
+@given(_eigen_cases())
+@settings(max_examples=80, deadline=None)
+def test_eigenvector_matches_the_elimination(case):
+    t, lam = case
+    v = eigenvector(t, lam)
+    want = field_nullspace([[t.a - lam, t.b], [t.c, t.d - lam]])[0]
+    assert all(isinstance(x, CycNum) for x in v)
+    # equal by value; the stored orders may differ
+    assert v[0] == want[0] and v[1] == want[1]
+    assert t.a * v[0] + t.b * v[1] == lam * v[0]
+    assert t.c * v[0] + t.d * v[1] == lam * v[1]
+
+
+def test_eigenvector_rejects_a_non_eigenvalue():
+    with pytest.raises(ValueError, match="no eigenvector"):
+        eigenvector(Mat2(2, 1, 0, 3), CycNum.rational(5))

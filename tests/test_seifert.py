@@ -63,6 +63,32 @@ def test_data_validation():
         SeifertData(0.0, 0)
 
 
+class _HugeFibers:
+    # claims more fibers than the cap and fails if anything reads one
+    def __len__(self):
+        return seifert.MAX_FIBERS + 1
+
+    def __iter__(self):
+        raise AssertionError("fibers were read past the cap")
+
+
+def test_input_caps_fire_before_anything_is_built(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("built past the cap")
+
+    monkeypatch.setattr(seifert, "presentation", unreachable)
+    monkeypatch.setattr(seifert, "smith_normal_form", unreachable)
+    g, n = seifert.MAX_GENUS, seifert.MAX_BOUNDARY
+    cases = [(g + 1, 0, ()), (-g - 1, 0, ()), (10**18, 0, ()), (0, n + 1, ()),
+             (0, 10**18, ()), (0, 0, _HugeFibers())]
+    for genus, boundary, fibers in cases:
+        with pytest.raises(ValueError, match="limit"):
+            homology(SeifertData(genus, boundary, fibers))
+    # the caps themselves are admitted
+    data = SeifertData(-g, n, [(1, 2)] * seifert.MAX_FIBERS)
+    assert (data.g, data.n, len(data.fibers)) == (-g, n, seifert.MAX_FIBERS)
+
+
 def test_word_helpers():
     w = (("a", 1), ("b", -2))
     assert word_inverse(w) == (("b", 2), ("a", -1))

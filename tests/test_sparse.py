@@ -1,9 +1,9 @@
 """The shared sparse core: `accumulate` and the classes built on it.
 
-Arithmetic results of Poly3, ModuleElement and FGElement adopt their dicts
-without the constructors' checks, so each one must store no zero
-coefficient and equal a rebuild through the public constructor, key for
-key. The raw input dicts hold zero coefficients and, for the two label
+Arithmetic results of LaurentPoly, Poly3, ModuleElement and FGElement adopt
+their dicts without the constructors' checks, so each one must store no
+zero coefficient and equal a rebuild through the public constructor, key
+for key. The raw input dicts hold zero coefficients and, for the two label
 types, keys that merge or cancel once canonicalized.
 """
 
@@ -30,6 +30,7 @@ _module_dicts = st.dictionaries(
     _coeffs,
     max_size=5,
 )
+_laurent_dicts = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=5)
 _fg_dicts = st.dictionaries(
     st.tuples(_small, _small).filter(lambda k: k != (0, 0)), _coeffs, max_size=5
 )
@@ -50,6 +51,21 @@ def test_accumulate_merges_and_drops():
     assert store == {"a": A(1) + A(2)}
     accumulate(store, "a", -A(1) - A(2))
     assert store == {}
+
+
+@given(_laurent_dicts, _laurent_dicts, st.integers(-3, 3))
+@settings(max_examples=80)
+def test_laurent_poly_results_are_canonical(d1, d2, n):
+    p, q = LaurentPoly(d1), LaurentPoly(d2)
+    results = (p + q, p - q, -p, p.scale(n), p * q, p ** 2, p.shift(n),
+               p + n, n + p, p - n, n - p, n * p)
+    for r in results:
+        _assert_canonical(r, LaurentPoly(dict(r.terms)))
+    # an int coerces to a constant on either side
+    c = LaurentPoly.from_int(n)
+    assert (p + n, n + p, p - n, n - p) == (p + c, c + p, p - c, c - p)
+    assert (p == n) == (p == c) == (n == p)
+    assert (p - p == 0) and (0 == p - p)
 
 
 @given(_poly3_dicts, _poly3_dicts, _coeffs, st.tuples(*[st.integers(0, 2)] * 3))
@@ -75,7 +91,8 @@ def test_module_element_results_are_canonical(d1, d2, c, pair, boundary):
 def test_fg_element_results_are_canonical(d1, d2, u1, u2, c):
     x, y = FGElement(d1, u1), FGElement(d2, u2)
     for r in (x + y, x - y, -x, x.scale(c), 3 * x, fg_multiply(x, y), x * y):
-        rebuilt = FGElement(dict(r.terms), r.unit)
+        # the empty link () is passed as unit, not as a label
+        rebuilt = FGElement({k: v for k, v in r.terms.items() if k}, r.unit)
         _assert_canonical(r, rebuilt)
         assert r.unit == rebuilt.unit
 
