@@ -313,17 +313,13 @@ def verify_Jprime_containment(p):
     return ok, report
 
 
-def monomials_leq(degree_bound, grading=None):
+def monomials_leq(degree_bound):
     """Exponent triples of total degree <= bound, graded-lex ordered (x>y>z)."""
     out = []
     for d in range(degree_bound + 1):
-        level = []
         for k in range(d, -1, -1):
             for l in range(d - k, -1, -1):
-                n = d - k - l
-                if grading is None or monomial_grading((k, l, n)) == tuple(grading):
-                    level.append((k, l, n))
-        out.extend(level)
+                out.append((k, l, d - k - l))
     return out
 
 
@@ -339,8 +335,11 @@ def _check_degree(degree_bound):
 
 def _multiples(p, degree_bound, grading=None):
     """The relation generators x^k y^l z^n * core of degree <= degree_bound,
-    as ([(family, core)], [(monomial, index into that list)]), monomials in
-    graded-lex order and families 1..8 within one monomial.
+    as ([(family, core)], [(monomial, index into that list)], columns),
+    monomials in graded-lex order and families 1..8 within one monomial.
+    The columns are the monomials of degree <= degree_bound in the
+    requested grading class (all of them for None), listed in the same
+    pass, so each monomial is enumerated and graded once per call.
 
     The core variant for a monomial is picked by the parity of l+n (families
     1-4, 8) or k+n (families 5-7), that is, by the monomial's grading. The
@@ -371,11 +370,14 @@ def _multiples(p, degree_bound, grading=None):
                 for g in classes:
                     by_class[g].append((core.degree(), len(cores)))
                 cores.append((family, core))
-    pairs = []
+    pairs, cols = [], []
     for mono in monomials_leq(degree_bound):
+        cls = monomial_grading(mono)
+        if grading is None or cls == grading:
+            cols.append(mono)
         room = degree_bound - sum(mono)
-        pairs.extend((mono, j) for degree, j in by_class[monomial_grading(mono)] if degree <= room)
-    return cores, pairs
+        pairs.extend((mono, j) for degree, j in by_class[cls] if degree <= room)
+    return cores, pairs, cols
 
 
 def relation_generators(p, degree_bound):
@@ -385,7 +387,7 @@ def relation_generators(p, degree_bound):
     l+n (families 1-4, 8) or k+n (families 5-7).
     """
     _check_degree(degree_bound)
-    cores, pairs = _multiples(p, degree_bound)
+    cores, pairs, _cols = _multiples(p, degree_bound)
     return [cores[j][1].monomial_shift(*mono) for mono, j in pairs]
 
 
@@ -416,10 +418,11 @@ def _integer_forms(cores):
     ]
 
 
-def _relation_rows(p, degree_bound, grading, cols):
-    """Integer relation rows {column: int} over the monomial columns `cols`,
-    with the width of `_integer_forms`; no Poly3 is built per multiple."""
-    cores, pairs = _multiples(p, degree_bound, grading)
+def _relation_rows(p, degree_bound, grading):
+    """(cols, width, rows): the monomial columns of `_multiples`, and integer
+    relation rows {column: int} over them with the width of
+    `_integer_forms`; no Poly3 is built per multiple."""
+    cores, pairs, cols = _multiples(p, degree_bound, grading)
     width, forms = _integer_forms(core for _family, core in cores)
     col_index = {key: width * idx for idx, key in enumerate(cols)}
     rows = []
@@ -432,7 +435,7 @@ def _relation_rows(p, degree_bound, grading, cols):
                     raise ValueError(f"relation monomial {(a + k, b + l, c + n)} outside the column set")
                 row[idx + off] = v
             rows.append(row)
-    return width, rows
+    return cols, width, rows
 
 
 def _eliminate_singletons(rows):
@@ -476,8 +479,7 @@ def truncated_quotient_dimension(p, degree_bound, grading=None):
     class) modulo the degree-truncated relation span."""
     grading = _check_grading(p, grading)
     _check_degree(degree_bound)
-    cols = monomials_leq(degree_bound, grading)
-    width, rows = _relation_rows(p, degree_bound, grading, cols)
+    cols, width, rows = _relation_rows(p, degree_bound, grading)
     return len(cols) - _rank_of_rows(rows) // width
 
 
@@ -493,9 +495,8 @@ def nested_truncation_dimension(p, window_degree, relation_degree, grading=None)
         raise ValueError("relation degree must dominate the window")
     grading = _check_grading(p, grading)
     _check_degree(relation_degree)
-    cols = monomials_leq(relation_degree, grading)
+    cols, width, rows = _relation_rows(p, relation_degree, grading)
     inside = sum(1 for key in cols if sum(key) <= window_degree)
-    width, rows = _relation_rows(p, relation_degree, grading, cols)
     cut = width * inside
     outside_rows = [proj for row in rows if (proj := {c: v for c, v in row.items() if c >= cut})]
     return inside - (_rank_of_rows(rows) - _rank_of_rows(outside_rows)) // width

@@ -12,6 +12,13 @@ Reduction is driven by a two-part complexity measure attached to a choice
 of slopes (a1,b1), (a2,b2). Every rewrite strictly decreases the measure,
 so normal forms exist and the labels that survive live in a box bounded by
 the slopes, which is the finite-generation statement in computational form.
+
+The rewrite formulas are written once, in the rule table `_rules`. Each
+rule's coefficient is +-A^k or A^k - A^(k-2), so `reduce_step` reads the
+table with LaurentPoly coefficients, while `normalize` applies it to plain
+{exp: int} coefficient dicts as signed exponent shifts. Coefficients in
+Q(A) go through the same loop as integer numerators over one common
+denominator.
 """
 
 from __future__ import annotations
@@ -22,7 +29,13 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
 
-from .laurent import LaurentPoly, parse_laurent, parse_laurent_fraction
+from .laurent import (
+    LaurentFraction,
+    LaurentPoly,
+    divexact,
+    parse_laurent,
+    parse_laurent_fraction,
+)
 from .sparse import SparseSum, accumulate
 from .text import coeff_term, join_signed, split_coeff, split_terms
 from .torus import canon
@@ -263,52 +276,76 @@ def _oriented(label, slopes):
     return a, b, c, d
 
 
+def _rules(label, gen, slopes):
+    """The rewrite of label*gen as rows (label, gen, ((sign, exp), ...)).
+
+    This table is the one copy of the rewrite formulas: three fiber trades
+    on the second boundary, seven rules on 'e' and five on 'x1'/'x2'. A
+    row's coefficient is the sum of sign * A^exp over its pairs, so it is
+    +-A^k or A^k - A^(k-2), and multiplying by it is a signed exponent
+    shift. Labels are canonical; rows are not merged, so two of them can
+    share a key. Raises NotReducible inside the c1 <= 2(a1-b1), c2 <= 2a2
+    box.
+    """
+    u, v, w, z = _oriented(label, slopes)
+    t = v - u
+    if slopes.a2 * z - slopes.b2 * w > 2 * slopes.a2:
+        # fiber trade on the second boundary; works uniformly on all generators
+        rows = (
+            ((u, v + 1, w, z - 1), gen, ((1, u - w),)),
+            ((u, v - 1, w, z - 1), gen, ((1, -u - w),)),
+            ((u, v, w, z - 2), gen, ((-1, -2 * w),)),
+        )
+    elif slopes.a1 * v - slopes.b1 * u > 2 * (slopes.a1 - slopes.b1):
+        if gen == "e":
+            rows = (
+                ((u - 2, v - 2, w, z), gen, ((-1, 2 * t),)),
+                ((u - 1, v - 1, w + 1, z - 1), gen, ((-1, t - w - z - 2),)),
+                ((u - 1, v - 1, w - 1, z + 1), gen, ((-1, t + w + z - 2),)),
+                ((u - 1, v - 1, w + 1, z + 1), gen, ((1, t + w - z),)),
+                ((u - 1, v - 1, w - 1, z - 1), gen, ((1, t - w + z),)),
+                ((u, v - 2, w, z), gen, ((1, -2 * u),)),
+                ((u - 2, v, w, z), gen, ((1, 2 * v - 4),)),
+            )
+        else:
+            other = "x2" if gen == "x1" else "x1"
+            rows = (
+                ((u - 2, v - 2, w, z), gen, ((-1, 2 * t),)),
+                ((u, v - 2, w, z), gen, ((1, -2 * u - 2),)),
+                ((u - 2, v, w, z), gen, ((1, 2 * v - 6),)),
+                ((u - 1, v - 1, w, z + 1), other, ((1, t + w - 1), (-1, t + w - 3))),
+                ((u - 1, v - 1, w, z - 1), other, ((1, t - w - 1), (-1, t - w - 3))),
+            )
+    else:
+        raise NotReducible(f"label {tuple(label)} is inside the irreducible box")
+    return [(normalize_label(lab), g, monos) for lab, g, monos in rows]
+
+
 def reduce_step(label, gen, slopes):
     """One rewrite of label*gen into strictly smaller terms.
 
     Returns a list of (coefficient, label, gen) triples with labels in
-    canonical form and like terms merged. Raises NotReducible inside the
+    canonical form and like terms merged: the rows of the rule table
+    `_rules` with LaurentPoly coefficients. Raises NotReducible inside the
     c1 <= 2(a1-b1), c2 <= 2a2 box.
     """
     if gen not in _GEN_RANK:
         raise ValueError(f"unknown generator {gen!r}")
-    u, v, w, z = _oriented(label, slopes)
-    c1 = slopes.a1 * v - slopes.b1 * u
-    c2 = slopes.a2 * z - slopes.b2 * w
-    A = LaurentPoly.A
-    if c2 > 2 * slopes.a2:
-        # fiber trade on the second boundary; works uniformly on all generators
-        raw = [
-            (A(u - w), (u, v + 1, w, z - 1), gen),
-            (A(-u - w), (u, v - 1, w, z - 1), gen),
-            (-A(-2 * w), (u, v, w, z - 2), gen),
-        ]
-    elif c1 > 2 * (slopes.a1 - slopes.b1):
-        if gen == "e":
-            raw = [
-                (-A(2 * v - 2 * u), (u - 2, v - 2, w, z), gen),
-                (-A(v - u - w - z - 2), (u - 1, v - 1, w + 1, z - 1), gen),
-                (-A(v - u + w + z - 2), (u - 1, v - 1, w - 1, z + 1), gen),
-                (A(v - u + w - z), (u - 1, v - 1, w + 1, z + 1), gen),
-                (A(v - u - w + z), (u - 1, v - 1, w - 1, z - 1), gen),
-                (A(-2 * u), (u, v - 2, w, z), gen),
-                (A(2 * v - 4), (u - 2, v, w, z), gen),
-            ]
-        else:
-            other = "x2" if gen == "x1" else "x1"
-            raw = [
-                (-A(2 * v - 2 * u), (u - 2, v - 2, w, z), gen),
-                (A(-2 * u - 2), (u, v - 2, w, z), gen),
-                (A(2 * v - 6), (u - 2, v, w, z), gen),
-                (A(v - u + w - 1) - A(v - u + w - 3), (u - 1, v - 1, w, z + 1), other),
-                (A(v - u - w - 1) - A(v - u - w - 3), (u - 1, v - 1, w, z - 1), other),
-            ]
-    else:
-        raise NotReducible(f"label {tuple(label)} is inside the irreducible box")
     acc = {}
-    for coeff, lab, g in raw:
-        accumulate(acc, (normalize_label(lab), g), coeff)
+    for lab, g, monos in _rules(label, gen, slopes):
+        accumulate(acc, (lab, g), LaurentPoly({exp: sign for sign, exp in monos}))
     return [(acc[k], k[0], k[1]) for k in sorted(acc, key=lambda k: (_GEN_RANK[k[1]], k[0]))]
+
+
+def _common_denominator(coeffs):
+    """The lcm in Z[A] of the denominators of the LaurentFraction coefficients;
+    1 when there are none."""
+    den = LaurentPoly.one()
+    for c in coeffs:
+        if isinstance(c, LaurentFraction):
+            # den/c.den in lowest terms has denominator c.den/gcd(den, c.den)
+            den = den * LaurentFraction(den, c.den).den
+    return den
 
 
 def normalize(e, slopes, max_steps=100000, log=None):
@@ -323,12 +360,38 @@ def normalize(e, slopes, max_steps=100000, log=None):
     A term is pushed when it appears in the sum; an entry whose term has
     since cancelled is skipped when popped. Every rewrite output is
     strictly below the term it replaces, so a popped key never returns.
+
+    Each live coefficient is a plain {exp: int} dict, and a step applies
+    the rows of the rule table `_rules` as signed adds at shifted
+    exponents; LaurentPoly values are built only for the returned element.
+    Coefficients in Q(A) are first multiplied by D, the lcm of their
+    denominators, and the same loop runs on the integer numerators. A key's
+    sum is zero exactly when its numerator sum is, so the steps and the log
+    do not depend on D, and each output coefficient is LaurentFraction(num, D).
+
     A step log (label, gen, term count) is appended to `log` if given.
     Raises StepBudgetExceeded carrying the partial element if max_steps
     rewrites do not finish, which the descent argument rules out for any
     honest budget.
     """
-    terms = ModuleElement(e.terms).terms
+    e = ModuleElement(e.terms)
+    den = _common_denominator(e.terms.values())
+    integral = den == 1
+    terms = {}  # key -> {exp: int}, the numerator over den; changed in place
+    for key, c in e.terms.items():
+        if isinstance(c, LaurentFraction):
+            c = c.num * divexact(den, c.den)
+        elif not integral:
+            c = c * den
+        terms[key] = dict(c.terms)
+
+    def element():
+        if integral:
+            return ModuleElement._wrap({k: LaurentPoly._wrap(c) for k, c in terms.items()})
+        return ModuleElement._wrap(
+            {k: LaurentFraction(LaurentPoly._wrap(c), den) for k, c in terms.items()}
+        )
+
     a1, b1, a2, b2 = slopes.a1, slopes.b1, slopes.a2, slopes.b2
     box1, box2 = 2 * (a1 - b1), 2 * a2
     heap = []
@@ -350,26 +413,29 @@ def normalize(e, slopes, max_steps=100000, log=None):
         if pick not in terms:
             continue
         if steps >= max_steps:
-            raise StepBudgetExceeded(
-                f"no normal form within {max_steps} steps", ModuleElement._wrap(terms)
-            )
+            raise StepBudgetExceeded(f"no normal form within {max_steps} steps", element())
         steps += 1
-        coeff = terms.pop(pick)
-        for part, lab, g in reduce_step(label, gen, slopes):
+        coeff = terms.pop(pick).items()
+        for lab, g, monos in _rules(label, gen, slopes):
             key = (lab, g)
-            add = coeff * part
-            if key in terms:
-                s = terms[key] + add
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-            else:
-                terms[key] = add
+            target = terms.get(key)
+            if target is None:
+                # a nonzero coefficient times a nonzero row is nonzero
+                target = terms[key] = {}
                 push(lab, g)
+            for sign, shift in monos:
+                for exp, c in coeff:
+                    exp += shift
+                    s = target.get(exp, 0) + sign * c
+                    if s:
+                        target[exp] = s
+                    else:
+                        del target[exp]
+            if not target:
+                del terms[key]
         if log is not None:
             log.append((label, gen, len(terms)))
-    return ModuleElement._wrap(terms)
+    return element()
 
 
 def dehn_fill_quotient(e, boundary, slope, slopes):
@@ -387,20 +453,21 @@ def dehn_fill_quotient(e, boundary, slope, slopes):
     if canon(*slope) != canon(*want):
         raise ValueError(f"slope {slope} is not the distinguished slope {want} of boundary {boundary}")
     sa, sb = canon(*want)
-    acc = ModuleElement.zero()
+    acc = {}
     for (label, gen), coeff in e.terms.items():
         a, b, c, d = label
         pair = (a, b) if boundary == 1 else (c, d)
         m = _multiple_of(pair, (sa, sb))
         if m is None or m == 0:
-            acc = acc + ModuleElement.term(label, gen, coeff)
+            accumulate(acc, (label, gen), coeff)
             continue
         factor = LaurentPoly({2 * m: 1, -2 * m: 1})
         if m % 2:
             factor = -factor
+        # the labels of e are canonical, so the filled label is too
         new_label = (0, 0) + (c, d) if boundary == 1 else (a, b) + (0, 0)
-        acc = acc + ModuleElement.term(new_label, gen, coeff * factor)
-    return acc
+        accumulate(acc, (new_label, gen), coeff * factor)
+    return ModuleElement._wrap(acc)
 
 
 def _multiple_of(pair, slope):

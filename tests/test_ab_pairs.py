@@ -1,0 +1,70 @@
+"""The summary rule of scripts/ab_pairs.py, on fixed numbers."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "ab_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_pairs)
+
+
+def _pairs(base, change, name="pass_s"):
+    return [({name: b}, {name: c}) for b, c in zip(base, change)]
+
+
+def test_clear_gain_holds():
+    base = [0.80, 0.82, 0.84, 0.81, 0.83, 0.85, 0.79, 0.86, 0.80, 0.84]
+    change = [0.35, 0.36, 0.34, 0.35, 0.37, 0.35, 0.36, 0.34, 0.35, 0.36]
+    (row,) = ab_pairs.summarize(_pairs(base, change), [("pass_s", "lower")])
+    assert row["wins"] == 10 and row["pairs"] == 10
+    assert row["base"] == pytest.approx((0.825, 0.8025, 0.84))
+    assert row["change"][0] == pytest.approx(0.35)
+    assert row["holds"]
+
+
+def test_more_failed_change_runs_do_not_hold():
+    base = [0.80, 0.82, 0.84, 0.81, 0.83, 0.85, 0.79, 0.86, 0.80, 0.84]
+    change = [0.35] * 10
+    pairs, metrics = _pairs(base, change), [("pass_s", "lower")]
+    (row,) = ab_pairs.summarize(pairs, metrics, failed=(0, 1))
+    assert row["wins"] == 10 and not row["holds"]
+    (row,) = ab_pairs.summarize(pairs, metrics, failed=(2, 2))
+    assert row["holds"]
+
+
+def test_eight_wins_of_ten_do_not_hold():
+    base = [1.0] * 10
+    change = [0.5] * 8 + [1.5, 1.5]
+    (row,) = ab_pairs.summarize(_pairs(base, change), [("pass_s", "lower")])
+    assert row["wins"] == 8
+    assert not row["holds"]
+
+
+def test_gain_inside_the_base_spread_does_not_hold():
+    # the change wins every pair, but by less than the base's q3 - q1
+    base = [1.0, 1.2, 1.0, 1.2, 1.0, 1.2, 1.0, 1.2, 1.0, 1.2]
+    change = [b - 0.01 for b in base]
+    (row,) = ab_pairs.summarize(_pairs(base, change), [("pass_s", "lower")])
+    assert row["wins"] == 10
+    assert row["base"][2] - row["base"][1] == pytest.approx(0.2)
+    assert not row["holds"]
+
+
+def test_ties_are_not_wins_and_higher_is_better_flips_the_sign():
+    pairs = _pairs([2.0, 2.0, 3.0], [2.0, 1.0, 4.0], name="rank_per_row")
+    (row,) = ab_pairs.summarize(pairs, [("rank_per_row", "higher")])
+    assert row["wins"] == 1
+    (row,) = ab_pairs.summarize(pairs, [("rank_per_row", "lower")])
+    assert row["wins"] == 1
+
+
+def test_format_rows_names_each_metric():
+    rows = ab_pairs.summarize(
+        [({"a": 1.0, "b": 2.0}, {"a": 0.5, "b": 2.5})], [("a", "lower"), ("b", "lower")]
+    )
+    text = ab_pairs.format_rows(rows)
+    assert text.splitlines()[1].startswith("a ") and "1/1" in text
+    assert text.splitlines()[2].startswith("b ") and "0/1" in text

@@ -16,7 +16,11 @@ lens-quotient (p = 2, 4, 8 in every grading at degree 12, and p = 6 at
 degree 12 ee, 24 ee and 16 oo), jprime-check, chebyshev T and S from the
 smallest n up to n = 40, and homology on two fiber sets. A case with a
 "stderr" field also pins what the command wrote to stderr, which for f12-reduce is
-the `step: rewrote ...` log in rewrite order.
+the `step: rewrote ...` log in rewrite order. A case with an "exit" field pins a
+nonzero exit code (2 for an f12-reduce partial result under --max-steps); every
+other case must exit 0. The f12-reduce cases also cover a step budget that runs
+out, a fractional and an integral term that meet in one output key, and two
+terms with different denominators.
 """
 
 import json
@@ -37,7 +41,7 @@ def test_envelope_is_byte_identical(case, capsys):
     code = cli.main(case["argv"])
     captured = capsys.readouterr()
     out = captured.out
-    assert code == 0
+    assert code == case.get("exit", 0)
     if "stderr" in case:
         assert captured.err == case["stderr"]
     masked = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', out)

@@ -174,6 +174,26 @@ def test_a_quotient_call_builds_each_family_once(monkeypatch):
         assert len(calls) <= 6, (call.__name__, args, calls)
 
 
+def test_a_quotient_call_lists_and_grades_the_monomials_once(monkeypatch):
+    # the columns come from the same pass that lists the relation multiples
+    listed, graded = [], []
+    leq, grading_of = handlebody.monomials_leq, handlebody.monomial_grading
+    monkeypatch.setattr(handlebody, "monomials_leq", lambda *a: listed.append(leq(*a)) or listed[-1])
+    monkeypatch.setattr(handlebody, "monomial_grading", lambda m: graded.append(m) or grading_of(m))
+    for call, args in (
+        (truncated_quotient_dimension, (6, 10, (0, 0))),
+        (truncated_quotient_dimension, (5, 8)),
+        (nested_truncation_dimension, (4, 4, 8, (1, 0))),
+    ):
+        listed.clear()
+        graded.clear()
+        call(*args)
+        assert len(listed) == 1, (call.__name__, args)
+        ids = {id(m) for m in listed[0]}
+        # core homogeneity checks grade core monomials too; count only the list
+        assert sum(id(m) in ids for m in graded) == len(listed[0]), (call.__name__, args)
+
+
 def test_family_crosscheck(p=4):
     """Families 1-3 regenerate from the curve recurrences; family 4's stated
     signs are the transposed pairing, which the regeneration flags."""
@@ -210,9 +230,14 @@ def test_monomials_leq_counts():
     assert len(monomials_leq(0)) == 1
     # all triples with k+l+n <= 3: C(3+3,3) = 20
     assert len(monomials_leq(3)) == 20
-    evens = monomials_leq(4, grading=(0, 0))
-    assert (0, 0, 0) in evens
-    assert all(monomial_grading(k) == (0, 0) for k in evens)
+
+
+def test_multiples_columns_are_the_graded_monomials():
+    for grading in ((0, 0), (1, 0)):
+        _cores, _pairs, cols = handlebody._multiples(4, 4, grading)
+        assert cols == [m for m in monomials_leq(4) if monomial_grading(m) == grading]
+    assert (0, 0, 0) in handlebody._multiples(4, 4, (0, 0))[2]
+    assert handlebody._multiples(4, 4)[2] == monomials_leq(4)
 
 
 def test_truncated_dimension_anchors():

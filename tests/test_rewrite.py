@@ -7,6 +7,8 @@ membership is checked exactly after specializing A to rational values, a
 necessary condition that is oblivious to how the formulas were derived.
 """
 
+import hashlib
+import itertools
 import re
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from skeinmod.laurent import LaurentFraction, LaurentPoly
 from skeinmod.rewrite import (
+    GENS,
     Complexity,
     ModuleElement,
     NotReducible,
@@ -414,6 +417,89 @@ def test_normalize_matches_max_scan_order(el):
             )
 
 
+@given(fractional_module_elements())
+@settings(max_examples=30, deadline=None)
+def test_normalize_matches_max_scan_on_fractional_elements(el):
+    # Q(A) coefficients run the integer loop on numerators over one common
+    # denominator; the steps, the partials and the text must not change
+    for sl in SLOPES:
+        log, ref_log = [], []
+        out, ref = normalize(el, sl, log=log), _max_scan_normalize(el, sl, log=ref_log)
+        assert out == ref
+        assert format_module_element(out) == format_module_element(ref)
+        assert log == ref_log
+        for budget in (0, 1, 2, 5):
+            partial = _budget_partial(normalize, el, sl, budget)
+            ref_partial = _budget_partial(_max_scan_normalize, el, sl, budget)
+            assert partial == ref_partial
+            if partial is not None:
+                assert format_module_element(partial) == format_module_element(ref_partial)
+
+
+@pytest.mark.parametrize(
+    "text, sl, rows, merged",
+    [
+        # fiber trade at u = v = w = 0: (0,1,0,2) and (0,-1,0,2) are one key
+        ("(0,0,0,3)*e", SlopeData(1, -1, 1, 0), 3, 2),
+        # e-rules at w = z = 0: the two (+-1,-+1) and the two (+-1,+-1) pairs meet
+        ("(2,7,0,0)*e", SlopeData(1, -2, 1, 1), 7, 5),
+        # z = 0, w = -1 after orientation: -A^(t-1) at (w+1,z-1) and A^(t-1)
+        # at (w+1,z+1) meet at (0,1) and cancel inside the step
+        ("(2,7,1,0)*e", SlopeData(1, -2, 1, 1), 7, 5),
+        # x1-rules at w = z = 0: both cross terms land on (u-1,v-1,0,1)*x2
+        ("A*(2,7,0,0)*x1 - (3,8,0,0)*x2", SlopeData(1, -2, 1, 1), 5, 4),
+    ],
+)
+def test_normalize_merges_rows_that_meet(text, sl, rows, merged):
+    el = parse_module_element(text)
+    (label, gen), _coeff = max(el.items(), key=lambda kv: complexity(kv[0][0], sl))
+    assert len(reduce_step(label, gen, sl)) == merged < rows
+    log, ref_log = [], []
+    assert normalize(el, sl, log=log) == _max_scan_normalize(el, sl, log=ref_log)
+    assert log == ref_log
+
+
+def test_normalize_recreates_a_cancelled_key():
+    # the first step on (0,1,0,4)*e adds -(0,1,0,2)*e, which cancels the
+    # input term; a later step creates (0,1,0,2)*e again
+    sl = SlopeData(1, -1, 1, 0)
+    el = parse_module_element("(0,1,0,4)*e + (0,1,0,2)*e")
+    key = ((0, 1, 0, 2), "e")
+    first = _budget_partial(normalize, el, sl, 1)
+    assert key not in first.terms
+    log, ref_log = [], []
+    out = normalize(el, sl, log=log)
+    assert key in out.terms
+    assert out == _max_scan_normalize(el, sl, log=ref_log)
+    assert log == ref_log
+    for budget in range(len(log)):
+        assert _budget_partial(normalize, el, sl, budget) == _budget_partial(
+            _max_scan_normalize, el, sl, budget
+        )
+
+
+# sha256 of every reduce_step output (coefficient text, label, gen) over
+# labels in [-4,4]^4, the three generators and SLOPES, "-" for NotReducible;
+# recorded before the rule table replaced the per-rule LaurentPoly code
+REDUCE_STEP_SHA256 = "ae79514c870c604598944631e9d3c0956aaa58bedb8ca4c60e45e794183aae44"
+
+
+def test_reduce_step_outputs_are_pinned():
+    h = hashlib.sha256()
+    for sl in SLOPES:
+        for label in itertools.product(range(-4, 5), repeat=4):
+            for gen in ("e", "x1", "x2"):
+                try:
+                    rows = reduce_step(label, gen, sl)
+                except NotReducible:
+                    h.update(b"-\n")
+                    continue
+                for coeff, lab, g in rows:
+                    h.update(("%s %r %s;" % (coeff, lab, g)).encode())
+                h.update(b"\n")
+    assert h.hexdigest() == REDUCE_STEP_SHA256
+
+
 # ---------------------------------------------------------------------------
 # filling quotients and generation witnesses
 
@@ -439,6 +525,32 @@ def test_dehn_fill_rejects_other_slopes():
         dehn_fill_quotient(ModuleElement.zero(), 1, (1, 1), sl)
     # sign flip of the distinguished slope is the same curve
     dehn_fill_quotient(ModuleElement.zero(), 1, (-1, 2), sl)
+
+
+@given(
+    st.one_of(module_elements(), fractional_module_elements()),
+    st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(-1, 1), st.integers(-1, 1), st.sampled_from(GENS)),
+        max_size=4,
+    ),
+    st.sampled_from(SLOPES),
+    st.sampled_from((1, 2)),
+)
+@settings(max_examples=80, deadline=None)
+def test_dehn_fill_is_the_per_term_sum(el, multiples, sl, boundary):
+    # add terms whose pair on the filled boundary is a multiple of the
+    # slope, so fills happen and several terms can land on one label
+    slope = (sl.a1, sl.b1) if boundary == 1 else (sl.a2, sl.b2)
+    for m, p, q, gen in multiples:
+        pair = (m * slope[0], m * slope[1])
+        label = pair + (p, q) if boundary == 1 else (p, q) + pair
+        el = el + ModuleElement.term(label, gen, A(m) + 1)
+    expected = ModuleElement.zero()
+    for (label, gen), coeff in el.terms.items():
+        expected = expected + dehn_fill_quotient(ModuleElement.term(label, gen, coeff), boundary, slope, sl)
+    out = dehn_fill_quotient(el, boundary, slope, sl)
+    assert out == expected
+    assert format_module_element(out) == format_module_element(expected)
 
 
 @given(st.tuples(*[st.integers(-8, 8)] * 4), st.sampled_from(SLOPES))
