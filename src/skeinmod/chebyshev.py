@@ -8,7 +8,7 @@ Polynomials are plain dicts mapping degree to int coefficient, zero
 coefficients never stored.
 
 The generic ring helpers poly_eval and positive_power live here, below
-every ring type, so laurent, gaussian, cyclotomic and mat2 import them
+every ring type, so laurent, cyclotomic and mat2 import them
 with no cycle.
 """
 

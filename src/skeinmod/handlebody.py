@@ -3,13 +3,14 @@
 The ambient module is C[x,y,z] (three core curves) with a Z/2 x Z/2 grading.
 Generic-A data lives in Poly3 with LaurentPoly coefficients; the quotient
 computations happen after specializing A to i, where coefficients become
-Gaussian rationals. Eight relation families span the quotient ideal; each is
-a fixed core polynomial times an arbitrary monomial, with the core variant
-selected by a parity of the monomial. Families 1-4 are a base polynomial
-plus or minus a multiple of the closed forms gamma_at_i_closed and
-gamma_prime_at_i_closed, so one closed form gives both variants of a family.
-The quotient dimensions build each family once per call, turn each core into
-integer rows once and take ranks with the sparse linalg.bareiss_rank.
+CycNum values in Q(i) = Q(zeta_4). Eight relation families span the
+quotient ideal; each is a fixed core polynomial times an arbitrary
+monomial, with the core variant selected by a parity of the monomial.
+Families 1-4 are a base polynomial plus or minus a multiple of the closed
+forms gamma_at_i_closed and gamma_prime_at_i_closed, so one closed form
+gives both variants of a family. The quotient dimensions build each family
+once per call, turn each core into integer rows once and take ranks with
+the sparse linalg.bareiss_rank.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import re
 
 from .chebyshev import chebyshev_S, chebyshev_T
-from .gaussian import GaussRat, laurent_at_i
+from .cyclotomic import CycNum, laurent_eval, root_of_unity
 from .laurent import LaurentPoly, parse_laurent
 from .linalg import bareiss_rank
 from .sparse import SparseSum, accumulate
@@ -71,9 +72,6 @@ class Poly3(SparseSum):
 
     def gradings(self):
         return {monomial_grading(k) for k in self.terms}
-
-    def is_homogeneous(self):
-        return len(self.gradings()) <= 1
 
     def __str__(self):
         parts = []
@@ -170,8 +168,9 @@ def gamma_prime(p):
 
 
 def specialize_at_i(poly):
-    """Evaluate LaurentPoly coefficients at A = i, yielding GaussRat coefficients."""
-    return poly.map_coeffs(laurent_at_i)
+    """Evaluate LaurentPoly coefficients at A = i, yielding order-4 CycNum
+    coefficients."""
+    return poly.map_coeffs(lambda c: laurent_eval(c, 4))
 
 
 def gamma_at_i_closed(p):
@@ -179,7 +178,7 @@ def gamma_at_i_closed(p):
     if p < 1:
         raise ValueError("needs p >= 1")
     _check_p(p)
-    return _y_poly(chebyshev_T(p), GaussRat.i() ** (p - 1))
+    return _y_poly(chebyshev_T(p), root_of_unity(4, p - 1))
 
 
 def gamma_prime_at_i_closed(p):
@@ -187,8 +186,8 @@ def gamma_prime_at_i_closed(p):
     if p < 1:
         raise ValueError("needs p >= 1")
     _check_p(p)
-    zpart = _y_poly(chebyshev_S(p - 1), GaussRat.i() ** (p - 1)).monomial_shift(0, 0, 1)
-    xpart = _y_poly(chebyshev_S(p - 2), GaussRat.i() ** (p + 1)).monomial_shift(1, 0, 0)
+    zpart = _y_poly(chebyshev_S(p - 1), root_of_unity(4, p - 1)).monomial_shift(0, 0, 1)
+    xpart = _y_poly(chebyshev_S(p - 2), root_of_unity(4, p + 1)).monomial_shift(1, 0, 0)
     return zpart + xpart
 
 
@@ -203,7 +202,7 @@ def _variants(family, p):
     2 -+ i*gamma_p, y -+ gamma_(p-1), x -+ i*gamma'_p and
     (i z - i x y) -+ (-i)*gamma'_(p-1). Families 5-8 do not depend on p.
     """
-    one, i = GaussRat.one(), GaussRat.i()
+    one, i = CycNum.one(), root_of_unity(4)
     if family >= 5:
         return tuple(Poly3(terms) or None for terms in {
             5: ({(2, 0, 0): one}, {(0, 0, 0): 4 * one, (2, 0, 0): -one}),
@@ -254,8 +253,8 @@ def crosscheck_relation_cores(p):
     g_p1 = specialize_at_i(gamma(p - 1)) if p >= 2 else None
     gp_p = specialize_at_i(gamma_prime(p))
     gp_p1 = specialize_at_i(gamma_prime(p - 1))
-    i = GaussRat.i()
-    one = GaussRat.one()
+    i = root_of_unity(4)
+    one = CycNum.one()
     y = Poly3({(0, 1, 0): one})
     two = Poly3({(0, 0, 0): 2 * one})
     x = Poly3({(1, 0, 0): one})
@@ -392,21 +391,23 @@ def relation_generators(p, degree_bound):
 
 
 def _integer_forms(cores):
-    """Integer row templates of GaussRat cores: (width, one list of
+    """Integer row templates of cores over Q(i): (width, one list of
     [(monomial, column offset, int)] rows per core).
 
-    A core whose coefficients are all real or all imaginary spans the same
-    line as one integer row, so if every core is like that (every even p)
-    each gives one row and width is 1. Otherwise each core R + iS, with its
-    denominators cleared, is realified into the integer rows [R | -S] and
-    [S | R]: monomial column j splits into 2j (real part) and 2j + 1
-    (imaginary part), width is 2, and the rank over Q of the realified rows
-    is twice the rank over Q(i) of the Gaussian ones.
+    Each coefficient is read at order 4, as integer coordinates (re, im)
+    over a denominator. A core whose coefficients are all real or all
+    imaginary spans the same line as one integer row, so if every core is
+    like that (every even p) each gives one row and width is 1. Otherwise
+    each core R + iS, with its denominators cleared, is realified into the
+    integer rows [R | -S] and [S | R]: monomial column j splits into 2j
+    (real part) and 2j + 1 (imaginary part), width is 2, and the rank over
+    Q of the realified rows is twice the rank over Q(i) of the Gaussian ones.
     """
     forms = []
     for core in cores:
-        den = math.lcm(*(v.re.denominator * v.im.denominator for v in core.terms.values()))
-        forms.append([(m, int(v.re * den), int(v.im * den)) for m, v in core.terms.items()])
+        coeffs = [(m, v.lift(4)) for m, v in core.terms.items()]
+        den = math.lcm(*(v.den for _m, v in coeffs))
+        forms.append([(m, *(c * (den // v.den) for c in v.num)) for m, v in coeffs])
     if all(not any(re for _m, re, _im in f) or not any(im for _m, _re, im in f) for f in forms):
         return 1, [[[(m, 0, re or im) for m, re, im in f]] for f in forms]
     return 2, [

@@ -112,7 +112,8 @@ class LaurentPoly(SparseSum):
 
     def shift(self, k):
         """Multiply by A^k."""
-        return LaurentPoly({e + k: v for e, v in self.terms.items()})
+        # distinct exponents stay distinct and no value changes
+        return LaurentPoly._wrap({e + k: v for e, v in self.terms.items()})
 
     def eval_unit(self, u):
         """Evaluate at A = u for u in {1, -1}."""
@@ -304,6 +305,14 @@ class LaurentFraction:
     def __neg__(self):
         f = LaurentFraction.__new__(LaurentFraction)
         f.num = -self.num
+        f.den = self.den
+        return f
+
+    def shift(self, k):
+        """Multiply by A^k. A is a unit, so the shifted numerator over the
+        same denominator is still canonical and no gcd runs."""
+        f = LaurentFraction.__new__(LaurentFraction)
+        f.num = self.num.shift(k)
         f.den = self.den
         return f
 

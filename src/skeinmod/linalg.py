@@ -6,7 +6,7 @@ There are two eliminations, one per kind of entry:
 - over the integers, `bareiss_rank`: fraction-free, pivoting on each row's
   highest column and dividing out the content. Its only divisions are
   exact, by gcds, so entries stay integers, and on the sparse rows of the
-  handle-slide quotients (see `handlebody`, which sends its Gaussian rows
+  handle-slide quotients (see `handlebody`, which sends its rows over Q(i)
   as integer rows) the highest-column pivot keeps the rows short;
 - over a field, `FieldEchelon`: the reduced row echelon form, pivoting on
   each row's lowest column and scaling it by one inverse. The reduced form
@@ -15,7 +15,7 @@ There are two eliminations, one per kind of entry:
   2x2 algebra closures of `mat2`.
 
 One loop for both would have to branch on its entry type at every step.
-Field entries are CycNum, Fraction or GaussRat, or ints mixed in with them;
+Field entries are CycNum or Fraction, or ints mixed in with them;
 the type only has to support -, *, Fraction(1) / x and bool, and coerce
 Python ints.
 """

@@ -251,7 +251,6 @@ def boundary_multiply(e, pair, boundary):
     p, q = pair
     if boundary not in (1, 2):
         raise ValueError("boundary must be 1 or 2")
-    A = LaurentPoly.A
     acc = {}
     for (label, gen), coeff in e.terms.items():
         a, b, c, d = label
@@ -262,7 +261,7 @@ def boundary_multiply(e, pair, boundary):
             det = c * q - d * p
             outs = [(det, (a, b, c + p, d + q)), (-det, (a, b, c - p, d - q))]
         for exp, lab in outs:
-            accumulate(acc, (normalize_label(lab), gen), coeff * A(exp))
+            accumulate(acc, (normalize_label(lab), gen), coeff.shift(exp))
     return ModuleElement._wrap(acc)
 
 

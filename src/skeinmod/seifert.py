@@ -23,7 +23,6 @@ from .mat2 import (
     algebra_closure,
     eigenvector,
     is_irreducible,
-    separating_witness,
     sl2_sqrt,
     standardize_pair,
     trace_triple_realize,
@@ -711,21 +710,19 @@ def _separating_certificate(data, case):
     for rep0, meta in _representation_candidates(data, case):
         delta_word = meta["delta"]
         torus_img = rep0.word_image(delta_word)
-        conj = standardize_pair(torus_img)
-        rep = rep0.conjugated(conj)
-        alg_t = algebra_closure([rep.word_image(delta_word)])
-        if alg_t.tag not in ("D", "J"):
-            continue
+        rep = rep0.conjugated(standardize_pair(torus_img))
         alg1 = algebra_closure([rep.image(s) for s in meta["side1"]])
         alg2 = algebra_closure([rep.image(s) for s in meta["side2"]])
         if alg1.dim < 3 or alg2.dim < 3:
-            continue
-        if separating_witness(alg1, alg2, alg_t) is None:
             continue
         hit = _word_witness(rep, meta["side1"], meta["side2"], delta_word)
         if hit is None:
             continue
         x1, x2, gamma, fwd, swp = hit
+        # _attempt_chain rejects a central torus image, so its conjugate is a
+        # non-scalar diagonal matrix (tr^2 != 4) or a non-scalar upper
+        # triangular one with equal diagonal: with I it spans D or J
+        tr = torus_img.trace()
         cert = TorsionCertificate(
             kind="separating_torus",
             representation=rep,
@@ -735,7 +732,7 @@ def _separating_certificate(data, case):
                 "classification": case,
                 "irreducible_pair": meta["irreducible_pair"],
                 "side_algebra_dims": [alg1.dim, alg2.dim],
-                "torus_algebra": alg_t.tag,
+                "torus_algebra": "J" if tr * tr == 4 else "D",
                 "torus_image_noncentral": True,
             },
         )

@@ -7,7 +7,7 @@ torus skein elements (curve labels, with the empty-link scalar under the
 key ()), handlebody polynomials and boundary-module elements. A subclass
 adds its own key check, coefficient coercion (`_coerce`), products and
 text form. Coefficients come from an integral domain (Z, Laurent
-polynomials, Q(A), Gaussian rationals), so a product of nonzero
+polynomials, Q(A), cyclotomic numbers), so a product of nonzero
 coefficients is never zero and scaled terms need no filtering.
 """
 

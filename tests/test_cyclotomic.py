@@ -184,8 +184,16 @@ def test_laurent_eval_is_a_homomorphism(p, nk):
 
 
 def test_laurent_eval_at_i_anchor():
+    # A^2 + A^-2 evaluates to -2, the loop value at a 4th root of unity
     p = LaurentPoly.A(2) + LaurentPoly.A(-2)
     assert laurent_eval(p, 4, 1) == CycNum.rational(-2)
+
+
+@given(laurent_polys())
+def test_laurent_eval_at_i_matches_generic_eval(p):
+    # same value through the generic substitution path
+    i = root_of_unity(4)
+    assert laurent_eval(p, 4) == p.eval_at(i, -i, CycNum.one())
 
 
 @given(cyc_numbers(orders=(3, 4, 8)))

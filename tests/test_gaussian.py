@@ -1,4 +1,6 @@
-"""Gaussian rationals and evaluation of Laurent polynomials at A = i."""
+"""Gaussian rationals: GaussRat(re, im) is the order-4 CycNum with
+coordinates (re, im), and all its arithmetic is CycNum's. Evaluation of
+Laurent polynomials at A = i is laurent_eval(p, 4)."""
 
 from fractions import Fraction
 
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skeinmod.gaussian import GaussRat, laurent_at_i
+from skeinmod.cyclotomic import CycNum, laurent_eval, root_of_unity
+from skeinmod.gaussian import GaussRat
 from skeinmod.laurent import LaurentPoly
 
 from conftest import laurent_polys, small_fractions
@@ -18,10 +21,13 @@ def gauss_rats():
 
 def test_anchors():
     i = GaussRat.i()
+    assert i == root_of_unity(4)
     assert i * i == -1
     assert i ** 4 == 1
-    assert str(GaussRat(Fraction(1, 2), -1)) == "1/2 - i"
-    assert GaussRat(3, 4).norm() == 25
+    x = GaussRat(Fraction(1, 2), -1)
+    assert (x.order, x.coords) == (4, (Fraction(1, 2), Fraction(-1)))
+    assert str(x) == "-z4 + 1/2"
+    assert GaussRat(3, 4) * GaussRat(3, -4) == 25
 
 
 @given(gauss_rats(), gauss_rats(), gauss_rats())
@@ -38,23 +44,28 @@ def test_inverse(x):
             x.inverse()
     else:
         assert x * x.inverse() == 1
-        assert x.conj() * x == x.norm()
+        # (re + im i)(re - im i) = re^2 + im^2
+        re, im = x.coords
+        assert x * GaussRat(re, -im) == re * re + im * im
+
+
+@given(gauss_rats(), gauss_rats())
+def test_results_are_cycnum_values(x, y):
+    for r in (x + y, x - y, -x, x * y, 2 * x, x ** 2):
+        assert type(r) is CycNum
+        assert r.order == 4
+    with pytest.raises(TypeError):
+        hash(x)
 
 
 @given(laurent_polys(), laurent_polys())
 def test_laurent_at_i_is_a_homomorphism(p, q):
-    assert laurent_at_i(p * q) == laurent_at_i(p) * laurent_at_i(q)
-    assert laurent_at_i(p + q) == laurent_at_i(p) + laurent_at_i(q)
-
-
-@given(laurent_polys())
-def test_laurent_at_i_matches_generic_eval(p):
-    # same value through the generic substitution path
-    i = GaussRat.i()
-    assert laurent_at_i(p) == p.eval_at(i, -i, GaussRat.one())
+    assert laurent_eval(p * q, 4) == laurent_eval(p, 4) * laurent_eval(q, 4)
+    assert laurent_eval(p + q, 4) == laurent_eval(p, 4) + laurent_eval(q, 4)
 
 
 def test_laurent_at_i_anchor():
     # A^2 + A^-2 evaluates to -2, the loop value at a 4th root of unity
     p = LaurentPoly.A(2) + LaurentPoly.A(-2)
-    assert laurent_at_i(p) == -2
+    assert laurent_eval(p, 4) == -2
+    assert laurent_eval(LaurentPoly.A(1), 4) == GaussRat.i()

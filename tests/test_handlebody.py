@@ -1,12 +1,14 @@
 """Genus-two handlebody curve polynomials and the lens space quotient
 dimension counts."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeinmod.chebyshev import chebyshev_S, chebyshev_T, poly_eval
-from skeinmod.gaussian import GaussRat, laurent_at_i
+from skeinmod.gaussian import GaussRat
 from skeinmod import chebyshev, handlebody
 from skeinmod.handlebody import (
     FAMILY_SELECTOR,
@@ -264,8 +266,8 @@ def test_closed_form_agrees_with_chebyshev_evaluation():
     for deg, c in coeffs.items():
         # i^(p-1) with p even is +-i; strip it before comparing
         scaled = c * (GaussRat.i() ** (p - 1)).inverse()
-        assert scaled.im == 0
-        lhs = lhs + int(scaled.re) * poly_eval({deg: 1}, t, LaurentPoly.one())
+        assert scaled.is_rational
+        lhs = lhs + int(scaled.as_fraction()) * poly_eval({deg: 1}, t, LaurentPoly.one())
     assert lhs == LaurentPoly.A(p) + LaurentPoly.A(-p)
 
 
@@ -311,6 +313,22 @@ def test_nested_truncation_pins(p, window, relation, ungraded, graded):
 )
 def test_nested_truncation_odd_p_pins(p, window, relation, expected):
     assert nested_truncation_dimension(p, window, relation) == expected
+
+
+# sha256 of the integer relation rows below, recorded when Q(i) had its own
+# Fraction-based type; the order-4 CycNum path must give the same rows
+RELATION_ROWS_SHA256 = "86d76300e7f10c28524b76cc9534afbd9f003efc437559e20c97f112812eb49c"
+
+
+def test_relation_rows_are_pinned():
+    h = hashlib.sha256()
+    for p in range(2, 10):
+        for degree in range(13):
+            for grading in GRADINGS if p % 2 == 0 else (None,):
+                cols, width, rows = handlebody._relation_rows(p, degree, grading)
+                key = (p, degree, grading, cols, width, [sorted(r.items()) for r in rows])
+                h.update(repr(key).encode())
+    assert h.hexdigest() == RELATION_ROWS_SHA256
 
 
 def _reference_generators(p, degree_bound):

@@ -254,6 +254,14 @@ class TestLaurentFraction:
         if not q.is_zero:
             assert (fp / fq) * fq == fp
 
+    @given(laurent_polys(max_terms=3, max_exp=3),
+           laurent_polys(max_terms=3, max_exp=3).filter(bool), st.integers(-4, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_shift_is_the_canonical_product_by_a_power_of_A(self, p, q, k):
+        f = LaurentFraction(p, q)
+        shifted, product = f.shift(k), f * A(k)
+        assert (shifted.num.terms, shifted.den.terms) == (product.num.terms, product.den.terms)
+
     def test_parse_round_trip(self):
         for text in ("(A^2 - 1)/(A + 1)", "A + A^-1", "0", "3"):
             f = parse_laurent_fraction(text)

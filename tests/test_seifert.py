@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from skeinmod import seifert
 from skeinmod.cyclotomic import CycNum
-from skeinmod.mat2 import Mat2
+from skeinmod.mat2 import Mat2, algebra_closure, standardize_pair
 from skeinmod.seifert import (
     BuildError,
     NoTorsionResult,
@@ -323,6 +323,27 @@ def test_separating_certificates(data):
     d = cert.as_dict()
     assert d["kind"] == "separating_torus"
     assert set(d) >= {"kind", "witness", "representation", "side_conditions", "verified"}
+
+
+@pytest.mark.parametrize(
+    "torus, tag",
+    [
+        (Mat2(1, 1, 0, 1), "J"),
+        (Mat2(3, -2, 2, -1), "J"),
+        (Mat2(-1, 0, 5, -1), "J"),
+        (Mat2(2, 1, 1, 1), "D"),
+        (Mat2(0, -1, 1, 0), "D"),
+        (Mat2(1, 1, -1, 0), "D"),
+    ],
+)
+def test_torus_algebra_tag_is_read_from_the_trace(torus, tag):
+    # the certificate tags the torus algebra "J" when tr^2 == 4 and "D"
+    # otherwise; for a non-central image that is the tag algebra_closure
+    # gives the image conjugated by standardize_pair
+    tr = torus.trace()
+    assert ("J" if tr * tr == 4 else "D") == tag
+    conj = torus.conjugate_by(standardize_pair(torus))
+    assert algebra_closure([conj]).tag == tag
 
 
 @pytest.mark.parametrize("data", FIVE_INSTANCES[3:], ids=repr)
