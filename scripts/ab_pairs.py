@@ -16,8 +16,10 @@ For each end-to-end metric that BENCHMARK.json names, the summary prints
 both sides' median and quartiles, and how many pairs the change won. A
 speed claim holds when the change wins at least nine of ten pairs and its
 median beats the base median by more than the base's interquartile range,
-and no more tasks fail on the change side than on the base side. Stdlib
-only.
+and no more tasks fail on the change side than on the base side. The
+no-regression verdict flags a metric whose change median is worse than the
+base median by more than the metric's `bound` in BENCHMARK.json, in the
+metric's own unit. Stdlib only.
 """
 
 import argparse
@@ -91,17 +93,19 @@ def _spread(values):
 
 def summarize(pairs, metrics, failed=(0, 0)):
     """Per-metric rows from `pairs`, a list of (base, change) dicts of
-    metric values, for `metrics`, a list of (name, better) with better
-    "lower" or "higher"; `failed` is (base, change), the number of failed
-    tasks summed over each side's runs.
+    metric values, for `metrics`, a list of (name, better) or (name, better,
+    bound) with better "lower" or "higher"; `failed` is (base, change), the
+    number of failed tasks summed over each side's runs.
 
     Each row holds both sides' (median, q1, q3), the number of pairs the
-    change won (strictly better), and `holds`: at least nine tenths of the
+    change won (strictly better), `holds`: at least nine tenths of the
     pairs won, the median better by more than the base's q3 - q1, and no
-    more failed tasks on the change side than on the base side.
+    more failed tasks on the change side than on the base side; and
+    `worse`: the change median worse than the base median by more than
+    the bound (False when no bound is given).
     """
     rows = []
-    for name, better in metrics:
+    for name, better, *bound in metrics:
         base = [b[name] for b, _c in pairs]
         change = [c[name] for _b, c in pairs]
         sign = 1 if better == "lower" else -1
@@ -120,20 +124,23 @@ def summarize(pairs, metrics, failed=(0, 0)):
             "wins": wins,
             "pairs": len(pairs),
             "holds": holds,
+            "worse": bool(bound) and sign * (c_med - b_med) > bound[0],
         })
     return rows
 
 
 def format_rows(rows):
-    out = ["%-12s %32s %32s %7s %s" % ("metric", "base median [q1, q3]",
-                                        "change median [q1, q3]", "wins", "claim")]
+    out = ["%-12s %32s %32s %7s %-6s %s" % ("metric", "base median [q1, q3]",
+                                             "change median [q1, q3]", "wins", "claim",
+                                             "bound")]
     for r in rows:
-        out.append("%-12s %32s %32s %7s %s" % (
+        out.append("%-12s %32s %32s %7s %-6s %s" % (
             r["metric"],
             "%.4g [%.4g, %.4g]" % r["base"],
             "%.4g [%.4g, %.4g]" % r["change"],
             "%d/%d" % (r["wins"], r["pairs"]),
             "holds" if r["holds"] else "-",
+            "WORSE" if r["worse"] else "ok",
         ))
     return "\n".join(out)
 
@@ -148,7 +155,7 @@ def main(argv=None):
 
     root = _git(os.getcwd(), "rev-parse", "--show-toplevel").decode().strip()
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+        metrics = [(m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]]
     with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
         trees = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "change")}
         for tree in trees.values():
@@ -164,7 +171,7 @@ def main(argv=None):
                 failed[side] += res["failed"]
                 result[side] = {k: v["value"] for k, v in res["metrics"].items()}
                 print("pair %d %-6s %s" % (i + 1, side, " ".join(
-                    "%s=%.4g" % (k, result[side][k]) for k, _b in metrics)), flush=True)
+                    "%s=%.4g" % (k, result[side][k]) for k, *_rest in metrics)), flush=True)
             pairs.append((result["base"], result["change"]))
     print(format_rows(summarize(pairs, metrics, (failed["base"], failed["change"]))))
     if failed["base"] or failed["change"]:

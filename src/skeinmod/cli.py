@@ -184,6 +184,12 @@ def _entry_from_json(obj):
 def _matrix_from_json(obj):
     if isinstance(obj, list) and len(obj) == 4:
         return Mat2(*(_entry_from_json(e) for e in obj))
+    if isinstance(obj, dict) and "order" in obj:
+        # the form _mat_to_json writes: one coordinate list per entry
+        entries = obj.get("entries")
+        if not (isinstance(entries, list) and len(entries) == 4):
+            raise ValueError('matrix %s needs "entries", a list of four coordinate lists' % json.dumps(obj))
+        return Mat2(*(_entry_from_json({"order": obj["order"], "coords": c}) for c in entries))
     rows = obj["entries"] if isinstance(obj, dict) and "entries" in obj else obj
     if not (isinstance(rows, list) and len(rows) == 2):
         raise ValueError("expected a 2x2 matrix as [[a,b],[c,d]]")

@@ -10,10 +10,14 @@ start from the base, not from the identity (`chebyshev.positive_power`).
 Subalgebras of M2 are classified against the named ones: diagonal (D), upper
 and lower triangular (U, L), the Jordan line spanned by I and E12 (J), all
 of M2, or OTHER. Classification happens in standard position; callers
-conjugate first (standardize_pair). Closures are field elimination
-through `linalg.FieldEchelon`; see the `linalg` docstring for why the
-integer elimination is a separate loop. An eigenvector is the kernel
-vector that the reduced echelon form of t - lam gives, in closed form.
+conjugate first (standardize_pair). The unital algebra that 2x2 matrices
+generate is the span of I, the generators and, when exactly two of them
+are independent modulo I, their one product: by Cayley-Hamilton
+a^2 = tr(a) a - det(a) I, and its polarization
+ab + ba = tr(a) b + tr(b) a + (tr(ab) - tr(a) tr(b)) I, so that span is
+closed under products. The span is a `linalg.FieldEchelon`. An
+eigenvector is the kernel vector that the reduced echelon form of
+t - lam gives, in closed form.
 """
 
 from __future__ import annotations
@@ -55,10 +59,6 @@ class Mat2:
     @classmethod
     def identity(cls):
         return cls(1, 0, 0, 1)
-
-    @classmethod
-    def zero(cls):
-        return cls(0, 0, 0, 0)
 
     @classmethod
     def diagonal(cls, x, y):
@@ -133,10 +133,6 @@ class Mat2:
             return self.inverse() ** (-n)
         return positive_power(self, n) if n else Mat2.identity()
 
-    def conjugate_by(self, p):
-        """p^-1 * self * p."""
-        return p.inverse() * self * p
-
     def is_scalar(self):
         return self.b.is_zero and self.c.is_zero and self.a == self.d
 
@@ -170,30 +166,18 @@ _CANONICAL_BASIS = {
 def algebra_closure(gens):
     """Unital algebra generated by the matrices, as a SubalgebraClass.
 
-    The span is iterated under products until it is multiplicatively closed
-    (at most dimension 4). Named tags use a canonical basis; OTHER keeps the
-    echelon basis that came out of the closure.
+    The algebra is the span of I, the generators and, when exactly two
+    generators are independent modulo I, their product (see the module
+    docstring). Named tags use a canonical basis; OTHER keeps the echelon
+    rows of I and the generators.
     """
     if not gens:
         raise ValueError("need at least one generator")
     ech = FieldEchelon(4)
     ech.insert(Mat2.identity().entries)
-    # the identity is in the span but not fresh: its products add nothing
-    fresh = []
-    for g in gens:
-        if ech.insert(g.entries):
-            fresh.append(g)
-    while fresh and ech.rank < 4:
-        basis_now = [Mat2(*row) for row in ech.rows()]
-        new_fresh = []
-        for x in fresh:
-            for y in basis_now:
-                for prod in (x * y, y * x):
-                    if ech.insert(prod.entries):
-                        new_fresh.append(prod)
-            if ech.rank == 4:
-                break
-        fresh = new_fresh
+    fresh = [g for g in gens if ech.insert(g.entries)]
+    if len(fresh) == 2:
+        ech.insert((fresh[0] * fresh[1]).entries)
     basis = [Mat2(*row) for row in ech.rows()]
     tag = _classify(basis)
     if tag in _CANONICAL_BASIS:
@@ -279,18 +263,19 @@ def sl2_sqrt(m):
 
 
 def is_irreducible(a, b):
-    """Trace test: the pair generates an irreducible representation iff the
-    commutator has trace != 2."""
-    comm = a * b * a.inverse() * b.inverse()
-    return not (comm.trace() == 2)
+    """True iff the pair has no common eigenvector over the algebraic
+    closure, i.e. generates all of M2: det(ab - ba) != 0. For invertible a
+    and b this is (2 - tr(a b a^-1 b^-1)) det(a) det(b), the commutator
+    trace test."""
+    return not (a * b - b * a).det().is_zero
 
 
 def trace_triple_realize(x, y, s):
     """Matrices q1, q2 with tr q1 = x, tr q2 = y, tr(q1 q2) = eta1*eta2 +
     (eta1*eta2)^-1 + s, where x and y are recognized as eta + eta^-1 for
     roots of unity eta."""
-    hit1 = root_of_unity_with_trace(x if isinstance(x, CycNum) else CycNum.rational(x))
-    hit2 = root_of_unity_with_trace(y if isinstance(y, CycNum) else CycNum.rational(y))
+    hit1 = root_of_unity_with_trace(x)
+    hit2 = root_of_unity_with_trace(y)
     if hit1 is None or hit2 is None:
         raise ValueError("traces must be sums of a root of unity and its inverse")
     m1, k1 = hit1
@@ -331,12 +316,8 @@ def standardize_pair(t):
     # defective: single eigenvalue tr/2 = +-1
     lam = tr * Fraction(1, 2)
     v1 = eigenvector(t, lam)
-    # complete to a basis deterministically
-    for cand in ((CycNum.one(), CycNum.zero()), (CycNum.zero(), CycNum.one())):
-        p = Mat2.from_columns(v1, cand)
-        if not p.det().is_zero:
-            return p
-    raise AssertionError("eigenvector could not be completed to a basis")
+    # complete to a basis: e1 is independent of v1 iff v1[1] != 0
+    return Mat2.from_columns(v1, (1, 0) if v1[1] else (0, 1))
 
 
 def eigenvector(t, lam):

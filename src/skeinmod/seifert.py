@@ -520,11 +520,8 @@ def _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign):
     for j in range(3, m + 1):
         letter_trace = traces[j - 1]
         if case == "sphere_base" and j == m:
-            last = partial.inverse()
-            if not (last.trace() == letter_trace):
-                raise _Skip
-            letters.append(last)
-            partial = partial * last
+            # step m - 1 forced tr(partial) = t_m, and tr P^-1 = tr P in SL2
+            letters.append(partial.inverse())
             break
         if case == "sphere_base" and j == m - 1:
             target = traces[m - 1]  # force the product trace to the last letter's
@@ -564,14 +561,17 @@ def _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign):
     meta = {"case": case, "chain": list(chain), "s": s}
     if case != "rp2_small":
         delta = ((chain[0], 1), (chain[1], 1))
-        if rep.word_image(delta).is_central_sl2():
+        torus_image = rep.word_image(delta)
+        if torus_image.is_central_sl2():
             raise _Skip
         side1 = list(chain[:2])
         side2 = list(chain[2:]) + (["a1"] if case == "rp2_base" else [])
         pair = _irreducible_pair(rep, side1 + side2)
         if pair is None:
             raise _Skip
-        meta.update(delta=delta, side1=side1, side2=side2, irreducible_pair=pair)
+        meta.update(
+            delta=delta, torus_image=torus_image, side1=side1, side2=side2, irreducible_pair=pair
+        )
     return rep, meta
 
 
@@ -709,7 +709,7 @@ def reverify_certificate(cert, data):
 def _separating_certificate(data, case):
     for rep0, meta in _representation_candidates(data, case):
         delta_word = meta["delta"]
-        torus_img = rep0.word_image(delta_word)
+        torus_img = meta["torus_image"]
         rep = rep0.conjugated(standardize_pair(torus_img))
         alg1 = algebra_closure([rep.image(s) for s in meta["side1"]])
         alg2 = algebra_closure([rep.image(s) for s in meta["side2"]])

@@ -68,3 +68,35 @@ def test_format_rows_names_each_metric():
     text = ab_pairs.format_rows(rows)
     assert text.splitlines()[1].startswith("a ") and "1/1" in text
     assert text.splitlines()[2].startswith("b ") and "0/1" in text
+
+
+def test_median_worse_by_more_than_the_bound_is_flagged():
+    base = [0.80, 0.82, 0.84, 0.81, 0.83, 0.85, 0.79, 0.86, 0.80, 0.84]
+    change = [b + 0.30 for b in base]
+    (row,) = ab_pairs.summarize(_pairs(base, change), [("pass_s", "lower", 0.24)])
+    assert row["change"][0] - row["base"][0] == pytest.approx(0.30)
+    assert row["worse"]
+    assert ab_pairs.format_rows([row]).splitlines()[1].endswith("WORSE")
+
+
+def test_median_worse_by_less_than_the_bound_is_not_flagged():
+    base = [0.80, 0.82, 0.84, 0.81, 0.83, 0.85, 0.79, 0.86, 0.80, 0.84]
+    change = [b + 0.20 for b in base]
+    (row,) = ab_pairs.summarize(_pairs(base, change), [("pass_s", "lower", 0.24)])
+    assert row["wins"] == 0
+    assert not row["worse"]
+    assert ab_pairs.format_rows([row]).splitlines()[1].endswith("ok")
+
+
+def test_bound_on_a_higher_is_better_metric():
+    base = [2.0, 2.1, 2.2, 2.0, 2.1]
+    (row,) = ab_pairs.summarize(
+        _pairs(base, [b - 0.5 for b in base], name="rank_per_row"),
+        [("rank_per_row", "higher", 0.25)],
+    )
+    assert row["worse"]
+    (row,) = ab_pairs.summarize(
+        _pairs(base, [b + 0.5 for b in base], name="rank_per_row"),
+        [("rank_per_row", "higher", 0.25)],
+    )
+    assert not row["worse"] and row["wins"] == 5

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import stat
 
 from skeinmod import cli
@@ -306,6 +307,37 @@ def test_gen_cyclotomic_coordinate_with_zero_denominator(capsys):
 def test_gen_ragged_rows(capsys):
     err = _bad_gen(capsys, "[[1, 2], [3]]")
     assert "row [3]" in err
+
+
+_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli_envelopes.json").read_text()
+)
+
+
+def test_closure_basis_round_trips_as_generators(capsys):
+    # every basis matrix algebra-closure prints is accepted back by --gen
+    cases = [c["envelope"]["result"] for c in _GOLDEN if c["argv"][0] == "algebra-closure"]
+    assert cases
+    for result in cases:
+        argv = ["algebra-closure", "--json"]
+        for mat in result["basis"]:
+            argv += ["--gen", json.dumps(mat)]
+        code, env, err = run_json(capsys, *argv)
+        assert code == 0, err
+        got = env["result"]
+        assert (got["tag"], got["dim"]) == (result["tag"], result["dim"])
+        want = [cli._matrix_from_json(m) for m in result["basis"]]
+        assert [cli._matrix_from_json(m) for m in got["basis"]] == want
+
+
+def test_gen_printed_form_with_three_entries(capsys):
+    err = _bad_gen(capsys, '{"order": 1, "entries": [[[1, 1]], [[0, 1]], [[0, 1]]]}')
+    assert '"entries"' in err and "four" in err
+
+
+def test_gen_printed_form_with_a_bad_coordinate_count(capsys):
+    err = _bad_gen(capsys, '{"order": 8, "entries": [[[1, 1]], [[0, 1]], [[0, 1]], [[1, 1]]]}')
+    assert '{"order": 8, "coords": [[1, 1]]}' in err and "needs 4 coordinates" in err
 
 
 def test_f12_reduce_zero_denominator_exits_1(capsys):

@@ -1,5 +1,6 @@
 """2x2 matrices over cyclotomic-rational entries and their subalgebras."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import cyc_numbers, laurent_polys, rational_mat2, small_fractions
-from skeinmod.cyclotomic import CycNum, root_of_unity
+from skeinmod.cyclotomic import CycNum, root_of_unity, totient
 from skeinmod.gaussian import GaussRat
-from skeinmod.linalg import field_nullspace
+from skeinmod.linalg import FieldEchelon, field_nullspace
 from skeinmod.mat2 import (
+    _CANONICAL_BASIS,
+    _classify,
     Mat2,
     algebra_closure,
     eigenvector,
@@ -80,8 +83,7 @@ def test_det_and_trace_identities(m, n):
 @given(rational_mat2(), sl2_rationals())
 @settings(max_examples=40)
 def test_conjugation(m, p):
-    conj = m.conjugate_by(p)
-    assert conj == p.inverse() * m * p
+    conj = p.inverse() * m * p
     assert conj.trace() == m.trace()
     assert conj.det() == m.det()
 
@@ -184,7 +186,7 @@ def test_closure_other_tags():
     assert cls.tag == "OTHER" and cls.dim == 2
     # a conjugate of the upper triangulars is still 3-dimensional
     p = Mat2(1, 0, 1, 1)
-    gens = [m.conjugate_by(p) for m in (Mat2.diagonal(1, 2), E12)]
+    gens = [p.inverse() * m * p for m in (Mat2.diagonal(1, 2), E12)]
     cls = algebra_closure(gens)
     assert cls.tag == "OTHER" and cls.dim == 3
 
@@ -207,6 +209,104 @@ def test_closure_is_multiplicatively_closed(gens):
     again = algebra_closure(cls.basis)
     assert again.dim == cls.dim
     assert again.tag == cls.tag
+
+
+def _fixpoint_closure(gens):
+    """Reference closure: grow the span under products until it is closed."""
+    ech = FieldEchelon(4)
+    ech.insert(Mat2.identity().entries)
+    fresh = [g for g in gens if ech.insert(g.entries)]
+    while fresh and ech.rank < 4:
+        basis_now = [Mat2(*row) for row in ech.rows()]
+        new_fresh = []
+        for x in fresh:
+            for y in basis_now:
+                for prod in (x * y, y * x):
+                    if ech.insert(prod.entries):
+                        new_fresh.append(prod)
+            if ech.rank == 4:
+                break
+        fresh = new_fresh
+    basis = [Mat2(*row) for row in ech.rows()]
+    tag = _classify(basis)
+    if tag in _CANONICAL_BASIS:
+        basis = [Mat2(*v) for v in _CANONICAL_BASIS[tag]]
+    return tag, basis, ech.rank
+
+
+def _seeded_generators(seed, order):
+    """1-4 generators whose entries mix order 1 with the given order; the
+    kinds reach closures of every dimension, not only M2."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.randrange(4) == 0:
+            return 0
+        if order == 1 or rng.randrange(3) == 0:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return CycNum(order, [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                              for _ in range(totient(order))])
+
+    def generic():
+        return Mat2(entry(), entry(), entry(), entry())
+
+    kind = rng.choice(("scalar", "generic", "upper", "conjugated upper", "one matrix",
+                       "two matrices"))
+    count = rng.randint(1, 4)
+    if kind == "scalar":
+        return [Mat2.identity() * entry() for _ in range(count)]
+    if kind == "generic":
+        return [generic() for _ in range(count)]
+    if kind in ("upper", "conjugated upper"):
+        gens = [Mat2(entry(), entry(), 0, entry()) for _ in range(count)]
+        if kind == "upper":
+            return gens
+        p = Mat2(1, rng.randint(-2, 2), rng.randint(-2, 2), 1)
+        if p.det().is_zero:
+            p = Mat2(1, 0, 1, 1)
+        return [p.inverse() * g * p for g in gens]
+    # polynomials in one or two matrices: later generators repeat the span
+    a, b = generic(), generic()
+    seeds = [a] if kind == "one matrix" else [a, b, a * b]
+    gens = [a] if kind == "one matrix" else [a, b]
+    while len(gens) < count:
+        gens.append(Mat2.identity() * entry() + rng.choice(seeds) * entry())
+    return gens
+
+
+@pytest.mark.parametrize("order", (1, 4, 8, 12))
+def test_closure_equals_the_fixpoint_reference(order):
+    seen = set()
+    for seed in range(40):
+        gens = _seeded_generators(seed, order)
+        tag, basis, dim = _fixpoint_closure(gens)
+        got = algebra_closure(gens)
+        assert (got.tag, got.dim) == (tag, dim)
+        assert [[e.as_dict() for e in m.entries] for m in got.basis] == [
+            [e.as_dict() for e in m.entries] for m in basis
+        ]
+        seen.add((tag, dim))
+    # the seeded lists reach the closures below M2, not only M2
+    assert {d for _t, d in seen} == {1, 2, 3, 4}
+
+
+def test_closure_makes_at_most_one_product(monkeypatch):
+    counted = []
+    mul = Mat2.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, Mat2):
+            counted.append(1)
+        return mul(self, other)
+
+    cases = [[E12, E21], [Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1)], [Mat2.diagonal(1, 2), E12],
+             [E11, E12, E21], [Mat2(0, 1, 1, 0)], [Mat2.identity()]]
+    cases += [_seeded_generators(seed, 8) for seed in range(10)]
+    monkeypatch.setattr(Mat2, "__mul__", counting_mul)
+    for gens in cases:
+        counted.clear()
+        algebra_closure(gens)
+        assert len(counted) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +415,20 @@ def test_irreducibility_matches_commutator_trace(a, b):
     assert is_irreducible(a, b) == (not comm.trace() == 2)
 
 
+def test_irreducibility_of_singular_pairs():
+    # E12 and E21 span M2 with I and their product; E11 and E12 fix e1
+    assert is_irreducible(E12, E21)
+    assert not is_irreducible(E11, E12)
+    for a, b in ((E12, E21), (E11, E12), (E11, E22), (E12, Mat2(1, 0, 1, 0))):
+        assert is_irreducible(a, b) == (algebra_closure([a, b]).dim == 4)
+
+
+@given(rational_mat2(bound=2), rational_mat2(bound=2))
+@settings(max_examples=60, deadline=None)
+def test_irreducibility_is_generating_m2(a, b):
+    assert is_irreducible(a, b) == (algebra_closure([a, b]).dim == 4)
+
+
 def test_trace_triple_realize_anchor():
     q1, q2 = trace_triple_realize(1, 1, CycNum.zero())
     assert q1.trace() == 1 and q2.trace() == 1
@@ -344,14 +458,14 @@ def test_standardize_scalar_is_identity():
 def test_standardize_semisimple():
     t = Mat2(2, 1, 0, Fraction(1, 2))
     p = standardize_pair(t)
-    conj = t.conjugate_by(p)
+    conj = p.inverse() * t * p
     assert conj.b.is_zero and conj.c.is_zero
 
 
 def test_standardize_finite_order():
     t = Mat2(0, -1, 1, 1)  # trace 1, det 1, order 6
     p = standardize_pair(t)
-    conj = t.conjugate_by(p)
+    conj = p.inverse() * t * p
     assert conj.b.is_zero and conj.c.is_zero
     z, zbar = root_of_unity(6, 1), root_of_unity(6, 5)
     assert (conj.a == z and conj.d == zbar) or (conj.a == zbar and conj.d == z)
@@ -360,7 +474,7 @@ def test_standardize_finite_order():
 def test_standardize_defective():
     t = Mat2(1, 0, 3, 1)
     p = standardize_pair(t)
-    conj = t.conjugate_by(p)
+    conj = p.inverse() * t * p
     assert conj.c.is_zero
     assert conj.a == conj.d
 
@@ -370,7 +484,7 @@ def test_standardize_defective():
 def test_standardize_triangularizes(m):
     p = standardize_pair(m)
     assert not p.det().is_zero
-    conj = m.conjugate_by(p)
+    conj = p.inverse() * m * p
     assert conj.c.is_zero
 
 

@@ -342,7 +342,8 @@ def test_torus_algebra_tag_is_read_from_the_trace(torus, tag):
     # gives the image conjugated by standardize_pair
     tr = torus.trace()
     assert ("J" if tr * tr == 4 else "D") == tag
-    conj = torus.conjugate_by(standardize_pair(torus))
+    p = standardize_pair(torus)
+    conj = p.inverse() * torus * p
     assert algebra_closure([conj]).tag == tag
 
 
