@@ -108,11 +108,11 @@ def _fiber_text(text):
 
 
 def _gen_text(text):
+    """(text, Mat2): the matrix parsed once, the text kept for the cache key."""
     try:
-        _matrix_from_json(json.loads(text))
+        return text, _matrix_from_json(json.loads(text))
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return text
 
 
 def _int_range(low, high=None):
@@ -427,11 +427,10 @@ def _cmd_f12_reduce(args):
 
 
 def _cmd_algebra_closure(args):
-    inputs = {"gens": args.gen}
+    inputs = {"gens": [text for text, _ in args.gen]}
 
     def compute():
-        gens = [_matrix_from_json(json.loads(text)) for text in args.gen]
-        closure = algebra_closure(gens)
+        closure = algebra_closure([mat for _, mat in args.gen])
         result = {
             "tag": closure.tag,
             "dim": closure.dim,

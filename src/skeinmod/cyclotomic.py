@@ -8,19 +8,21 @@ fields. All arithmetic runs on plain Python ints: products convolve the
 integer vectors (term by term when an operand has few terms, otherwise as
 one packed big-int product by Kronecker substitution) and then fold the
 result mod Phi_N; a sum of two products, the entry of a 2x2 matrix
-product, convolves twice and folds once (dot2). Inverses run extended
-Euclid on primitive integer remainders. Both the remainders and Phi_N
-itself (x^N - 1 divided by the product of the Phi_d of the proper divisors
-d) come from laurent.pseudo_divmod, the one integer polynomial division of
-the package.
+product, convolves twice and folds once (dot2). The inverse of a rational
+value n/den is den/n at the same order, in closed form (the canonical pair
+that Euclid would reach); any other inverse runs extended Euclid on
+primitive integer remainders. Both the remainders and Phi_N itself (x^N - 1
+divided by the product of the Phi_d of the proper divisors d) come from
+laurent.pseudo_divmod, the one integer polynomial division of the package.
 Mixed-order arithmetic lifts both operands to the lcm order automatically,
 so callers can treat roots of unity of different orders as living in one
 big field.
 
 A CycNum or root of unity asked for at an order above MAX_ORDER is
 rejected before any table is built: the power rows of zeta_N hold phi(N)
-integers each, phi(N) rows to start with and up to N rows once traces are
-scanned. Orders that arithmetic reaches by lifting are not capped.
+integers each, up to N - phi(N) rows once traces are scanned (a power
+below phi(N) is a unit vector and is built when asked for, not stored).
+Orders that arithmetic reaches by lifting are not capped.
 """
 
 from __future__ import annotations
@@ -99,27 +101,36 @@ def cyclotomic_poly(n):
     return poly
 
 
+# n -> (phi(n), rows) with rows[k - phi] the coordinates of x^k mod Phi_n for
+# k >= phi; x^k for k < phi is the unit vector e_k, built when asked for
 _ROW_CACHE = {}
 
 
+def _power_row(phi, rows, k):
+    """x^k mod Phi_n from the (phi, rows) entry of _zeta_rows."""
+    return rows[k - phi] if k >= phi else (0,) * k + (1,) + (0,) * (phi - 1 - k)
+
+
 def _zeta_rows(n, upto):
-    """Integer coordinate rows of x^k mod Phi_n for k = 0..upto."""
-    rows = _ROW_CACHE.get(n)
-    if rows is None:
-        phi = totient(n)
-        rows = _ROW_CACHE[n] = [tuple(1 if j == k else 0 for j in range(phi)) for k in range(phi)]
-    if len(rows) <= upto:
+    """(phi, rows): integer coordinate rows of x^k mod Phi_n for k = phi..upto,
+    x^k at rows[k - phi]."""
+    entry = _ROW_CACHE.get(n)
+    if entry is None:
+        entry = _ROW_CACHE[n] = (totient(n), [])
+    phi, rows = entry
+    if phi + len(rows) <= upto:
         tail = _cyclo_tail(n)
-        while len(rows) <= upto:
-            prev = rows[-1]
+        prev = _power_row(phi, rows, phi - 1 + len(rows))
+        while phi + len(rows) <= upto:
             shifted = [0, *prev[:-1]]
             t = prev[-1]
             if t:
                 # x^phi = -(c_0 + ... + c_{phi-1} x^{phi-1})
                 for j, c in tail:
                     shifted[j] -= t * c
-            rows.append(tuple(shifted))
-    return rows
+            prev = tuple(shifted)
+            rows.append(prev)
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +312,7 @@ class CycNum:
         if m % self.order:
             raise ValueError("can only lift to a multiple of the order")
         step = m // self.order
-        rows = _zeta_rows(m, (len(self.num) - 1) * step)
-        phi = len(rows[0])
+        phi, rows = _zeta_rows(m, (len(self.num) - 1) * step)
         out = [0] * phi
         for j, c in enumerate(self.num):
             if c:
@@ -310,7 +320,7 @@ class CycNum:
                 if k < phi:
                     out[k] += c
                 else:
-                    for idx, r in enumerate(rows[k]):
+                    for idx, r in enumerate(rows[k - phi]):
                         if r:
                             out[idx] += c * r
         # Z[zeta_m] meets Q(zeta_order) in Z[zeta_order], so the lifted
@@ -381,17 +391,19 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Field inverse via extended Euclid against Phi_order."""
+        """Field inverse: den / n for a rational value n / den, at the same
+        order; otherwise extended Euclid against Phi_order."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.order == 1:
-            n = self.num[0]
-            return _make(1, (self.den if n > 0 else -self.den,), abs(n))
-        t, c = _inverse_mod(self.order, self.num)
+        num = self.num
+        if not any(num[1:]):
+            # (n / den)^-1 == den / n, canonical because gcd(den, n) == 1
+            n = num[0]
+            return _make(self.order, (self.den if n > 0 else -self.den, *num[1:]), abs(n))
+        t, c = _inverse_mod(self.order, num)
         # (num / den)^-1 == den * t / c
-        phi = len(self.num)
-        num = [self.den * x for x in t] + [0] * (phi - len(t))
-        return _canonical(self.order, num, c)
+        inv = [self.den * x for x in t] + [0] * (len(num) - len(t))
+        return _canonical(self.order, inv, c)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -470,7 +482,8 @@ def root_of_unity(n, k=1):
     """zeta_n^k as a CycNum of order n."""
     _check_order(n)
     k %= n
-    return _make(n, _zeta_rows(n, k)[k], 1)
+    phi, rows = _zeta_rows(n, k)
+    return _make(n, _power_row(phi, rows, k), 1)
 
 
 def laurent_eval(p, n, k=1):
@@ -479,12 +492,16 @@ def laurent_eval(p, n, k=1):
         raise TypeError("expected a LaurentPoly")
     _check_order(n)
     needed = {(e * k) % n for e, _ in p.items()}
-    rows = _zeta_rows(n, max(needed, default=0))
-    acc = [0] * len(rows[0])
+    phi, rows = _zeta_rows(n, max(needed, default=0))
+    acc = [0] * phi
     for e, v in p.items():
-        for idx, r in enumerate(rows[(e * k) % n]):
-            if r:
-                acc[idx] += v * r
+        j = (e * k) % n
+        if j < phi:
+            acc[j] += v
+        else:
+            for idx, r in enumerate(rows[j - phi]):
+                if r:
+                    acc[idx] += v * r
     return _make(n, tuple(acc), 1)
 
 
@@ -563,10 +580,10 @@ def root_of_unity_with_trace(x):
             continue
         seen.add(m)
         target = x.lift(m).num
-        rows = _zeta_rows(m, m - 1)
+        phi, rows = _zeta_rows(m, m - 1)
         for k in range(m):
-            row_k = rows[k]
-            row_nk = rows[(m - k) % m]
+            row_k = _power_row(phi, rows, k)
+            row_nk = _power_row(phi, rows, (m - k) % m)
             if all(t == a + b for t, a, b in zip(target, row_k, row_nk)):
                 return m, k
     return None

@@ -120,7 +120,14 @@ class Mat2:
         return dot2(self.a, self.d, -self.b, self.c)
 
     def inverse(self):
+        """adj(m) / det(m). When det is exactly 1 that is the adjugate
+        (d, -b, -c, a) with each entry lifted to det's order, the entries
+        and orders that d * det.inverse() gives, with no field inverse and
+        no product."""
         det = self.det()
+        if det.den == 1 and det.num[0] == 1 and not any(det.num[1:]):
+            n = det.order
+            return Mat2(self.d.lift(n), (-self.b).lift(n), (-self.c).lift(n), self.a.lift(n))
         if det.is_zero:
             raise ZeroDivisionError("singular matrix")
         inv = det.inverse()

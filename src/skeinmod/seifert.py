@@ -208,10 +208,13 @@ class Representation:
     """Generator images in SL2 over one cyclotomic field.
 
     All entries are lifted to a common order on construction (at least 4,
-    so that i is always available downstream).
+    so that i is always available downstream). `signs` maps each generator
+    whose image is exactly +-I (the central fiber h, as a rule) to +1 or -1;
+    the word evaluators fold those letters into one sign and negate once at
+    the end, so a central letter costs no product, inverse or power.
     """
 
-    __slots__ = ("images", "order")
+    __slots__ = ("images", "order", "signs")
 
     def __init__(self, images):
         order = 4
@@ -221,33 +224,57 @@ class Representation:
             sym: Mat2(*(e.lift(order) for e in m.entries)) for sym, m in images.items()
         }
         self.order = order
+        self.signs = {
+            sym: 1 if m.a == 1 else -1 for sym, m in self.images.items() if m.is_central_sl2()
+        }
 
     def image(self, sym):
         return self.images[sym]
 
+    def _signed(self, acc, sign):
+        if acc is None:  # no letter, or only central ones: +-I at self.order
+            one, zero = CycNum.one().lift(self.order), CycNum.zero().lift(self.order)
+            acc = Mat2(one, zero, zero, one)
+        return -acc if sign < 0 else acc
+
     def word_image(self, word):
-        if not word:
-            return Mat2.identity()
-        images = self.images
-        (sym, e), *rest = word
-        acc = images[sym] ** e
-        for sym, e in rest:
-            acc = acc * (images[sym] ** e)
-        return acc
+        images, signs = self.images, self.signs
+        acc, sign = None, 1
+        for sym, e in word:
+            if sym in signs:
+                if e % 2:
+                    sign *= signs[sym]
+                continue
+            m = images[sym] ** e
+            acc = m if acc is None else acc * m
+        return self._signed(acc, sign)
 
     def word_image_alt(self, word):
-        """Same value as word_image, computed right-to-left one letter at a
-        time; kept separate so certificates can be re-verified on a path
-        that shares no intermediate results with the forward evaluation."""
-        acc = Mat2.identity()
+        """Same value as word_image on a second evaluation order: right to
+        left, one letter at a time, starting from the last non-central
+        letter, with inverses it computes itself. Nothing is cached, so it
+        reuses no result of word_image, and its partial products are
+        suffixes built letter by letter where word_image's are prefixes
+        built from whole (binary) powers. Central letters fold into one sign
+        on both paths; that is exact, because `signs` holds only images
+        equal to +-I."""
+        images, signs = self.images, self.signs
+        acc, sign = None, 1
         for sym, e in reversed(word):
-            m = self.images[sym]
+            if sym in signs:
+                if e % 2:
+                    sign *= signs[sym]
+                continue
+            m = images[sym]
             if e < 0:
                 m = m.inverse()
                 e = -e
+            if acc is None:
+                acc = m
+                e -= 1
             for _ in range(e):
                 acc = m * acc
-        return acc
+        return self._signed(acc, sign)
 
     def satisfies(self, relators, evaluator=None):
         ev = evaluator if evaluator is not None else self.word_image
@@ -255,9 +282,12 @@ class Representation:
         return all(ev(rel) == ident for rel in relators)
 
     def conjugated(self, p):
-        """p^-1 * m * p for every image m, with p inverted once."""
+        """p^-1 * m * p for every image m, with p inverted once; a central
+        image commutes with p and is kept as it is."""
         pinv = p.inverse()
-        return Representation({sym: pinv * m * p for sym, m in self.images.items()})
+        return Representation(
+            {sym: m if sym in self.signs else pinv * m * p for sym, m in self.images.items()}
+        )
 
     def as_dict(self):
         return {

@@ -330,6 +330,23 @@ def test_closure_basis_round_trips_as_generators(capsys):
         assert [cli._matrix_from_json(m) for m in got["basis"]] == want
 
 
+def test_each_gen_is_parsed_once(capsys, monkeypatch):
+    calls = []
+    plain = cli._matrix_from_json
+
+    def counted(obj):
+        calls.append(obj)
+        return plain(obj)
+
+    monkeypatch.setattr(cli, "_matrix_from_json", counted)
+    code, env, _ = run_json(
+        capsys, "algebra-closure", "--json", "--gen", "[[1,1],[0,1]]", "--gen", "[[1,0],[1,1]]"
+    )
+    assert code == 0 and env["result"]["tag"] == "M2"
+    assert len(calls) == 2
+    assert env["inputs"] == {"gens": ["[[1,1],[0,1]]", "[[1,0],[1,1]]"]}
+
+
 def test_gen_printed_form_with_three_entries(capsys):
     err = _bad_gen(capsys, '{"order": 1, "entries": [[[1, 1]], [[0, 1]], [[0, 1]]]}')
     assert '"entries"' in err and "four" in err

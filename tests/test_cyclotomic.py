@@ -70,6 +70,19 @@ def test_inverse(x):
         assert x * x.inverse() == CycNum.one()
 
 
+@given(
+    st.sampled_from([1, 4, 12, 60, 420]),
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(1, 10**6),
+)
+def test_rational_inverse_is_the_euclid_inverse(order, n, d):
+    x = CycNum.rational(Fraction(n, d)).lift(order)
+    t, c = cyclotomic._inverse_mod(order, x.num)
+    want = cyclotomic._canonical(order, [x.den * v for v in t] + [0] * (len(x.num) - len(t)), c)
+    got = x.inverse()
+    assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+
+
 @given(cyc_numbers(), cyc_numbers(), cyc_numbers())
 @settings(max_examples=60)
 def test_ring_axioms_across_mixed_orders(x, y, z):
@@ -87,6 +100,19 @@ def test_root_of_unity_has_exact_order(n):
         power = power * z
         assert power != CycNum.one(), f"zeta_{n}^{k} collapsed early"
     assert power * z == CycNum.one()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 15, 30, 42])
+def test_power_rows_match_sympy_remainders(n):
+    x = sympy.symbols("x")
+    phi_n = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+    for k in range(2 * n):
+        rem = sympy.Poly(x**k, x).rem(phi_n).all_coeffs()[::-1]
+        want = tuple(int(c) for c in rem) + (0,) * (totient(n) - len(rem))
+        assert root_of_unity(n, k).num == want
+    # powers below phi are unit vectors, built on request and never stored
+    phi, rows = cyclotomic._ROW_CACHE[n]
+    assert phi == totient(n) and len(rows) <= n - phi
 
 
 def test_lift_preserves_value():

@@ -442,6 +442,31 @@ def test_trace_triple_realize_anchor():
     assert (q1 * q2).trace() == (q1b * q2b).trace() + CycNum.one()
 
 
+def _adjugate_over_det(m):
+    inv = m.det().inverse()
+    return Mat2(m.d * inv, -m.b * inv, -m.c * inv, m.a * inv)
+
+
+@given(
+    st.sampled_from([3, 4, 5, 8, 12]),
+    st.integers(0, 23),
+    st.sampled_from([1, 3, 4, 6, 10]),
+    st.integers(0, 23),
+    cyc_numbers(),
+)
+@settings(max_examples=60, deadline=None)
+def test_unit_determinant_inverse_is_the_adjugate(m1, k1, m2, k2, s):
+    x = root_of_unity(m1, k1) + root_of_unity(m1, -k1)
+    y = root_of_unity(m2, k2) + root_of_unity(m2, -k2)
+    q1, q2 = trace_triple_realize(x, y, s)
+    # entries of mixed orders: 1 beside the eigenvalues, and s's own order
+    for m in (q1, q2, q1 * q2, Mat2(2, 1, 1, 1), Mat2(root_of_unity(8, 1), 0, 0, root_of_unity(8, 7))):
+        assert m.det() == 1
+        got = m.inverse()
+        assert [e.as_dict() for e in got.entries] == [e.as_dict() for e in _adjugate_over_det(m).entries]
+        assert m * got == Mat2.identity()
+
+
 def test_trace_triple_realize_rejects_large_traces():
     with pytest.raises(ValueError):
         trace_triple_realize(3, 1, CycNum.zero())

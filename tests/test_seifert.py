@@ -1,5 +1,7 @@
 """Seifert data, group presentations, homology, and torsion certificates."""
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -273,8 +275,41 @@ def test_no_wasted_products_in_powers_and_word_images(mat2_products):
     letters = (("q1", 1), ("q2", -1), ("h", 1), ("q3", 1), ("q4", -1), ("q1", -1))
     for k in range(1, len(letters) + 1):
         count, value = products(rep.word_image, letters[:k])
-        assert count == k - 1
+        # h maps to -I: a sign, not a product
+        assert count == sum(1 for sym, _ in letters[:k] if sym != "h") - 1
         assert value == rep.word_image_alt(letters[:k])
+
+
+def test_alternate_path_costs_one_product_per_letter_step(mat2_products, monkeypatch):
+    rep = build_representation(FIVE_INSTANCES[0], "sphere_base")
+    assert rep.signs == {"h": -1}
+    inverses = []
+    plain_inverse = Mat2.inverse
+
+    def counted_inverse(self):
+        inverses.append(1)
+        return plain_inverse(self)
+
+    monkeypatch.setattr(Mat2, "inverse", counted_inverse)
+    letters = (("q1", 2), ("h", 3), ("q2", -1), ("q3", 1), ("h", -1), ("q4", -3), ("q1", -1))
+    for k in range(1, len(letters) + 1):
+        word = letters[:k]
+        mat2_products.clear()
+        inverses.clear()
+        value = rep.word_image_alt(word)
+        moving = [e for sym, e in word if sym != "h"]
+        assert len(mat2_products) == sum(map(abs, moving)) - 1
+        assert len(inverses) == sum(1 for e in moving if e < 0)
+        assert value == rep.word_image(word)
+
+
+def test_all_central_words_are_signed_identities():
+    rep = build_representation(FIVE_INSTANCES[0], "sphere_base")
+    for word, sign in (((("h", 1),), -1), ((("h", 2),), 1), ((("h", -3), ("h", 2)), -1)):
+        for ev in (rep.word_image, rep.word_image_alt):
+            value = ev(word)
+            assert value == Mat2.identity() * sign
+            assert value.order == rep.order
 
 
 def test_psi_evaluate_is_minus_trace_product():
@@ -354,6 +389,77 @@ def test_nonseparating_certificates(data):
     assert cert.verified
     assert reverify_certificate(cert, data)
     assert cert.side_conditions["torus_curve_doubled_class_nonzero"] is True
+
+
+def _reference_inverse(m):
+    inv = m.det().inverse()
+    return Mat2(m.d * inv, -m.b * inv, -m.c * inv, m.a * inv)
+
+
+def _reference_word_image(rep, word):
+    # every letter, central ones included, multiplied in from the identity
+    acc = Mat2.identity()
+    for sym, e in word:
+        m = rep.images[sym]
+        if e < 0:
+            m, e = _reference_inverse(m), -e
+        for _ in range(e):
+            acc = acc * m
+    return acc
+
+
+def _entry_dicts(m):
+    return [e.as_dict() for e in m.entries]
+
+
+@pytest.mark.parametrize(
+    "data",
+    FIVE_INSTANCES + [SeifertData(-1, 1, [(1, 2), (1, 5)]), SeifertData(0, 1, [(1, 2), (1, 3), (1, 5)])],
+    ids=repr,
+)
+def test_word_images_match_the_full_product_reference(data):
+    cert = certify(data)
+    w = cert.witness
+    words = list(presentation(data).relators)
+    if cert.kind == "separating_torus":
+        words += [w["x1"], w["x2"], w["gamma"]]
+        words += [word_mul(w["x1"], w["x2"], w["gamma"]), word_mul(w["x1"], w["gamma"], w["x2"])]
+    else:
+        words += [w["gamma"], w["delta"]]
+        words += [word_mul(w["gamma"], w["delta"]), word_mul(word_inverse(w["gamma"]), w["delta"])]
+    for rep in (cert.representation, build_representation(data, classify(data))):
+        for word in words:
+            want = _entry_dicts(_reference_word_image(rep, word))
+            assert _entry_dicts(rep.word_image(word)) == want
+            assert _entry_dicts(rep.word_image_alt(word)) == want
+
+
+# certify(...).as_dict() over these spaces, hashed before central letters
+# became signs and det-1 inverses became adjugates
+PINNED_SPACES = [
+    SeifertData(0, 0, [(1, 2), (1, 3), (1, 5)]),
+    SeifertData(0, 0, [(1, 2), (1, 2), (1, 3), (1, 3)]),
+    SeifertData(0, 0, [(1, 2), (1, 3), (1, 5), (1, 7)]),
+    SeifertData(0, 0, [(-1, 3), (1, 4), (2, 5), (1, 2)]),
+    SeifertData(0, 1, [(1, 2), (1, 3), (1, 5)]),
+    SeifertData(0, 2, [(1, 3), (1, 4)]),
+    SeifertData(-1, 0, [(1, 2), (1, 3), (1, 3)]),
+    SeifertData(-1, 1, [(1, 2), (1, 5)]),
+    SeifertData(-1, 2, [(1, 3)]),
+    SeifertData(-1, 1, [(1, 2)]),
+    SeifertData(-1, 0, [(1, 2), (1, 3)]),
+    SeifertData(1, 0, []),
+    SeifertData(2, 1, [(1, 2)]),
+    SeifertData(-2, 0, [(1, 3)]),
+]
+PINNED_CERTIFICATES_SHA256 = "45876716e055582e53c17b362b2a73fadd3c1903dcdee9ba6de80bee1453879f"
+
+
+def test_certificates_are_pinned():
+    h = hashlib.sha256()
+    for data in PINNED_SPACES:
+        h.update(json.dumps(certify(data).as_dict(), sort_keys=True).encode())
+    assert h.hexdigest() == PINNED_CERTIFICATES_SHA256
 
 
 def test_noneffective_closed_certificate():
