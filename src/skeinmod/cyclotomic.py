@@ -18,10 +18,11 @@ Mixed-order arithmetic lifts both operands to the lcm order automatically,
 so callers can treat roots of unity of different orders as living in one
 big field.
 
-A CycNum or root of unity asked for at an order above MAX_ORDER is
-rejected before any table is built: the power rows of zeta_N hold phi(N)
-integers each, up to N - phi(N) rows once traces are scanned (a power
-below phi(N) is a unit vector and is built when asked for, not stored).
+A CycNum, a root of unity or a rational square root asked for at an order
+above MAX_ORDER is rejected before any table is built: the power rows of
+zeta_N hold phi(N) integers each, up to N - phi(N) rows once traces are
+scanned (a power below phi(N) is a unit vector and is built when asked
+for, not stored).
 Orders that arithmetic reaches by lifting are not capped.
 """
 
@@ -506,8 +507,8 @@ def laurent_eval(p, n, k=1):
 
 
 def _squarefree_decompose(m):
-    # m = f^2 * r with r squarefree; m >= 1
-    f, r = 1, 1
+    # m = f^2 * r with r squarefree, as f and the primes of r; m >= 1
+    f, primes = 1, []
     p = 2
     while p * p <= m:
         if m % p == 0:
@@ -517,18 +518,21 @@ def _squarefree_decompose(m):
                 e += 1
             f *= p ** (e // 2)
             if e % 2:
-                r *= p
+                primes.append(p)
         p += 1
     if m > 1:
-        r *= m
-    return f, r
+        primes.append(m)
+    return f, primes
 
 
 def rational_sqrt_cyclotomic(q):
     """A CycNum whose square is the rational q.
 
     sqrt(2) comes from zeta_8 + zeta_8^-1, odd primes from quadratic Gauss
-    sums, and a factor of i absorbs negative signs.
+    sums, and a factor of i absorbs negative signs. Before anything is
+    built, raises ValueError naming the field's order when it is above
+    MAX_ORDER: the lcm of 8 (for a factor 2), the odd primes, and 4 (for
+    q < 0 or a prime that is 3 mod 4) of the squarefree part of q.
     """
     q = Fraction(q)
     if q == 0:
@@ -536,24 +540,23 @@ def rational_sqrt_cyclotomic(q):
     negative = q < 0
     a, b = abs(q.numerator), q.denominator
     # sqrt(a/b) = sqrt(a*b)/b
-    f, r = _squarefree_decompose(a * b)
+    f, primes = _squarefree_decompose(a * b)
+    odd = [p for p in primes if p != 2]
+    with_i = negative or any(p % 4 == 3 for p in odd)
+    order = math.lcm(8 if 2 in primes else 1, 4 if with_i else 1, *odd)
+    if order > MAX_ORDER:
+        raise ValueError(f"sqrt({q}) needs cyclotomic order {order}, above the limit {MAX_ORDER}")
     result = CycNum.rational(Fraction(f, b))
-    if r % 2 == 0:
-        r //= 2
-        s8 = root_of_unity(8, 1) + root_of_unity(8, 7)
-        result = result * s8
-    p = 3
-    while r > 1:
-        if r % p == 0:
-            r //= p
-            gauss = CycNum(p, [Fraction(0)] * totient(p))
-            for t in range(p):
-                gauss = gauss + root_of_unity(p, (t * t) % p)
-            if p % 4 == 3:
-                # the sum equals i*sqrt(p); peel the i off
-                gauss = gauss * root_of_unity(4, 3)
-            result = result * gauss
-        p += 2
+    if 2 in primes:
+        result = result * (root_of_unity(8, 1) + root_of_unity(8, 7))
+    for p in odd:
+        gauss = CycNum(p, [Fraction(0)] * totient(p))
+        for t in range(p):
+            gauss = gauss + root_of_unity(p, (t * t) % p)
+        if p % 4 == 3:
+            # the sum equals i*sqrt(p); peel the i off
+            gauss = gauss * root_of_unity(4, 3)
+        result = result * gauss
     if negative:
         result = result * root_of_unity(4, 1)
     return result

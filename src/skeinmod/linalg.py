@@ -160,7 +160,11 @@ def smith_normal_form(matrix):
     """Invariant factors of an integer matrix.
 
     Returns min(rows, cols) nonnegative integers d_1 | d_2 | ... with zeros
-    trailing once the rank runs out.
+    trailing once the rank runs out. The elimination (smallest pivot, xgcd
+    row and column steps, a restart whenever a step leaves a remainder)
+    ends in a diagonal whose entries need not divide each other; one pass of
+    (d_i, d_j) -> (gcd, lcm) over i < j makes the chain, because diag(a, b)
+    is equivalent to diag(gcd, lcm) (M. Newman, Integral Matrices, ch. II).
     """
     a = [[int(v) for v in row] for row in matrix]
     nrows = len(a)
@@ -212,19 +216,10 @@ def smith_normal_form(matrix):
                     a[i][j] -= f * a[i][t]
         if dirty:
             continue
-        # divisibility sweep over the remaining block
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(t, ncols):
-                a[t][j] += a[offender][j]
-            continue
         diag.append(abs(a[t][t]))
         t += 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag + [0] * (size - len(diag))

@@ -236,7 +236,8 @@ def separating_witness(class1, class2, class_t):
 
 def sqrt_of_trace_plus_two(tr):
     """A CycNum s with s^2 = tr + 2, for tr rational or a sum of a root of
-    unity and its inverse. Raises ValueError when neither recognition works."""
+    unity and its inverse. Raises ValueError when neither recognition works
+    or the field is above MAX_ORDER (see rational_sqrt_cyclotomic)."""
     if tr.is_rational:
         return rational_sqrt_cyclotomic(tr.as_fraction() + 2)
     hit = root_of_unity_with_trace(tr)
@@ -295,7 +296,8 @@ def trace_triple_realize(x, y, s):
 
 
 def _eigenvalues_det1(tr):
-    """Both eigenvalues of an SL2 matrix with the given trace, in the field."""
+    """Both eigenvalues of an SL2 matrix with the given trace, in the field;
+    ValueError when not recognized, or when sqrt(t^2 - 4) is above MAX_ORDER."""
     hit = root_of_unity_with_trace(tr)
     if hit is not None:
         m, k = hit
@@ -310,7 +312,8 @@ def _eigenvalues_det1(tr):
 
 def standardize_pair(t):
     """Conjugating matrix P with P^-1 t P diagonal (semisimple t) or upper
-    triangular (defective t); the identity for scalar t."""
+    triangular (defective t); the identity for scalar t. Raises ValueError
+    when the eigenvalues are out of reach (_eigenvalues_det1)."""
     if t.is_scalar():
         return Mat2.identity()
     tr = t.trace()

@@ -28,9 +28,10 @@ from .mat2 import (
     trace_triple_realize,
 )
 
-# Input limits, checked before anything is built: homology's dense Smith
-# normal form grows fast with |g| and the fiber count on a non-orientable
-# base. The measurements are in README.md ("Seifert input limits").
+# Input limits, checked before anything is built: the Smith normal forms of
+# homology and of certify's torus-curve test still let their entries grow
+# with the fiber count, on either orientation of the base. The measurements
+# are in README.md ("Seifert input limits").
 MAX_GENUS = 64
 MAX_BOUNDARY = 64
 MAX_FIBERS = 8
@@ -386,7 +387,6 @@ def psi_evaluate(word_list, rep):
 
 _SQRT_TAUS = (-1, 0, 1, -3, 2)  # traces t with t+2 a square of a known cyclotomic
 _MAX_CANDIDATES = 512  # chain parameter choices tried per case before BuildError
-_LAMBDA_ORDERS = (5, 7, 9, 11, 13)  # orders of lambda tried by the diagonal construction
 
 
 def _exponent_schedule(order):
@@ -410,10 +410,6 @@ def _fiber_orders(data):
     return [alpha if beta % 2 == 0 else 2 * alpha for beta, alpha in data.fibers]
 
 
-def _trace_of_order(d):
-    return root_of_unity(d, 1) + root_of_unity(d, d - 1)
-
-
 def _root(order, e):
     # zeta_order^e in its minimal cyclotomic field, to keep coordinate
     # vectors short when e shares a factor with the order
@@ -424,29 +420,34 @@ def _root(order, e):
     return root_of_unity(order // d, e // d)
 
 
+def _root_trace(order, e):
+    return _root(order, e) + _root(order, -e)
+
+
 class _Skip(Exception):
     """Internal: this parameter choice cannot complete, try the next one."""
 
 
 def _recognized_eigenvalue(trace):
+    """(mu, mu^-1) for a root of unity mu != +-1 with mu + mu^-1 = trace,
+    both read off the same scan hit."""
     hit = root_of_unity_with_trace(trace)
     if hit is None:
         raise _Skip
-    m, kk = hit
-    mu = root_of_unity(m, kk)
+    m, k = hit
+    mu = root_of_unity(m, k)
     if mu == 1 or mu == -1:
         raise _Skip
-    return mu
+    return mu, root_of_unity(m, (m - k) % m)
 
 
-def _extend_chain(p_prev, mu, letter_trace, target_trace):
+def _extend_chain(p_prev, mu, muinv, letter_trace, target_trace):
     """Next chain letter: trace letter_trace, and product trace with the
-    running partial product equal to target_trace. mu must be an eigenvalue
-    of the partial product with mu != mu^-1."""
-    muinv = mu.inverse()
-    denom = mu - muinv
-    a = (target_trace - muinv * letter_trace) / denom
-    d = (mu * letter_trace - target_trace) / denom
+    running partial product equal to target_trace. mu and muinv must be the
+    eigenvalues of the partial product, with mu != muinv."""
+    inv = (mu - muinv).inverse()
+    a = (target_trace - muinv * letter_trace) * inv
+    d = (mu * letter_trace - target_trace) * inv
     local = Mat2(a, 1, a * d - 1, d)
     v1 = eigenvector(p_prev, mu)
     v2 = eigenvector(p_prev, muinv)
@@ -521,28 +522,23 @@ def _chain_candidates(data, case):
 
 def _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign):
     m = len(chain)
-    traces = []
-    for sym in chain:
-        if sym in d_by_sym:
-            traces.append(_trace_of_order(d_by_sym[sym]))
-        else:
-            e = assign[f"trace_{sym}"]
-            nu = _root(field_order, e)
-            traces.append(nu + nu.inverse())
+    traces = [
+        _root_trace(d_by_sym[sym], 1) if sym in d_by_sym
+        else _root_trace(field_order, assign[f"trace_{sym}"])
+        for sym in chain
+    ]
 
     # first two letters through the shared two-generator realization
-    eta1 = _recognized_eigenvalue(traces[0])
-    eta2 = _recognized_eigenvalue(traces[1])
-    prod = eta1 * eta2
-    base = prod + prod.inverse()
+    eta1, eta1inv = _recognized_eigenvalue(traces[0])
+    eta2, eta2inv = _recognized_eigenvalue(traces[1])
+    base = eta1 * eta2 + eta1inv * eta2inv
     s_kind, s_val = assign["s"]
     if s_kind == "raw":
         s = CycNum.rational(s_val)
     elif s_kind == "target_tau":
         s = CycNum.rational(s_val) - base
     else:  # target_exp: aim the product trace at a scheduled root of unity
-        nu = _root(field_order, s_val)
-        s = nu + nu.inverse() - base
+        s = _root_trace(field_order, s_val) - base
     p1, p2 = trace_triple_realize(traces[0], traces[1], s)
     letters = [p1, p2]
     partial = p1 * p2
@@ -558,11 +554,9 @@ def _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign):
         elif case == "rp2_base" and j == m:
             target = CycNum.rational(assign["final_tau"])
         else:
-            e = assign[f"tau_{j}"]
-            nu = _root(field_order, e)
-            target = nu + nu.inverse()
-        mu = _recognized_eigenvalue(partial.trace())
-        nxt = _extend_chain(partial, mu, letter_trace, target)
+            target = _root_trace(field_order, assign[f"tau_{j}"])
+        mu, muinv = _recognized_eigenvalue(partial.trace())
+        nxt = _extend_chain(partial, mu, muinv, letter_trace, target)
         letters.append(nxt)
         partial = partial * nxt
 
@@ -588,21 +582,21 @@ def _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign):
             f"relation verification failed for {case} with assignment {assign!r}"
         )
 
-    meta = {"case": case, "chain": list(chain), "s": s}
-    if case != "rp2_small":
-        delta = ((chain[0], 1), (chain[1], 1))
-        torus_image = rep.word_image(delta)
-        if torus_image.is_central_sl2():
-            raise _Skip
-        side1 = list(chain[:2])
-        side2 = list(chain[2:]) + (["a1"] if case == "rp2_base" else [])
-        pair = _irreducible_pair(rep, side1 + side2)
-        if pair is None:
-            raise _Skip
-        meta.update(
-            delta=delta, torus_image=torus_image, side1=side1, side2=side2, irreducible_pair=pair
-        )
-    return rep, meta
+    if case == "rp2_small":
+        return rep, {}
+    delta = ((chain[0], 1), (chain[1], 1))
+    torus_image = rep.word_image(delta)
+    if torus_image.is_central_sl2():
+        raise _Skip
+    side1 = list(chain[:2])
+    side2 = list(chain[2:]) + (["a1"] if case == "rp2_base" else [])
+    pair = _irreducible_pair(rep, side1 + side2)
+    if pair is None:
+        raise _Skip
+    return rep, {
+        "delta": delta, "torus_image": torus_image, "side1": side1, "side2": side2,
+        "irreducible_pair": pair,
+    }
 
 
 def _irreducible_pair(rep, syms):
@@ -614,10 +608,12 @@ def _irreducible_pair(rep, syms):
     return None
 
 
-def _abelian_candidates(data):
-    """Diagonal representations for positive_genus: every generator maps to
-    diag(lambda^e, lambda^-e) for an exponent vector orthogonal to the
-    abelianized relators."""
+def _diagonal_representation(data):
+    """(rep, gammas, delta) for positive_genus: every generator maps to
+    diag(lambda^e, lambda^-e), lambda = zeta_5, for an exponent vector
+    orthogonal to the abelianized relators. Diagonal images commute, so
+    every relator holds; gammas are the candidate torus curves and delta
+    the crossing curve, whose witness traces already differ at zeta_5."""
     pres = presentation(data)
     exponents = {sym: 0 for sym in pres.generators}
     if data.g > 0:
@@ -634,38 +630,29 @@ def _abelian_candidates(data):
     for row in _abelianized_rows(pres):
         if sum(row[idx[s]] * e for s, e in exponents.items()):
             raise BuildError("exponent vector misses the abelianized relators")
-    for order in _LAMBDA_ORDERS:
-        lam = root_of_unity(order, 1)
-        images = {
-            sym: Mat2.diagonal(lam ** exponents[sym], lam ** (-exponents[sym]))
-            for sym in pres.generators
+    rep = Representation(
+        {
+            sym: Mat2.diagonal(root_of_unity(5, e), root_of_unity(5, -e))
+            for sym, e in exponents.items()
         }
-        rep = Representation(images)
-        if not rep.satisfies(pres.relators):
-            raise BuildError("relation verification failed for the diagonal construction")
-        yield rep, {
-            "case": "positive_genus",
-            "gamma_candidates": gammas,
-            "delta": delta,
-            "lambda_order": order,
-        }
-
-
-def _representation_candidates(data, case):
-    if case == "positive_genus":
-        return _abelian_candidates(data)
-    if case in ("sphere_base", "rp2_base", "rp2_small"):
-        return _chain_candidates(data, case)
-    raise ValueError(f"no representation construction for case {case!r}")
+    )
+    if not rep.satisfies(pres.relators):
+        raise BuildError("relation verification failed for the diagonal construction")
+    return rep, gammas, delta
 
 
 def build_representation(data, case):
-    """First representation in the deterministic schedule for the case.
+    """The representation the certificate for the case is built on: the
+    diagonal one for positive_genus, else the first in the chain schedule.
 
     Raises BuildError when the schedule is exhausted, and also when a
     relator check fails (that one indicates a bug, not bad input).
     """
-    for rep, _meta in _representation_candidates(data, case):
+    if case == "positive_genus":
+        return _diagonal_representation(data)[0]
+    if case not in ("sphere_base", "rp2_base", "rp2_small"):
+        raise ValueError(f"no representation construction for case {case!r}")
+    for rep, _meta in _chain_candidates(data, case):
         return rep
     raise BuildError(f"parameter schedule exhausted for case {case!r}")
 
@@ -737,7 +724,7 @@ def reverify_certificate(cert, data):
 
 
 def _separating_certificate(data, case):
-    for rep0, meta in _representation_candidates(data, case):
+    for rep0, meta in _chain_candidates(data, case):
         delta_word = meta["delta"]
         torus_img = meta["torus_image"]
         rep = rep0.conjugated(standardize_pair(torus_img))
@@ -773,30 +760,30 @@ def _separating_certificate(data, case):
 
 
 def _nonseparating_certificate(data):
-    for rep, meta in _representation_candidates(data, "positive_genus"):
-        delta = meta["delta"]
-        for gamma in meta["gamma_candidates"]:
-            if not _doubled_class_nonzero(data, gamma):
-                continue
-            fwd = rep.word_image(word_mul(gamma, delta)).trace()
-            swp = rep.word_image(word_mul(word_inverse(gamma), delta)).trace()
-            if fwd == swp:
-                continue
-            cert = TorsionCertificate(
-                kind="nonseparating_torus",
-                representation=rep,
-                witness={"gamma": gamma, "delta": delta, "trace_fwd": fwd, "trace_swapped": swp},
-                criterion_ref="nonseparating vertical torus trace criterion",
-                side_conditions={
-                    "classification": "positive_genus",
-                    "torus_curve_doubled_class_nonzero": True,
-                    "crossing_trace": _coords_text(rep.word_image(delta).trace()),
-                },
-            )
-            if reverify_certificate(cert, data):
-                cert.verified = True
-                return cert
-    raise BuildError("parameter schedule exhausted for the nonseparating search")
+    rep, gammas, delta = _diagonal_representation(data)
+    for gamma in gammas:
+        if not _doubled_class_nonzero(data, gamma):
+            continue
+        fwd = rep.word_image(word_mul(gamma, delta)).trace()
+        swp = rep.word_image(word_mul(word_inverse(gamma), delta)).trace()
+        cert = TorsionCertificate(
+            kind="nonseparating_torus",
+            representation=rep,
+            witness={"gamma": gamma, "delta": delta, "trace_fwd": fwd, "trace_swapped": swp},
+            criterion_ref="nonseparating vertical torus trace criterion",
+            side_conditions={
+                "classification": "positive_genus",
+                "torus_curve_doubled_class_nonzero": True,
+                "crossing_trace": _coords_text(rep.word_image(delta).trace()),
+            },
+        )
+        # the relators and the unequal traces at zeta_5 are facts of the
+        # construction, so a failure here is a bug, not a reason to search on
+        if not reverify_certificate(cert, data):
+            raise BuildError(f"certificate for gamma = {format_word(gamma)} failed re-verification")
+        cert.verified = True
+        return cert
+    raise BuildError("no candidate torus curve has a nonzero doubled class")
 
 
 def certify(data):

@@ -182,6 +182,13 @@ def test_rational_sqrt(q):
     assert s * s == CycNum.rational(Fraction(q))
 
 
+def test_rational_sqrt_rejects_a_field_above_the_limit():
+    # 5005 = 5*7*11*13 and 7 = 3 mod 4, so its root lives at order 4*5005
+    with pytest.raises(ValueError, match="sqrt\\(5005\\) needs cyclotomic order 20020"):
+        rational_sqrt_cyclotomic(5005)
+    assert rational_sqrt_cyclotomic(Fraction(455, 4)).order == 1820
+
+
 def test_rational_sqrt_known_forms():
     assert rational_sqrt_cyclotomic(2) == root_of_unity(8, 1) + root_of_unity(8, 7)
     assert rational_sqrt_cyclotomic(4) == CycNum.rational(2)

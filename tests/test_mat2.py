@@ -1,14 +1,16 @@
 """2x2 matrices over cyclotomic-rational entries and their subalgebras."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cyc_numbers, laurent_polys, rational_mat2, small_fractions
-from skeinmod.cyclotomic import CycNum, root_of_unity, totient
+from skeinmod.cyclotomic import MAX_ORDER, CycNum, root_of_unity, totient
 from skeinmod.gaussian import GaussRat
 from skeinmod.linalg import FieldEchelon, field_nullspace
 from skeinmod.mat2 import (
@@ -504,9 +506,28 @@ def test_standardize_defective():
     assert conj.a == conj.d
 
 
+def _sqrt_field_order(q):
+    # sqrt(2) lies in Q(zeta_8), sqrt(+-p) in Q(zeta_p) for an odd prime p
+    # (a Gauss sum, times i when p = 3 mod 4), and i in Q(zeta_4)
+    r = _squarefree_part(q.numerator * q.denominator)
+    odd = [p for p in sympy.primefactors(r) if p != 2]
+    i_needed = q < 0 or any(p % 4 == 3 for p in odd)
+    return math.lcm(8 if r % 2 == 0 else 1, 4 if i_needed else 1, *odd)
+
+
+@example(Mat2(1, 3, 0, 1) * Mat2(1, 0, -3, 1) * _elementary("d", 3))  # trace -71/3
 @given(sl2_rationals())
 @settings(max_examples=50, deadline=None)
 def test_standardize_triangularizes(m):
+    # a rational trace t outside -2..2 has eigenvalues (t +- sqrt(t^2 - 4))/2;
+    # when that root needs a field above MAX_ORDER (order 20020 at t = -71/3)
+    # standardize_pair refuses by name instead of computing there
+    t = m.trace().as_fraction()
+    order = 1 if t in (-2, -1, 0, 1, 2) else _sqrt_field_order(t * t - 4)
+    if order > MAX_ORDER:
+        with pytest.raises(ValueError, match=f"cyclotomic order {order}, above the limit"):
+            standardize_pair(m)
+        return
     p = standardize_pair(m)
     assert not p.det().is_zero
     conj = p.inverse() * m * p

@@ -2,14 +2,20 @@
 
 import hashlib
 import json
+import math
+import random
 import time
+from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from skeinmod import seifert
 from skeinmod.cyclotomic import CycNum
+from skeinmod.linalg import bareiss_rank, smith_normal_form
 from skeinmod.mat2 import Mat2, algebra_closure, standardize_pair
 from skeinmod.seifert import (
     BuildError,
@@ -187,6 +193,70 @@ def test_homology_divisibility_chain(data):
     for x, y in zip(torsion, torsion[1:]):
         assert y % x == 0
     assert all(d == 0 for d in inv[len(torsion):])
+
+
+def _relator_rows(data):
+    # the abelianized relators of the public presentation, without the zero
+    # rows that the commutators give: the matrix homology reduces
+    pres = presentation(data)
+    idx = {s: i for i, s in enumerate(pres.generators)}
+    rows = []
+    for rel in pres.relators:
+        row = [0] * len(pres.generators)
+        for sym, e in rel:
+            row[idx[sym]] += e
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+def _sympy_factors(rows):
+    sm = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+    return [abs(int(sm[i, i])) for i in range(min(sm.shape)) if sm[i, i]]
+
+
+def _random_fibers(seed, count=16, max_order=1000):
+    rng = random.Random(seed)
+    fibers = []
+    while len(fibers) < count:
+        alpha = rng.randint(2, max_order)
+        beta = rng.randint(1, alpha - 1)
+        if math.gcd(alpha, beta) == 1:
+            fibers.append((beta, alpha))
+    return fibers
+
+
+def test_smith_form_stays_fast_past_the_fiber_cap(monkeypatch):
+    # non-orientable bases with more fibers than MAX_FIBERS: a Smith form
+    # that let its entries grow took over 20 s on each of these
+    monkeypatch.setattr(seifert, "MAX_FIBERS", 64)
+    spaces = [SeifertData(-1, 0, [(1, 2 + i % 12) for i in range(k)]) for k in (32, 64)]
+    spaces += [SeifertData(-64, 64, _random_fibers(seed)) for seed in (0, 2, 4)]
+    for data in spaces:
+        rows = _relator_rows(data)
+        start = time.perf_counter()
+        diag = smith_normal_form(rows)
+        assert time.perf_counter() - start < 1.0, data
+        nonzero = [d for d in diag if d]
+        assert len(nonzero) == bareiss_rank(rows)
+        assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+        if len(data.fibers) == 32:
+            assert nonzero == _sympy_factors(rows)
+
+
+@st.composite
+def nonorientable_spaces(draw):
+    fiber = st.tuples(st.integers(-30, 30), st.integers(2, 30)).filter(lambda f: math.gcd(*f) == 1)
+    fibers = draw(st.lists(fiber, max_size=16))
+    with mock.patch.object(seifert, "MAX_FIBERS", 16):
+        return SeifertData(draw(st.integers(-3, -1)), draw(st.integers(0, 3)), fibers)
+
+
+@given(nonorientable_spaces())
+@settings(max_examples=40, deadline=None)
+def test_smith_form_of_nonorientable_relators_matches_sympy(data):
+    rows = _relator_rows(data)
+    assert [d for d in smith_normal_form(rows) if d] == _sympy_factors(rows)
 
 
 # ---------------------------------------------------------------------------
