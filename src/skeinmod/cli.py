@@ -326,7 +326,7 @@ def _cmd_torus_mul(args):
 
 def _cmd_chebyshev(args):
     if args.family == "T" and args.n < 0:
-        raise _usage(args, "argument --n: T requires n >= 0")
+        args._parser.error("argument --n: T requires n >= 0")
     inputs = {"family": args.family, "n": args.n}
 
     def compute():
@@ -468,12 +468,6 @@ def _cmd_homology(args):
     return _emit(args, "homology", inputs, compute, None)
 
 
-def _usage(args, message):
-    parser = args._parser
-    parser.error(message)
-    return SystemExit(1)  # unreachable; error() raises
-
-
 # ---------------------------------------------------------------------------
 # parser assembly
 
@@ -564,16 +558,13 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse-controlled exits: usage errors carry 1, --help/--version 0
-        return exc.code if isinstance(exc.code, int) else 1
-    args._parser = parser
-    try:
+        args._parser = parser
         return args.func(args)
-    except BuildError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except SystemExit as exc:
+        # argparse-controlled exits, a handler's usage error included: usage
+        # errors carry 1, --help/--version 0
+        return exc.code if isinstance(exc.code, int) else 1
+    except (BuildError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

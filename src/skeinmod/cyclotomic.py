@@ -22,8 +22,8 @@ A CycNum, a root of unity or a rational square root asked for at an order
 above MAX_ORDER is rejected before any table is built: the power rows of
 zeta_N hold phi(N) integers each, up to N - phi(N) rows once traces are
 scanned (a power below phi(N) is a unit vector and is built when asked
-for, not stored).
-Orders that arithmetic reaches by lifting are not capped.
+for, not stored). Orders that arithmetic reaches by lifting are not
+capped; the trace scan of root_of_unity_with_trace skips them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from .text import format_power_sum
 # Above every order a certificate asks for: the largest certificate field
 # that the tests, the benchmark and the documented CLI runs use is order
 # 924, root_of_unity_with_trace lifts it to lcm(924, 24) = 1848, and a
-# square root of a trace lives at twice that order, 3696.
+# square root of a trace lives at twice that order, 3696. The trace scan
+# skips a lifted order above this cap; other lifts are not capped.
 MAX_ORDER = 4096
 
 
@@ -570,6 +571,9 @@ def root_of_unity_with_trace(x):
     """Find (m, k) with zeta_m^k + zeta_m^-k equal to x, scanning bounded orders.
 
     Returns None when no root of unity in the scanned fields has trace x.
+    The scanned fields stop at MAX_ORDER: a lifted order above it is
+    skipped, since scanning one takes seconds and can take hundreds of
+    megabytes of power rows.
     """
     if isinstance(x, (int, Fraction)):
         x = CycNum.rational(x)
@@ -579,7 +583,7 @@ def root_of_unity_with_trace(x):
     seen = set()
     for mult in _TRACE_ORDERS:
         m = math.lcm(x.order, mult)
-        if m in seen:
+        if m in seen or m > MAX_ORDER:
             continue
         seen.add(m)
         target = x.lift(m).num

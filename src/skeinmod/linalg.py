@@ -144,80 +144,74 @@ def field_nullspace(matrix):
     return FieldEchelon.of(matrix).kernel()
 
 
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def smith_normal_form(matrix):
     """Invariant factors of an integer matrix.
 
     Returns min(rows, cols) nonnegative integers d_1 | d_2 | ... with zeros
-    trailing once the rank runs out. The elimination (smallest pivot, xgcd
-    row and column steps, a restart whenever a step leaves a remainder)
-    ends in a diagonal whose entries need not divide each other; one pass of
-    (d_i, d_j) -> (gcd, lcm) over i < j makes the chain, because diag(a, b)
-    is equivalent to diag(gcd, lcm) (M. Newman, Integral Matrices, ch. II).
+    trailing once the rank runs out. Step t moves the smallest nonzero entry
+    of the working block to (t, t) and subtracts floor multiples of row and
+    column t from the rows and columns beyond it. That leaves each entry of
+    row and column t smaller than the pivot p; if one is nonzero, the
+    smallest becomes the pivot and the step repeats, so |p| strictly falls.
+    Subtracting floor multiples alone keeps the entries of seifert's
+    relator matrices small, up to 64 fibers (README, "Seifert input
+    limits"). The diagonal left need not be a divisibility chain; one pass
+    of (d_i, d_j) -> (gcd, lcm) over i < j makes it one, because diag(a, b)
+    is equivalent to diag(gcd, lcm) (M. Newman, Integral Matrices, ch. II;
+    H. Cohen, A Course in Computational Algebraic Number Theory, 2.4).
     """
     a = [[int(v) for v in row] for row in matrix]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     size = min(nrows, ncols)
     diag = []
-    t = 0
-    while t < size:
-        # locate the entry of smallest absolute value in the working block
+    for t in range(size):
+        # best is (|v|, i, j) for the least nonzero entry of the working block
         best = None
         for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = abs(a[i][j])
-                if v and (best is None or v < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+            for j, v in enumerate(a[i][t:], t):
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
         if best is None:
             break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        # clear row and column t; restart whenever a remainder appears
-        dirty = False
-        for i in range(t + 1, nrows):
-            if a[i][t] % a[t][t]:
-                g, x, y = _xgcd(a[t][t], a[i][t])
-                p, q = a[t][t] // g, a[i][t] // g
-                for j in range(t, ncols):
-                    rt, ri = a[t][j], a[i][j]
-                    a[t][j] = x * rt + y * ri
-                    a[i][j] = -q * rt + p * ri
-                dirty = True
-            if a[i][t]:
-                f = a[i][t] // a[t][t]
-                for j in range(t, ncols):
-                    a[i][j] -= f * a[t][j]
-        for j in range(t + 1, ncols):
-            if a[t][j] % a[t][t]:
-                g, x, y = _xgcd(a[t][t], a[t][j])
-                p, q = a[t][t] // g, a[t][j] // g
-                for i in range(t, nrows):
-                    ct, cj = a[i][t], a[i][j]
-                    a[i][t] = x * ct + y * cj
-                    a[i][j] = -q * ct + p * cj
-                dirty = True
-            if a[t][j]:
-                f = a[t][j] // a[t][t]
-                for i in range(t, nrows):
-                    a[i][j] -= f * a[i][t]
-        if dirty:
-            continue
+        while best:
+            _, bi, bj = best
+            if bi != t:
+                a[t], a[bi] = a[bi], a[t]
+            if bj != t:
+                for row in a[t:]:
+                    row[t], row[bj] = row[bj], row[t]
+            pivot_row = a[t]
+            p = pivot_row[t]
+            # relator rows are sparse: a row step only touches the pivot
+            # row's nonzero columns, a column step only the rows with a
+            # nonzero in column t. Rows from t on are zero left of column t,
+            # so nonzero[0] is (t, p).
+            nonzero = [(j, y) for j, y in enumerate(pivot_row) if y]
+            live = [pivot_row]
+            # then best becomes the least remainder left in row or column t
+            best = None
+            for i in range(t + 1, nrows):
+                row = a[i]
+                if row[t]:
+                    f = row[t] // p
+                    if f:
+                        for j, y in nonzero:
+                            row[j] -= f * y
+                    r = row[t]
+                    if r:
+                        live.append(row)
+                        if best is None or abs(r) < best[0]:
+                            best = (abs(r), i, t)
+            for j, y in nonzero[1:]:
+                f = y // p
+                if f:
+                    for row in live:
+                        row[j] -= f * row[t]
+                r = pivot_row[j]
+                if r and (best is None or abs(r) < best[0]):
+                    best = (abs(r), t, j)
         diag.append(abs(a[t][t]))
-        t += 1
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = math.gcd(diag[i], diag[j])

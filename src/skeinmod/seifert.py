@@ -28,10 +28,10 @@ from .mat2 import (
     trace_triple_realize,
 )
 
-# Input limits, checked before anything is built: the Smith normal forms of
-# homology and of certify's torus-curve test still let their entries grow
-# with the fiber count, on either orientation of the base. The measurements
-# are in README.md ("Seifert input limits").
+# Input limits, checked before anything is built. The Smith normal forms of
+# homology and of certify's torus-curve test stay fast up to 64 fibers;
+# the fiber cap waits on measurements of the rest of certify past 8 fibers.
+# The measurements are in README.md ("Seifert input limits").
 MAX_GENUS = 64
 MAX_BOUNDARY = 64
 MAX_FIBERS = 8

@@ -5,7 +5,12 @@ import os
 import pathlib
 import stat
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from skeinmod import cli
+from skeinmod.chebyshev import parse_int_poly
+from skeinmod.handlebody import parse_poly3
 from skeinmod.rewrite import SlopeData, normalize, parse_module_element
 from skeinmod.seifert import SeifertData, homology
 from skeinmod.torus import fg_multiply, format_fg, parse_fg
@@ -149,6 +154,11 @@ def test_usage_error_names_flag(capsys):
     code, _out, err = run(capsys, "gamma", "--p", "0")
     assert code == 1
     assert "--p" in err
+
+    # a usage error found after parsing returns 1 too, rather than raising
+    code, _out, err = run(capsys, "chebyshev", "--family", "T", "--n", "-1")
+    assert code == 1
+    assert "--n" in err
 
 
 def test_missing_required_flag(capsys):
@@ -446,3 +456,110 @@ def test_certify_above_the_field_order_cap_exits_1(capsys):
         "error: fibers [(1, 2), (1, 3), (1, 5), (1, 7), (1, 11)] need a certificate "
         "field of order 4620 = lcm(4, 4, 6, 10, 14, 22), above the limit 4096\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# argument fuzz: any argv exits 0, 1 or 2 without a traceback
+
+
+def _free_text(alphabet):
+    # unrestricted text, and text over the characters of the flag's grammar
+    return st.one_of(st.text(max_size=12), st.text(alphabet=alphabet, max_size=20))
+
+
+_SMALL = st.integers(-3, 3)
+
+
+def _sums(term):
+    # "term + term + ...": well-formed input, so that runs reach the output
+    return st.lists(term, min_size=1, max_size=3).map(" + ".join)
+
+
+_FG_TEXT = st.one_of(
+    _free_text("()0123456789,-+*A^ "),
+    _sums(st.tuples(_SMALL, _SMALL, _SMALL).map(lambda v: "A^%d*(%d,%d)" % v)),
+)
+_MODULE_TEXT = st.one_of(
+    _free_text("()0123456789,-+*/A^e "),
+    _sums(st.lists(_SMALL, min_size=5, max_size=5).map(lambda v: "%d*(%d,%d,%d,%d)*e" % tuple(v))),
+)
+_SLOPES_TEXT = st.one_of(
+    _free_text("0123456789,- "),
+    # a1 > 0 > b1 and a2 > 0, so that some draws pass SlopeData's other checks
+    st.tuples(st.integers(1, 3), st.integers(-3, -1), st.integers(1, 3), _SMALL).map(
+        lambda v: "%d,%d,%d,%d" % v
+    ),
+)
+_GEN_TEXT = st.one_of(
+    _free_text('[]{}0123456789,-:" orderc'),
+    st.lists(st.lists(_SMALL, min_size=2, max_size=2), min_size=2, max_size=2).map(json.dumps),
+)
+_FIBER_TEXT = st.one_of(
+    _free_text("0123456789,- "),
+    st.tuples(st.integers(-7, 7), st.integers(-1, 7)).map(lambda f: "%d,%d" % f),
+)
+
+# subcommand -> (argv strategy, parser for its text output or None)
+_FUZZ_COMMANDS = {
+    "torus-mul": (st.tuples(_FG_TEXT, _FG_TEXT).map(list), parse_fg),
+    "chebyshev": (
+        st.tuples(st.sampled_from("TS"), st.integers(-1, 40)).map(
+            lambda v: ["--family", v[0], "--n", str(v[1])]
+        ),
+        parse_int_poly,
+    ),
+    "gamma": (
+        st.tuples(st.integers(1, 4), st.booleans()).map(
+            lambda v: ["--p", str(v[0])] + ["--prime"] * v[1]
+        ),
+        parse_poly3,
+    ),
+    "lens-quotient": (
+        st.tuples(st.integers(1, 4), st.integers(1, 8), st.sampled_from(["ee", "eo", "oe", "oo"])).map(
+            lambda v: ["--p", str(v[0]), "--degree", str(v[1]), "--grading", v[2]]
+        ),
+        None,
+    ),
+    "jprime-check": (st.integers(1, 4).map(lambda p: ["--p", str(p)]), None),
+    "f12-reduce": (
+        st.tuples(_SLOPES_TEXT, _MODULE_TEXT, st.integers(1, 30)).map(
+            lambda v: ["--slopes", v[0], "--element", v[1], "--max-steps", str(v[2])]
+        ),
+        parse_module_element,
+    ),
+    "algebra-closure": (
+        st.lists(_GEN_TEXT, min_size=1, max_size=3).map(
+            lambda gens: [t for g in gens for t in ("--gen", g)]
+        ),
+        None,
+    ),
+}
+for _name in ("seifert-certify", "homology"):
+    _FUZZ_COMMANDS[_name] = (
+        st.tuples(st.integers(-2, 2), st.integers(0, 2), st.lists(_FIBER_TEXT, max_size=3)).map(
+            lambda v: ["--genus", str(v[0]), "--boundary", str(v[1])]
+            + [t for f in v[2] for t in ("--fiber", f)]
+        ),
+        None,
+    )
+
+
+@st.composite
+def _fuzz_argv(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    argv, parse = _FUZZ_COMMANDS[name]
+    json_switch = name not in ("lens-quotient", "jprime-check", "seifert-certify", "homology")
+    as_json = json_switch and draw(st.booleans())
+    return [name, *draw(argv), *(["--json"] * as_json)], None if as_json else parse
+
+
+@given(_fuzz_argv())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_arguments_exit_cleanly(capsys, monkeypatch, case):
+    monkeypatch.delenv("SKEINMOD_CACHE_DIR", raising=False)
+    argv, parse = case
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 0 and parse is not None:
+        parse(out.rstrip("\n"))

@@ -208,6 +208,16 @@ def test_trace_recognition_rejects_non_traces():
     assert root_of_unity_with_trace(CycNum.rational(Fraction(1, 2))) is None
 
 
+def test_trace_scan_stops_at_the_order_cap():
+    # order 1820 lifts to 5460 and 10920 for t = 12 and 24: scanning those
+    # took seconds and hundreds of megabytes, so they are skipped
+    before = set(cyclotomic._ROW_CACHE)
+    assert root_of_unity_with_trace(root_of_unity(1820, 1) + 3) is None
+    assert all(n <= MAX_ORDER for n in set(cyclotomic._ROW_CACHE) - before)
+    tr = root_of_unity(4004, 7) + root_of_unity(4004, 3997)
+    assert root_of_unity_with_trace(tr) == (4004, 7)
+
+
 @given(laurent_polys(), st.sampled_from([(4, 1), (3, 1), (8, 3), (12, 5)]))
 @settings(max_examples=60)
 def test_laurent_eval_is_a_homomorphism(p, nk):

@@ -195,9 +195,10 @@ def test_homology_divisibility_chain(data):
     assert all(d == 0 for d in inv[len(torsion):])
 
 
-def _relator_rows(data):
-    # the abelianized relators of the public presentation, without the zero
-    # rows that the commutators give: the matrix homology reduces
+def _relator_rows(data, keep_zero_rows=False):
+    # the abelianized relators of the public presentation, in presentation
+    # order; without the zero rows that the commutators give, this is the
+    # matrix homology reduces
     pres = presentation(data)
     idx = {s: i for i, s in enumerate(pres.generators)}
     rows = []
@@ -205,7 +206,7 @@ def _relator_rows(data):
         row = [0] * len(pres.generators)
         for sym, e in rel:
             row[idx[sym]] += e
-        if any(row):
+        if keep_zero_rows or any(row):
             rows.append(row)
     return rows
 
@@ -227,20 +228,25 @@ def _random_fibers(seed, count=16, max_order=1000):
 
 
 def test_smith_form_stays_fast_past_the_fiber_cap(monkeypatch):
-    # non-orientable bases with more fibers than MAX_FIBERS: a Smith form
-    # that let its entries grow took over 20 s on each of these
+    # bases of either orientation with more fibers than MAX_FIBERS: an
+    # elimination that let its entries grow took 0.7 s to over 10 s on most
     monkeypatch.setattr(seifert, "MAX_FIBERS", 64)
-    spaces = [SeifertData(-1, 0, [(1, 2 + i % 12) for i in range(k)]) for k in (32, 64)]
-    spaces += [SeifertData(-64, 64, _random_fibers(seed)) for seed in (0, 2, 4)]
-    for data in spaces:
-        rows = _relator_rows(data)
+    spaces = [(SeifertData(-1, 0, [(1, 2 + i % 12) for i in range(k)]), k == 32) for k in (32, 64)]
+    spaces += [(SeifertData(-64, 64, _random_fibers(seed)), False) for seed in (0, 2, 4)]
+    spaces += [(SeifertData(64, 64, _random_fibers(seed, count=32)), True) for seed in (0, 1, 2)]
+    spaces.append((SeifertData(-64, 0, _random_fibers(0, count=32)), True))
+    cases = [(data, _relator_rows(data), against_sympy) for data, against_sympy in spaces]
+    # the 64-fiber RP^2 base again, its zero commutator rows left in place
+    one_crosscap = spaces[1][0]
+    cases.append((one_crosscap, _relator_rows(one_crosscap, keep_zero_rows=True), True))
+    for data, rows, against_sympy in cases:
         start = time.perf_counter()
         diag = smith_normal_form(rows)
         assert time.perf_counter() - start < 1.0, data
         nonzero = [d for d in diag if d]
         assert len(nonzero) == bareiss_rank(rows)
         assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
-        if len(data.fibers) == 32:
+        if against_sympy:
             assert nonzero == _sympy_factors(rows)
 
 
@@ -414,6 +420,18 @@ def test_certificate_field_above_the_order_cap_fails_before_the_search():
 
 # ---------------------------------------------------------------------------
 # certificates
+
+
+def test_certify_past_the_fiber_cap(monkeypatch):
+    # the homology side condition and the torus-curve test read H1 through
+    # Smith forms of a 33 x 225 relator matrix here
+    monkeypatch.setattr(seifert, "MAX_FIBERS", 32)
+    data = SeifertData(64, 64, _random_fibers(0, count=32))
+    start = time.perf_counter()
+    cert = certify(data)
+    assert time.perf_counter() - start < 2.0
+    assert cert.verified
+    assert reverify_certificate(cert, data)
 
 
 @pytest.mark.parametrize("data", FIVE_INSTANCES[:3], ids=repr)
