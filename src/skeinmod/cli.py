@@ -498,7 +498,7 @@ def build_parser():
     p.add_argument("--family", choices=("T", "S"), required=True)
     p.add_argument("--n", type=_int_range(-1, MAX_N), required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_chebyshev)
+    p.set_defaults(func=_cmd_chebyshev, _parser=p)
 
     p = subs.add_parser("gamma", help="print the gamma relation polynomial for p")
     p.add_argument("--p", type=_int_range(1, MAX_P), required=True)
@@ -558,7 +558,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args._parser = parser
         return args.func(args)
     except SystemExit as exc:
         # argparse-controlled exits, a handler's usage error included: usage

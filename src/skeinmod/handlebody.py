@@ -8,13 +8,16 @@ quotient ideal; each is a fixed core polynomial times an arbitrary
 monomial, with the core variant selected by a parity of the monomial.
 Families 1-4 are a base polynomial plus or minus a multiple of the closed
 forms gamma_at_i_closed and gamma_prime_at_i_closed, so one closed form
-gives both variants of a family. The quotient dimensions build each family
-once per call, turn each core into integer rows once and take ranks with
-the sparse linalg.bareiss_rank.
+gives both variants of a family. The quotient dimensions build the cores
+and their integer row templates once per (p, grading), peel the columns
+that one-term relations put in the span, and take the rank of what is left
+with the sparse linalg.bareiss_rank.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import re
 
@@ -332,25 +335,25 @@ def _check_degree(degree_bound):
         raise ValueError(f"degree bound {degree_bound} exceeds the limit {MAX_DEGREE}")
 
 
-def _multiples(p, degree_bound, grading=None):
-    """The relation generators x^k y^l z^n * core of degree <= degree_bound,
-    as ([(family, core)], [(monomial, index into that list)], columns),
-    monomials in graded-lex order and families 1..8 within one monomial.
-    The columns are the monomials of degree <= degree_bound in the
-    requested grading class (all of them for None), listed in the same
-    pass, so each monomial is enumerated and graded once per call.
+@functools.lru_cache(maxsize=32)
+def _core_table(p, grading):
+    """The degree-independent part of the relation rows for one (p, grading),
+    as (cores, fits, width, forms).
+
+    cores is the tuple of (family, core) pairs whose multiples can land in
+    the grading class (all of them for None), families 1..8 in order.
+    fits[cls][room] is the tuple of indices into cores, in that order, of the
+    cores a monomial of class cls multiplies when it leaves room degrees
+    below the bound, for room up to the largest core degree or MAX_DEGREE,
+    whichever is less; a larger room fits what that one fits.
+    width and forms are `_integer_forms` of the cores, as tuples.
 
     The core variant for a monomial is picked by the parity of l+n (families
     1-4, 8) or k+n (families 5-7), that is, by the monomial's grading. The
     grading of a shifted core is the core's grading plus the monomial's, mod
     2, so under a grading filter each core is checked once for homogeneity
-    and only the multiples in the requested class are listed.
+    and only the multiples in the requested class are kept.
     """
-    if p < 2:
-        raise ValueError("needs p >= 2")
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
-    _check_p(p)
     cores = []
     by_class = {(a, b): [] for a in (0, 1) for b in (0, 1)}
     for family in range(1, 9):
@@ -369,14 +372,42 @@ def _multiples(p, degree_bound, grading=None):
                 for g in classes:
                     by_class[g].append((core.degree(), len(cores)))
                 cores.append((family, core))
-    pairs, cols = [], []
+    top = min(max((core.degree() for _family, core in cores), default=0), MAX_DEGREE)
+    fits = {
+        cls: tuple(tuple(j for degree, j in listed if degree <= room) for room in range(top + 1))
+        for cls, listed in by_class.items()
+    }
+    width, forms = _integer_forms(core for _family, core in cores)
+    return tuple(cores), fits, width, tuple(tuple(map(tuple, form)) for form in forms)
+
+
+def _multiples(p, degree_bound, grading=None):
+    """The relation generators x^k y^l z^n * core of degree <= degree_bound,
+    as ([(family, core)], [(monomial, indices into that list)], columns),
+    monomials in graded-lex order, each with the cores it multiplies in
+    family order; a monomial that multiplies none is left out. The columns
+    are the monomials of degree <= degree_bound in the requested grading
+    class (all of them for None), listed in the same pass, so each monomial
+    is enumerated and graded once per call. The cores come from
+    `_core_table`.
+    """
+    if p < 2:
+        raise ValueError("needs p >= 2")
+    if degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
+    _check_p(p)
+    cores, fits, _width, _forms = _core_table(p, grading)
+    by_room = {
+        cls: [fit[min(room, len(fit) - 1)] for room in range(degree_bound + 1)] for cls, fit in fits.items()
+    }
+    multiples, cols = [], []
     for mono in monomials_leq(degree_bound):
         cls = monomial_grading(mono)
         if grading is None or cls == grading:
             cols.append(mono)
-        room = degree_bound - sum(mono)
-        pairs.extend((mono, j) for degree, j in by_class[cls] if degree <= room)
-    return cores, pairs, cols
+        if js := by_room[cls][degree_bound - sum(mono)]:
+            multiples.append((mono, js))
+    return list(cores), multiples, cols
 
 
 def relation_generators(p, degree_bound):
@@ -386,8 +417,8 @@ def relation_generators(p, degree_bound):
     l+n (families 1-4, 8) or k+n (families 5-7).
     """
     _check_degree(degree_bound)
-    cores, pairs, _cols = _multiples(p, degree_bound)
-    return [cores[j][1].monomial_shift(*mono) for mono, j in pairs]
+    cores, multiples, _cols = _multiples(p, degree_bound)
+    return [cores[j][1].monomial_shift(*mono) for mono, js in multiples for j in js]
 
 
 def _integer_forms(cores):
@@ -419,52 +450,100 @@ def _integer_forms(cores):
     ]
 
 
+def _row_source(p, degree_bound, grading):
+    """(cols, width, rows): the monomial columns of `_multiples`, and a
+    one-shot generator of the integer relation rows {column: int} over them,
+    with the width of `_integer_forms`; no Poly3 is built per multiple.
+
+    A monomial x^k y^l z^n of degree <= D is keyed by the integer
+    (k*B + l)*B + n with B = D + 1, so a shifted core term's key is the
+    monomial's key plus the term's own key, and each term of a row costs
+    one lookup in the column index.
+    """
+    _cores, multiples, cols = _multiples(p, degree_bound, grading)
+    _cores, _fits, width, forms = _core_table(p, grading)
+    B = degree_bound + 1
+    col_index = {(k * B + l) * B + n: width * idx for idx, (k, l, n) in enumerate(cols)}
+    templates = [
+        [[((a * B + b) * B + c, off, v) for (a, b, c), off, v in form] for form in core_forms]
+        for core_forms in forms
+    ]
+
+    def rows():
+        for (k, l, n), js in multiples:
+            key = (k * B + l) * B + n
+            for j in js:
+                for form in templates[j]:
+                    try:
+                        row = {col_index[key + term] + off: v for term, off, v in form}
+                    except KeyError as err:
+                        k2, rest = divmod(err.args[0], B * B)
+                        mono = (k2, *divmod(rest, B))
+                        raise ValueError(f"relation monomial {mono} outside the column set") from None
+                    yield row
+
+    return cols, width, rows()
+
+
 def _relation_rows(p, degree_bound, grading):
-    """(cols, width, rows): the monomial columns of `_multiples`, and integer
-    relation rows {column: int} over them with the width of
-    `_integer_forms`; no Poly3 is built per multiple."""
-    cores, pairs, cols = _multiples(p, degree_bound, grading)
-    width, forms = _integer_forms(core for _family, core in cores)
-    col_index = {key: width * idx for idx, key in enumerate(cols)}
-    rows = []
-    for (k, l, n), j in pairs:
-        for form in forms[j]:
-            row = {}
-            for (a, b, c), off, v in form:
-                idx = col_index.get((a + k, b + l, c + n))
-                if idx is None:
-                    raise ValueError(f"relation monomial {(a + k, b + l, c + n)} outside the column set")
-                row[idx + off] = v
-            rows.append(row)
-    return cols, width, rows
-
-
-def _eliminate_singletons(rows):
-    """Columns hit by a one-term relation are directly in the span; peel them
-    off and shrink the remaining rows. Returns (killed column set, rows)."""
-    killed = set()
-    changed = True
-    while changed:
-        changed = False
-        remaining = []
-        for row in rows:
-            live = {c: v for c, v in row.items() if c not in killed}
-            if not live:
-                continue
-            if len(live) == 1:
-                killed.add(next(iter(live)))
-                changed = True
-            else:
-                remaining.append(live)
-        rows = remaining
-    return killed, rows
+    """`_row_source` with the rows as a list."""
+    cols, width, rows = _row_source(p, degree_bound, grading)
+    return cols, width, list(rows)
 
 
 def _rank_of_rows(rows):
-    """Exact rank of sparse integer rows: the singleton columns, plus the
-    rank bareiss_rank finds for what is left of the other rows."""
-    killed, rows = _eliminate_singletons(rows)
-    return len(killed) + bareiss_rank(rows)
+    """Exact rank of sparse integer rows {column: nonzero int}, from any
+    iterable of them, read once.
+
+    A column hit by a one-term row is in the span as a unit vector, and so is
+    the last live column of a row whose other columns are all in the span.
+    Peeling those columns off first is structured Gaussian elimination
+    (LaMacchia and Odlyzko, CRYPTO '90): a one-term row only adds its column
+    to the killed set and is never stored; a row with two or more live
+    columns is stored with its count of live columns, and each live column
+    lists the rows that hold it. Killing a column lowers the count of each
+    of those rows, and a row that falls to one live column kills that
+    column in turn, off one worklist. The rank is the number of killed
+    columns plus the bareiss_rank of the rows left with two or more live
+    columns, projected off the killed ones.
+    """
+    killed, kept, live, holders = set(), [], [], collections.defaultdict(list)
+
+    def kill(col):
+        killed.add(col)
+        stack = [col]
+        while stack:
+            for i in holders.pop(stack.pop(), ()):
+                live[i] -= 1
+                if live[i] == 1:
+                    # None when that column is killed but still on the stack
+                    last = next((c for c in kept[i] if c not in killed), None)
+                    if last is not None:
+                        killed.add(last)
+                        stack.append(last)
+
+    for row in rows:
+        if len(row) == 1:
+            for col in row:
+                if col not in killed:
+                    kill(col)
+            continue
+        dead = killed.intersection(row)
+        n = len(row) - len(dead)
+        if n > 1:
+            for c in row:
+                if c not in dead:
+                    holders[c].append(len(kept))
+            kept.append(row)
+            live.append(n)
+        elif n:
+            kill(next(c for c in row if c not in dead))
+    rest = [
+        row if killed.isdisjoint(row) else {c: v for c, v in row.items() if c not in killed}
+        for row, n in zip(kept, live)
+        if n > 1
+    ]
+    return len(killed) + bareiss_rank(rest)
 
 
 def _check_grading(p, grading):
@@ -480,7 +559,7 @@ def truncated_quotient_dimension(p, degree_bound, grading=None):
     class) modulo the degree-truncated relation span."""
     grading = _check_grading(p, grading)
     _check_degree(degree_bound)
-    cols, width, rows = _relation_rows(p, degree_bound, grading)
+    cols, width, rows = _row_source(p, degree_bound, grading)
     return len(cols) - _rank_of_rows(rows) // width
 
 
@@ -499,5 +578,5 @@ def nested_truncation_dimension(p, window_degree, relation_degree, grading=None)
     cols, width, rows = _relation_rows(p, relation_degree, grading)
     inside = sum(1 for key in cols if sum(key) <= window_degree)
     cut = width * inside
-    outside_rows = [proj for row in rows if (proj := {c: v for c, v in row.items() if c >= cut})]
+    outside_rows = (proj for row in rows if (proj := {c: v for c, v in row.items() if c >= cut}))
     return inside - (_rank_of_rows(rows) - _rank_of_rows(outside_rows)) // width

@@ -159,6 +159,8 @@ def test_usage_error_names_flag(capsys):
     code, _out, err = run(capsys, "chebyshev", "--family", "T", "--n", "-1")
     assert code == 1
     assert "--n" in err
+    # reported by the subcommand's own parser, as the argparse errors are
+    assert err.startswith("usage: skeinmod chebyshev")
 
 
 def test_missing_required_flag(capsys):
