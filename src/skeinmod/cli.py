@@ -83,15 +83,14 @@ def _parsed_by(parse):
 
 
 def _slopes_text(text):
+    """(text, SlopeData): the slopes parsed once, the text kept for the cache key."""
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("expected a1,b1,a2,b2")
     try:
-        a1, b1, a2, b2 = (int(p) for p in parts)
-        SlopeData(a1, b1, a2, b2)
+        return text, SlopeData(*(int(p) for p in parts))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return text
 
 
 def _fiber_text(text):
@@ -393,15 +392,14 @@ def _cmd_jprime_check(args):
 
 
 def _cmd_f12_reduce(args):
+    text, slopes = args.slopes
     inputs = {
-        "slopes": args.slopes,
+        "slopes": text,
         "element": args.element,
         "max_steps": args.max_steps,
     }
 
     def compute():
-        a1, b1, a2, b2 = (int(p) for p in args.slopes.split(","))
-        slopes = SlopeData(a1, b1, a2, b2)
         element = parse_module_element(args.element)
         log = []
         try:

@@ -594,3 +594,14 @@ def root_of_unity_with_trace(x):
             if all(t == a + b for t, a, b in zip(target, row_k, row_nk)):
                 return m, k
     return None
+
+
+def trace_roots(x):
+    """(zeta, zeta^-1) for the root of unity zeta = zeta_m^k of the first
+    (m, k) that root_of_unity_with_trace finds for x, both at order m; None
+    when the scan finds none."""
+    hit = root_of_unity_with_trace(x)
+    if hit is None:
+        return None
+    m, k = hit
+    return root_of_unity(m, k), root_of_unity(m, (m - k) % m)

@@ -33,6 +33,7 @@ from .cyclotomic import (
     rational_sqrt_cyclotomic,
     root_of_unity,
     root_of_unity_with_trace,
+    trace_roots,
 )
 from .linalg import FieldEchelon
 
@@ -279,29 +280,25 @@ def is_irreducible(a, b):
 
 
 def trace_triple_realize(x, y, s):
-    """Matrices q1, q2 with tr q1 = x, tr q2 = y, tr(q1 q2) = eta1*eta2 +
-    (eta1*eta2)^-1 + s, where x and y are recognized as eta + eta^-1 for
-    roots of unity eta."""
-    hit1 = root_of_unity_with_trace(x)
-    hit2 = root_of_unity_with_trace(y)
-    if hit1 is None or hit2 is None:
+    """Matrices q1 = [[eta1, 1], [0, eta1^-1]] and q2 = [[eta2, 0], [s,
+    eta2^-1]], so tr q1 = x, tr q2 = y and tr(q1 q2) = eta1*eta2 +
+    (eta1*eta2)^-1 + s, where trace_roots recognizes x and y as
+    eta + eta^-1 for roots of unity eta."""
+    roots1 = trace_roots(x)
+    roots2 = trace_roots(y)
+    if roots1 is None or roots2 is None:
         raise ValueError("traces must be sums of a root of unity and its inverse")
-    m1, k1 = hit1
-    m2, k2 = hit2
-    eta1 = root_of_unity(m1, k1)
-    eta2 = root_of_unity(m2, k2)
-    q1 = Mat2(eta1, 1, 0, root_of_unity(m1, (m1 - k1) % m1))
-    q2 = Mat2(eta2, 0, s, root_of_unity(m2, (m2 - k2) % m2))
-    return q1, q2
+    eta1, eta1inv = roots1
+    eta2, eta2inv = roots2
+    return Mat2(eta1, 1, 0, eta1inv), Mat2(eta2, 0, s, eta2inv)
 
 
 def _eigenvalues_det1(tr):
     """Both eigenvalues of an SL2 matrix with the given trace, in the field;
     ValueError when not recognized, or when sqrt(t^2 - 4) is above MAX_ORDER."""
-    hit = root_of_unity_with_trace(tr)
-    if hit is not None:
-        m, k = hit
-        return root_of_unity(m, k), root_of_unity(m, (m - k) % m)
+    roots = trace_roots(tr)
+    if roots is not None:
+        return roots
     if tr.is_rational:
         t = tr.as_fraction()
         disc = rational_sqrt_cyclotomic(t * t - 4)

@@ -16,17 +16,9 @@ import itertools
 from collections import namedtuple
 from math import gcd, lcm
 
-from .cyclotomic import MAX_ORDER, CycNum, root_of_unity, root_of_unity_with_trace
+from .cyclotomic import MAX_ORDER, CycNum, root_of_unity, trace_roots
 from .linalg import smith_normal_form
-from .mat2 import (
-    Mat2,
-    algebra_closure,
-    eigenvector,
-    is_irreducible,
-    sl2_sqrt,
-    standardize_pair,
-    trace_triple_realize,
-)
+from .mat2 import Mat2, algebra_closure, eigenvector, is_irreducible, sl2_sqrt, trace_triple_realize
 
 # Input limits, checked before anything is built. The Smith normal forms of
 # homology and of certify's torus-curve test stay fast up to 64 fibers;
@@ -282,10 +274,10 @@ class Representation:
         ident = Mat2.identity()
         return all(ev(rel) == ident for rel in relators)
 
-    def conjugated(self, p):
-        """p^-1 * m * p for every image m, with p inverted once; a central
-        image commutes with p and is kept as it is."""
-        pinv = p.inverse()
+    def conjugated(self, p, pinv):
+        """pinv * m * p for every image m, where pinv is the inverse of p
+        that the caller already holds; a central image commutes with p and
+        is kept as it is."""
         return Representation(
             {sym: m if sym in self.signs else pinv * m * p for sym, m in self.images.items()}
         )
@@ -429,22 +421,19 @@ class _Skip(Exception):
 
 
 def _recognized_eigenvalue(trace):
-    """(mu, mu^-1) for a root of unity mu != +-1 with mu + mu^-1 = trace,
-    both read off the same scan hit."""
-    hit = root_of_unity_with_trace(trace)
-    if hit is None:
+    """(mu, mu^-1) for a root of unity mu != +-1 with mu + mu^-1 = trace."""
+    roots = trace_roots(trace)
+    if roots is None or roots[0] == 1 or roots[0] == -1:
         raise _Skip
-    m, k = hit
-    mu = root_of_unity(m, k)
-    if mu == 1 or mu == -1:
-        raise _Skip
-    return mu, root_of_unity(m, (m - k) % m)
+    return roots
 
 
 def _extend_chain(p_prev, mu, muinv, letter_trace, target_trace):
-    """Next chain letter: trace letter_trace, and product trace with the
-    running partial product equal to target_trace. mu and muinv must be the
-    eigenvalues of the partial product, with mu != muinv."""
+    """(letter, e, e^-1): the next chain letter, with trace letter_trace and
+    product trace with the running partial product equal to target_trace,
+    and the eigenframe e of the partial product (columns: eigenvectors for
+    mu and muinv, so e^-1 p_prev e is diagonal) with its inverse. mu and
+    muinv must be the eigenvalues of the partial product, with mu != muinv."""
     inv = (mu - muinv).inverse()
     a = (target_trace - muinv * letter_trace) * inv
     d = (mu * letter_trace - target_trace) * inv
@@ -452,7 +441,8 @@ def _extend_chain(p_prev, mu, muinv, letter_trace, target_trace):
     v1 = eigenvector(p_prev, mu)
     v2 = eigenvector(p_prev, muinv)
     e = Mat2.from_columns(v1, v2)
-    return e * local * e.inverse()
+    e_inv = e.inverse()
+    return e * local * e_inv, e, e_inv
 
 
 def _chain_layout(data, case):
@@ -556,7 +546,10 @@ def _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign):
         else:
             target = _root_trace(field_order, assign[f"tau_{j}"])
         mu, muinv = _recognized_eigenvalue(partial.trace())
-        nxt = _extend_chain(partial, mu, muinv, letter_trace, target)
+        nxt, e, e_inv = _extend_chain(partial, mu, muinv, letter_trace, target)
+        if j == 3:
+            # partial is p1 p2, the torus image: e diagonalizes it
+            torus_frame = (partial, e, e_inv)
         letters.append(nxt)
         partial = partial * nxt
 
@@ -585,16 +578,13 @@ def _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign):
     if case == "rp2_small":
         return rep, {}
     delta = ((chain[0], 1), (chain[1], 1))
-    torus_image = rep.word_image(delta)
-    if torus_image.is_central_sl2():
-        raise _Skip
     side1 = list(chain[:2])
     side2 = list(chain[2:]) + (["a1"] if case == "rp2_base" else [])
     pair = _irreducible_pair(rep, side1 + side2)
     if pair is None:
         raise _Skip
     return rep, {
-        "delta": delta, "torus_image": torus_image, "side1": side1, "side2": side2,
+        "delta": delta, "torus_frame": torus_frame, "side1": side1, "side2": side2,
         "irreducible_pair": pair,
     }
 
@@ -726,8 +716,8 @@ def reverify_certificate(cert, data):
 def _separating_certificate(data, case):
     for rep0, meta in _chain_candidates(data, case):
         delta_word = meta["delta"]
-        torus_img = meta["torus_image"]
-        rep = rep0.conjugated(standardize_pair(torus_img))
+        torus_img, e, e_inv = meta["torus_frame"]
+        rep = rep0.conjugated(e, e_inv)
         alg1 = algebra_closure([rep.image(s) for s in meta["side1"]])
         alg2 = algebra_closure([rep.image(s) for s in meta["side2"]])
         if alg1.dim < 3 or alg2.dim < 3:
@@ -736,9 +726,9 @@ def _separating_certificate(data, case):
         if hit is None:
             continue
         x1, x2, gamma, fwd, swp = hit
-        # _attempt_chain rejects a central torus image, so its conjugate is a
-        # non-scalar diagonal matrix (tr^2 != 4) or a non-scalar upper
-        # triangular one with equal diagonal: with I it spans D or J
+        # the torus image is noncentral: at the chain's first extension
+        # step _attempt_chain skips every p1 p2 of trace +-2, the trace of
+        # every central SL2 matrix
         tr = torus_img.trace()
         cert = TorsionCertificate(
             kind="separating_torus",

@@ -65,6 +65,20 @@ def test_f12_reduce_text_and_log(capsys):
     assert "step: rewrote" in err
 
 
+def test_f12_reduce_parses_the_slopes_once(capsys, monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return SlopeData(*args)
+
+    monkeypatch.setattr(cli, "SlopeData", counting)
+    code, out, _ = run(capsys, "f12-reduce", "--slopes", "1,-2,1,1", "--element", "(0,0,0,3)*e")
+    assert code == 0
+    assert out == "- (0,0,0,1)*e + 2*(0,1,0,2)*e\n"
+    assert built == [(1, -2, 1, 1)]
+
+
 def test_f12_reduce_fractional_output_reparses(capsys):
     args = ("f12-reduce", "--slopes", "1,-2,1,1")
     code, out, _ = run(capsys, *args, "--element", "(1)/(1 + A)*(0,0,0,3)*e")

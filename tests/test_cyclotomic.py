@@ -28,6 +28,7 @@ from skeinmod.cyclotomic import (
     root_of_unity,
     root_of_unity_with_trace,
     totient,
+    trace_roots,
 )
 from skeinmod.laurent import LaurentPoly
 
@@ -206,6 +207,20 @@ def test_trace_recognition(n, k):
 def test_trace_recognition_rejects_non_traces():
     assert root_of_unity_with_trace(CycNum.rational(3)) is None
     assert root_of_unity_with_trace(CycNum.rational(Fraction(1, 2))) is None
+
+
+def test_trace_roots_are_the_scan_hit_and_its_inverse():
+    for n in range(1, 61):
+        for k in range(n):
+            x = root_of_unity(n, k) + root_of_unity(n, -k)
+            zeta, zeta_inv = trace_roots(x)
+            assert zeta + zeta_inv == x
+            assert zeta * zeta_inv == 1
+            m, j = root_of_unity_with_trace(x)
+            want = (root_of_unity(m, j), root_of_unity(m, -j))
+            assert [z.as_dict() for z in (zeta, zeta_inv)] == [z.as_dict() for z in want]
+    assert trace_roots(CycNum.rational(3)) is None
+    assert trace_roots(3) is None
 
 
 def test_trace_scan_stops_at_the_order_cap():

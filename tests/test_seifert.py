@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from skeinmod import seifert
+from skeinmod import mat2, seifert
 from skeinmod.cyclotomic import CycNum
 from skeinmod.linalg import bareiss_rank, smith_normal_form
 from skeinmod.mat2 import Mat2, algebra_closure, standardize_pair
@@ -543,11 +543,84 @@ PINNED_SPACES = [
 PINNED_CERTIFICATES_SHA256 = "45876716e055582e53c17b362b2a73fadd3c1903dcdee9ba6de80bee1453879f"
 
 
-def test_certificates_are_pinned():
+def _certificates_sha256(spaces):
     h = hashlib.sha256()
-    for data in PINNED_SPACES:
+    for data in spaces:
         h.update(json.dumps(certify(data).as_dict(), sort_keys=True).encode())
-    assert h.hexdigest() == PINNED_CERTIFICATES_SHA256
+    return h.hexdigest()
+
+
+def test_certificates_are_pinned():
+    assert _certificates_sha256(PINNED_SPACES) == PINNED_CERTIFICATES_SHA256
+
+
+# certify(...).as_dict() over spaces of scripts/seifert_census.py's
+# censuses, hashed before certify took its torus frame from the chain:
+# sphere bases with 4 and 5 fibers and with 1-2 boundary tori, RP^2 bases
+# with and without boundary, fields of order 420, 468, 660, 780 and 840
+CENSUS_PINNED_SPACES = [
+    SeifertData(0, 0, [(1, 2), (1, 3), (1, 4), (1, 5)]),
+    SeifertData(0, 0, [(1, 3), (1, 3), (1, 4), (1, 5)]),
+    SeifertData(0, 0, [(1, 2), (1, 3), (1, 5), (1, 11)]),
+    SeifertData(0, 0, [(1, 3), (1, 4), (1, 5), (1, 7)]),
+    SeifertData(0, 0, [(1, 2), (1, 3), (1, 5), (1, 13)]),
+    SeifertData(0, 0, [(1, 2), (1, 4), (1, 5), (1, 7)]),
+    SeifertData(0, 0, [(1, 2), (2, 3), (3, 4), (2, 5)]),
+    SeifertData(0, 0, [(1, 2), (5, 6), (1, 7), (3, 7)]),
+    SeifertData(0, 0, [(1, 2), (1, 2), (1, 3), (1, 3), (1, 5)]),
+    SeifertData(0, 0, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 5)]),
+    SeifertData(0, 0, [(1, 2), (1, 2), (1, 2), (1, 2), (1, 2)]),
+    SeifertData(0, 0, [(1, 3), (1, 3), (1, 4), (1, 4), (1, 5)]),
+    SeifertData(0, 1, [(1, 2), (2, 3), (1, 4)]),
+    SeifertData(0, 1, [(3, 5), (5, 6), (1, 7)]),
+    SeifertData(0, 2, [(1, 2), (3, 5)]),
+    SeifertData(0, 2, [(1, 6), (2, 7)]),
+    SeifertData(0, 2, [(4, 5), (4, 5)]),
+    SeifertData(-1, 0, [(1, 2), (1, 3), (1, 5)]),
+    SeifertData(-1, 0, [(1, 4), (1, 5), (1, 7)]),
+    SeifertData(-1, 0, [(1, 3), (1, 5), (1, 11)]),
+    SeifertData(-1, 0, [(1, 2), (1, 9), (1, 13)]),
+    SeifertData(-1, 1, [(1, 2), (2, 5)]),
+    SeifertData(-1, 1, [(2, 5), (3, 7)]),
+    SeifertData(-1, 1, [(1, 6), (5, 7)]),
+]
+CENSUS_CERTIFICATES_SHA256 = "ab0d84d3ffdba4c20339f9389369394619d2e5b206175d991ecbd850202d04e6"
+
+
+def test_census_certificates_are_pinned():
+    assert _certificates_sha256(CENSUS_PINNED_SPACES) == CENSUS_CERTIFICATES_SHA256
+
+
+def test_certify_takes_its_torus_frame_from_the_chain(monkeypatch):
+    # the frame comes from the chain's first extension step, so certify
+    # never rebuilds it; the certificates stay the pinned bytes
+    def refuse(t):
+        raise AssertionError("certify rebuilt the torus frame")
+
+    for module in (mat2, seifert):
+        monkeypatch.setattr(module, "standardize_pair", refuse, raising=False)
+    assert _certificates_sha256(PINNED_SPACES) == PINNED_CERTIFICATES_SHA256
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        SeifertData(0, 0, [(1, 2), (1, 3), (1, 5), (1, 7)]),
+        SeifertData(0, 2, [(1, 6), (2, 7)]),
+        SeifertData(-1, 1, [(2, 5), (3, 7)]),
+    ],
+    ids=repr,
+)
+def test_chain_frame_is_the_standardizing_frame(data):
+    # oracle: the reference path, standardize_pair on the torus image,
+    # gives the chain's frame entry by entry
+    rep, meta = next(seifert._chain_candidates(data, classify(data)))
+    torus, e, e_inv = meta["torus_frame"]
+    assert rep.word_image(meta["delta"]) == torus
+    assert standardize_pair(torus) == e
+    assert e * e_inv == Mat2.identity()
+    diag = e_inv * torus * e
+    assert diag.b.is_zero and diag.c.is_zero and not (diag.a == diag.d)
 
 
 def test_noneffective_closed_certificate():
