@@ -11,8 +11,8 @@ There are two eliminations, one per kind of entry:
 - over a field, `FieldEchelon`: the reduced row echelon form, pivoting on
   each row's lowest column and scaling it by one inverse. The reduced form
   of a span is unique, so its rows and its kernel basis do not depend on
-  the order of the rows. It serves `field_rank`, `field_nullspace` and the
-  2x2 algebra closures of `mat2`.
+  the order of the rows. It serves `field_rank`, `field_nullspace` and
+  `mat2.algebra_closure`, for the bases of OTHER subalgebras only.
 
 One loop for both would have to branch on its entry type at every step.
 Field entries are CycNum or Fraction, or ints mixed in with them;

@@ -9,15 +9,12 @@ start from the base, not from the identity (`chebyshev.positive_power`).
 
 Subalgebras of M2 are classified against the named ones: diagonal (D), upper
 and lower triangular (U, L), the Jordan line spanned by I and E12 (J), all
-of M2, or OTHER. Classification happens in standard position; callers
-conjugate first (standardize_pair). The unital algebra that 2x2 matrices
-generate is the span of I, the generators and, when exactly two of them
-are independent modulo I, their one product: by Cayley-Hamilton
-a^2 = tr(a) a - det(a) I, and its polarization
-ab + ba = tr(a) b + tr(b) a + (tr(ab) - tr(a) tr(b)) I, so that span is
-closed under products. The span is a `linalg.FieldEchelon`. An
-eigenvector is the kernel vector that the reduced echelon form of
-t - lam gives, in closed form.
+of M2, or OTHER. `algebra_dim` gives the dimension of the unital algebra
+that 2x2 matrices generate from one commutator and the trace form, with no
+field inverse and no matrix product; below M2, I and the generators span
+that algebra, so only an OTHER basis needs a `linalg.FieldEchelon`. An
+eigenvector is the kernel vector of the reduced echelon form of t - lam,
+in closed form.
 """
 
 from __future__ import annotations
@@ -171,46 +168,68 @@ _CANONICAL_BASIS = {
 }
 
 
-def algebra_closure(gens):
-    """Unital algebra generated by the matrices, as a SubalgebraClass.
+def commutator(a, b):
+    """ab - ba: traceless, so three dot2 calls and no Mat2 product."""
+    x = dot2(a.b, b.c, -b.b, a.c)
+    y = dot2(b.b, a.a - a.d, -a.b, b.a - b.d)
+    z = dot2(a.c, b.a - b.d, -b.c, a.a - a.d)
+    return Mat2(x, y, z, -x)
 
-    The algebra is the span of I, the generators and, when exactly two
-    generators are independent modulo I, their product (see the module
-    docstring). Named tags use a canonical basis; OTHER keeps the echelon
-    rows of I and the generators.
+
+def algebra_dim(gens):
+    """Dimension of the unital algebra A the 2x2 matrices generate, with no
+    field inverse and no Mat2 product.
+
+    All generators scalar: A = F I. Else let a be the first nonscalar one.
+    If all commute with a, they lie in its centralizer span(I, a), closed
+    by Cayley-Hamilton: dim 2. Else c = ab - ba != 0 for the first such b,
+    and A, not commutative, has dim >= 3. tr c = 0, so tr c^2 = -2 det c.
+    If det c != 0, a and b share no eigenvector (D. Shemesh, Lin. Alg.
+    Appl. 62, 1984): A = M2. Else c is a nonzero nilpotent, E12 in some
+    basis, where c^perp = {g : tr(c g) = 0} is the upper triangular algebra.
+    A 3-dimensional A fixes a line over the algebraic closure (Burnside),
+    so it is that line's stabilizer, whose commutators c spans: A = c^perp.
+    So dim A = 4 iff tr(c g) != 0 for some generator g; those up to b give
+    0 by the cyclicity of the trace and span(I, a).
     """
+    rest = iter(gens)  # one pass: a, then b, then the trace tests
+    a = next((g for g in rest if not g.is_scalar()), None)
+    if a is None:
+        return 1
+    c = next((c for c in (commutator(a, g) for g in rest) if not c.is_scalar()), None)
+    if c is None:  # a traceless scalar is zero
+        return 2
+    if not c.det().is_zero:
+        return 4
+    traces = (dot2(c.a, g.a - g.d, c.b, g.c) + c.c * g.b for g in rest)  # tr(c g)
+    return 4 if any(not t.is_zero for t in traces) else 3
+
+
+def algebra_closure(gens):
+    """Unital algebra generated by the matrices, as a SubalgebraClass: the
+    dim is algebra_dim's, the tag is read off the generators, named tags take
+    a canonical basis, and OTHER the echelon rows of I and the generators."""
     if not gens:
         raise ValueError("need at least one generator")
-    ech = FieldEchelon(4)
-    ech.insert(Mat2.identity().entries)
-    fresh = [g for g in gens if ech.insert(g.entries)]
-    if len(fresh) == 2:
-        ech.insert((fresh[0] * fresh[1]).entries)
-    basis = [Mat2(*row) for row in ech.rows()]
-    tag = _classify(basis)
+    dim = algebra_dim(gens)
+    tag = _classify(dim, gens)
     if tag in _CANONICAL_BASIS:
-        basis = [Mat2(*v) for v in _CANONICAL_BASIS[tag]]
-    return SubalgebraClass(tag, basis, ech.rank)
+        return SubalgebraClass(tag, [Mat2(*v) for v in _CANONICAL_BASIS[tag]], dim)
+    ech = FieldEchelon.of([Mat2.identity().entries] + [g.entries for g in gens])
+    return SubalgebraClass(tag, [Mat2(*row) for row in ech.rows()], dim)
 
 
-def _classify(basis):
-    dim = len(basis)
+def _classify(dim, mats):
+    """Tag of the dim-dimensional unital algebra I and the matrices generate;
+    each test is linear and closed under products, so they decide it."""
     if dim == 4:
         return "M2"
-    upper = all(m.c.is_zero for m in basis)
-    lower = all(m.b.is_zero for m in basis)
-    if dim == 3:
-        if upper:
-            return "U"
-        if lower:
-            return "L"
-        return "OTHER"
-    if dim == 2:
-        if upper and lower:
-            return "D"
-        if upper and all(m.a == m.d for m in basis):
-            return "J"
-        return "OTHER"
+    upper = all(m.c.is_zero for m in mats)
+    lower = all(m.b.is_zero for m in mats)
+    if dim == 3 and (upper or lower):
+        return "U" if upper else "L"
+    if dim == 2 and upper and (lower or all(m.a == m.d for m in mats)):
+        return "D" if lower else "J"
     return "OTHER"
 
 
@@ -276,7 +295,7 @@ def is_irreducible(a, b):
     closure, i.e. generates all of M2: det(ab - ba) != 0. For invertible a
     and b this is (2 - tr(a b a^-1 b^-1)) det(a) det(b), the commutator
     trace test."""
-    return not (a * b - b * a).det().is_zero
+    return not commutator(a, b).det().is_zero
 
 
 def trace_triple_realize(x, y, s):

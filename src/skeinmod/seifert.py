@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 from .cyclotomic import MAX_ORDER, CycNum, root_of_unity, trace_roots
 from .linalg import smith_normal_form
-from .mat2 import Mat2, algebra_closure, eigenvector, is_irreducible, sl2_sqrt, trace_triple_realize
+from .mat2 import Mat2, algebra_dim, eigenvector, is_irreducible, sl2_sqrt, trace_triple_realize
 
 # Input limits, checked before anything is built. The Smith normal forms of
 # homology and of certify's torus-curve test stay fast up to 64 fibers;
@@ -716,20 +716,15 @@ def reverify_certificate(cert, data):
 def _separating_certificate(data, case):
     for rep0, meta in _chain_candidates(data, case):
         delta_word = meta["delta"]
-        torus_img, e, e_inv = meta["torus_frame"]
+        _torus, e, e_inv = meta["torus_frame"]
         rep = rep0.conjugated(e, e_inv)
-        alg1 = algebra_closure([rep.image(s) for s in meta["side1"]])
-        alg2 = algebra_closure([rep.image(s) for s in meta["side2"]])
-        if alg1.dim < 3 or alg2.dim < 3:
+        dims = [algebra_dim([rep.image(s) for s in meta[side]]) for side in ("side1", "side2")]
+        if min(dims) < 3:
             continue
         hit = _word_witness(rep, meta["side1"], meta["side2"], delta_word)
         if hit is None:
             continue
         x1, x2, gamma, fwd, swp = hit
-        # the torus image is noncentral: at the chain's first extension
-        # step _attempt_chain skips every p1 p2 of trace +-2, the trace of
-        # every central SL2 matrix
-        tr = torus_img.trace()
         cert = TorsionCertificate(
             kind="separating_torus",
             representation=rep,
@@ -738,8 +733,10 @@ def _separating_certificate(data, case):
             side_conditions={
                 "classification": case,
                 "irreducible_pair": meta["irreducible_pair"],
-                "side_algebra_dims": [alg1.dim, alg2.dim],
-                "torus_algebra": "J" if tr * tr == 4 else "D",
+                "side_algebra_dims": dims,
+                # at j = 3 _recognized_eigenvalue skips every p1 p2 of trace
+                # +-2, so the torus image has distinct eigenvalues
+                "torus_algebra": "D",
                 "torus_image_noncentral": True,
             },
         )

@@ -6,7 +6,9 @@ writes envelopes as json.dumps(..., sort_keys=True, indent=2), so
 re-serializing a stored envelope the same way gives the expected stdout
 byte for byte. The corpus covers seifert-certify on the five criterion-7
 spaces, algebra-closure on rational and order-8 generators (OTHER at
-dimensions 1, 2 and 3, whose bases are the field echelon's rows), f12-reduce on
+dimensions 1, 2 and 3, whose bases are the field echelon's rows; every named
+tag, with L and D from rational generators, J also from the nilpotent
+[[0,1],[0,0]], and M2 also from a triple of which no pair is irreducible), f12-reduce on
 multi-step elements for each benchmark slope and on Q(A) coefficients in the
 canonical LaurentFraction form (a fraction that cancels to a polynomial, a
 denominator with a negative leading coefficient, a common factor and an

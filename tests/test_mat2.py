@@ -18,6 +18,8 @@ from skeinmod.mat2 import (
     _classify,
     Mat2,
     algebra_closure,
+    algebra_dim,
+    commutator,
     eigenvector,
     is_irreducible,
     separating_witness,
@@ -230,7 +232,7 @@ def _fixpoint_closure(gens):
                 break
         fresh = new_fresh
     basis = [Mat2(*row) for row in ech.rows()]
-    tag = _classify(basis)
+    tag = _classify(len(basis), basis)
     if tag in _CANONICAL_BASIS:
         basis = [Mat2(*v) for v in _CANONICAL_BASIS[tag]]
     return tag, basis, ech.rank
@@ -284,6 +286,7 @@ def test_closure_equals_the_fixpoint_reference(order):
         tag, basis, dim = _fixpoint_closure(gens)
         got = algebra_closure(gens)
         assert (got.tag, got.dim) == (tag, dim)
+        assert algebra_dim(gens) == dim
         assert [[e.as_dict() for e in m.entries] for m in got.basis] == [
             [e.as_dict() for e in m.entries] for m in basis
         ]
@@ -309,6 +312,71 @@ def test_closure_makes_at_most_one_product(monkeypatch):
         counted.clear()
         algebra_closure(gens)
         assert len(counted) <= 1
+
+
+def _order12(*coords):
+    return CycNum(12, [Fraction(c) for c in coords])
+
+
+@pytest.mark.parametrize(
+    "gens, dim",
+    [
+        # no pair of the triple is irreducible, yet it generates M2
+        ([Mat2.diagonal(1, 2), Mat2(1, 1, 0, 2), Mat2(2, 0, 1, 1)], 4),
+        ([Mat2(0, 0, 0, 0)], 1),
+        ([E12], 2),
+        ([E11, E12], 3),
+        ([E12, E21], 4),
+        ([Mat2.diagonal(1, 2), E12, E12, Mat2.diagonal(1, 2)], 3),
+        ([Mat2(1, 1, 0, 1), Mat2(1, 1, 0, 1)], 2),
+        ([Mat2.identity() * 3, Mat2(0, 1, 1, 0), Mat2(0, 1, 1, 0)], 2),
+        ([Mat2(_order12(1, 0, 1, 0), _order12(0, 1, 0, 0), 0, _order12(0, 0, 0, 1)),
+          Mat2(_order12(0, 2, 0, 0), 1, 0, 3)], 3),
+        ([Mat2(_order12(1, 0, 1, 0), _order12(0, 1, 0, 0), 0, _order12(0, 0, 0, 1)),
+          Mat2(_order12(0, 2, 0, 0), 1, 0, 3), Mat2(1, 0, _order12(0, 0, 1, 0), 1)], 4),
+    ],
+)
+def test_algebra_dim_cases(gens, dim):
+    assert algebra_dim(gens) == dim
+    assert algebra_closure(gens).dim == dim
+    assert _fixpoint_closure(gens)[2] == dim
+
+
+def test_no_pair_of_the_m2_triple_is_irreducible():
+    triple = [Mat2.diagonal(1, 2), Mat2(1, 1, 0, 2), Mat2(2, 0, 1, 1)]
+    assert not any(is_irreducible(a, b) for a in triple for b in triple)
+
+
+@given(rational_mat2(bound=3), rational_mat2(bound=3))
+@settings(max_examples=60, deadline=None)
+def test_commutator_is_ab_minus_ba(a, b):
+    assert commutator(a, b) == a * b - b * a
+
+
+def test_algebra_dim_makes_no_inverse_and_no_product(monkeypatch):
+    counted = []
+    mul, inverse = Mat2.__mul__, CycNum.inverse
+
+    def counting_mul(self, other):
+        if isinstance(other, Mat2):
+            counted.append("mul")
+        return mul(self, other)
+
+    def counting_inverse(self):
+        counted.append("inverse")
+        return inverse(self)
+
+    cases = [[E12, E21], [E11, E12], [Mat2(0, 1, 1, 0)], [Mat2.identity()],
+             [Mat2.diagonal(1, 2), Mat2(1, 1, 0, 2), Mat2(2, 0, 1, 1)]]
+    cases += [_seeded_generators(seed, 12) for seed in range(10)]
+    monkeypatch.setattr(Mat2, "__mul__", counting_mul)
+    monkeypatch.setattr(CycNum, "inverse", counting_inverse)
+    for gens in cases:
+        algebra_dim(gens)
+    assert counted == []
+    for gens in cases:
+        algebra_closure(gens)
+    assert "mul" not in counted
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from skeinmod import mat2, seifert
+from skeinmod import linalg, mat2, seifert
 from skeinmod.cyclotomic import CycNum
 from skeinmod.linalg import bareiss_rank, smith_normal_form
 from skeinmod.mat2 import Mat2, algebra_closure, standardize_pair
@@ -460,9 +460,9 @@ def test_separating_certificates(data):
     ],
 )
 def test_torus_algebra_tag_is_read_from_the_trace(torus, tag):
-    # the certificate tags the torus algebra "J" when tr^2 == 4 and "D"
-    # otherwise; for a non-central image that is the tag algebra_closure
-    # gives the image conjugated by standardize_pair
+    # a non-central image conjugated by standardize_pair closes to "J" when
+    # tr^2 == 4 and to "D" otherwise; certify writes "D", because its torus
+    # images never have trace +-2
     tr = torus.trace()
     assert ("J" if tr * tr == 4 else "D") == tag
     p = standardize_pair(torus)
@@ -600,6 +600,19 @@ def test_certify_takes_its_torus_frame_from_the_chain(monkeypatch):
     for module in (mat2, seifert):
         monkeypatch.setattr(module, "standardize_pair", refuse, raising=False)
     assert _certificates_sha256(PINNED_SPACES) == PINNED_CERTIFICATES_SHA256
+
+
+def test_certify_reads_side_algebra_dims_without_closures(monkeypatch):
+    # algebra_dim decides both sides from one commutator each, so certify
+    # builds no closure and no field echelon; the certificates stay the
+    # pinned bytes
+    def refuse(*args):
+        raise AssertionError("certify built an algebra closure")
+
+    monkeypatch.setattr(linalg.FieldEchelon, "insert", refuse)
+    monkeypatch.setattr(mat2, "algebra_closure", refuse)
+    assert _certificates_sha256(PINNED_SPACES) == PINNED_CERTIFICATES_SHA256
+    assert _certificates_sha256(CENSUS_PINNED_SPACES) == CENSUS_CERTIFICATES_SHA256
 
 
 @pytest.mark.parametrize(
