@@ -14,16 +14,16 @@ that Euclid would reach); any other inverse runs extended Euclid on
 primitive integer remainders. Both the remainders and Phi_N itself (x^N - 1
 divided by the product of the Phi_d of the proper divisors d) come from
 laurent.pseudo_divmod, the one integer polynomial division of the package.
-Mixed-order arithmetic lifts both operands to the lcm order automatically,
-so callers can treat roots of unity of different orders as living in one
-big field.
+Mixed-order arithmetic lifts both operands to their lcm order. One trial
+division, _factor, serves totient and rational_sqrt_cyclotomic.
 
 A CycNum, a root of unity or a rational square root asked for at an order
 above MAX_ORDER is rejected before any table is built: the power rows of
 zeta_N hold phi(N) integers each, up to N - phi(N) rows once traces are
 scanned (a power below phi(N) is a unit vector and is built when asked
 for, not stored). Orders that arithmetic reaches by lifting are not
-capped; the trace scan of root_of_unity_with_trace skips them.
+capped. root_of_unity_with_trace scans the orders lcm(N, t) ascending, up to
+MAX_ORDER, and in each only k <= m/2: zeta^k and zeta^-k have one trace.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .text import format_power_sum
 # that the tests, the benchmark and the documented CLI runs use is order
 # 924, root_of_unity_with_trace lifts it to lcm(924, 24) = 1848, and a
 # square root of a trace lives at twice that order, 3696. The trace scan
-# skips a lifted order above this cap; other lifts are not capped.
+# stops at a lifted order above this cap; other lifts are not capped.
 MAX_ORDER = 4096
 
 
@@ -54,21 +54,26 @@ def _check_order(n):
         raise ValueError(f"cyclotomic order {n} exceeds the limit {MAX_ORDER}")
 
 
+def _factor(n):
+    """{prime: exponent} of n >= 1 by trial division, primes ascending."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def totient(n):
     if n < 1:
         raise ValueError("totient needs n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    for p in _factor(n):
+        n = n // p * (p - 1)
+    return n
 
 
 # n -> nonzero (j, c_j) with j < phi(n) of the monic Phi_n = x^phi + sum c_j x^j
@@ -409,12 +414,7 @@ class CycNum:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                raise ZeroDivisionError
-            return _canonical(
-                self.order, list(map(mul, self.num, repeat(q.denominator))), self.den * q.numerator
-            )
+            return self * (1 / Fraction(other))
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -507,41 +507,25 @@ def laurent_eval(p, n, k=1):
     return _make(n, tuple(acc), 1)
 
 
-def _squarefree_decompose(m):
-    # m = f^2 * r with r squarefree, as f and the primes of r; m >= 1
-    f, primes = 1, []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            f *= p ** (e // 2)
-            if e % 2:
-                primes.append(p)
-        p += 1
-    if m > 1:
-        primes.append(m)
-    return f, primes
-
-
 def rational_sqrt_cyclotomic(q):
-    """A CycNum whose square is the rational q.
+    """A CycNum whose square is the rational q = +-a/b.
 
-    sqrt(2) comes from zeta_8 + zeta_8^-1, odd primes from quadratic Gauss
-    sums, and a factor of i absorbs negative signs. Before anything is
-    built, raises ValueError naming the field's order when it is above
-    MAX_ORDER: the lcm of 8 (for a factor 2), the odd primes, and 4 (for
-    q < 0 or a prime that is 3 mod 4) of the squarefree part of q.
+    One factorization a*b = f^2 * r, r squarefree, gives f*sqrt(r)/b.
+    sqrt(2) is zeta_8 + zeta_8^-1, sqrt(p) for an odd prime p of r comes
+    from the Gauss sum sum_t zeta_p^(t^2), one Laurent evaluation, and a
+    factor of i absorbs signs. Before anything is built, raises ValueError
+    naming the field's order when it is above MAX_ORDER: the lcm of 8 (for
+    a factor 2), the odd primes of r, and 4 (for q < 0 or a prime of r that
+    is 3 mod 4).
     """
     q = Fraction(q)
     if q == 0:
         return CycNum.zero()
     negative = q < 0
     a, b = abs(q.numerator), q.denominator
-    # sqrt(a/b) = sqrt(a*b)/b
-    f, primes = _squarefree_decompose(a * b)
+    powers = _factor(a * b)
+    f = math.prod(p ** (e // 2) for p, e in powers.items())
+    primes = [p for p, e in powers.items() if e % 2]
     odd = [p for p in primes if p != 2]
     with_i = negative or any(p % 4 == 3 for p in odd)
     order = math.lcm(8 if 2 in primes else 1, 4 if with_i else 1, *odd)
@@ -551,9 +535,7 @@ def rational_sqrt_cyclotomic(q):
     if 2 in primes:
         result = result * (root_of_unity(8, 1) + root_of_unity(8, 7))
     for p in odd:
-        gauss = CycNum(p, [Fraction(0)] * totient(p))
-        for t in range(p):
-            gauss = gauss + root_of_unity(p, (t * t) % p)
+        gauss = laurent_eval(LaurentPoly((t * t % p, 1) for t in range(p)), p)
         if p % 4 == 3:
             # the sum equals i*sqrt(p); peel the i off
             gauss = gauss * root_of_unity(4, 3)
@@ -571,24 +553,22 @@ def root_of_unity_with_trace(x):
     """Find (m, k) with zeta_m^k + zeta_m^-k equal to x, scanning bounded orders.
 
     Returns None when no root of unity in the scanned fields has trace x.
-    The scanned fields stop at MAX_ORDER: a lifted order above it is
-    skipped, since scanning one takes seconds and can take hundreds of
-    megabytes of power rows.
+    The orders lcm(N, t) are scanned ascending and the scan stops at the
+    first above MAX_ORDER, since scanning one takes seconds and can take
+    hundreds of megabytes of power rows.
     """
     if isinstance(x, (int, Fraction)):
         x = CycNum.rational(x)
     if x.den != 1:
         # a trace of a root of unity is an algebraic integer
         return None
-    seen = set()
-    for mult in _TRACE_ORDERS:
-        m = math.lcm(x.order, mult)
-        if m in seen or m > MAX_ORDER:
-            continue
-        seen.add(m)
+    for m in sorted({math.lcm(x.order, t) for t in _TRACE_ORDERS}):
+        if m > MAX_ORDER:
+            break
         target = x.lift(m).num
         phi, rows = _zeta_rows(m, m - 1)
-        for k in range(m):
+        # zeta^k and zeta^(m-k) have one trace, and the smaller k comes first
+        for k in range(m // 2 + 1):
             row_k = _power_row(phi, rows, k)
             row_nk = _power_row(phi, rows, (m - k) % m)
             if all(t == a + b for t, a, b in zip(target, row_k, row_nk)):

@@ -313,8 +313,9 @@ def trace_triple_realize(x, y, s):
 
 
 def _eigenvalues_det1(tr):
-    """Both eigenvalues of an SL2 matrix with the given trace, in the field;
-    ValueError when not recognized, or when sqrt(t^2 - 4) is above MAX_ORDER."""
+    """Both eigenvalues of an SL2 matrix with trace t, in the field: lam and
+    t - lam (they sum to t and multiply to 1). ValueError when not
+    recognized, or when sqrt(t^2 - 4) is above MAX_ORDER."""
     roots = trace_roots(tr)
     if roots is not None:
         return roots
@@ -322,7 +323,7 @@ def _eigenvalues_det1(tr):
         t = tr.as_fraction()
         disc = rational_sqrt_cyclotomic(t * t - 4)
         lam = (CycNum.rational(t) + disc) * Fraction(1, 2)
-        return lam, lam.inverse()
+        return lam, CycNum.rational(t) - lam
     raise ValueError("eigenvalues not recognized in a scanned cyclotomic field")
 
 

@@ -470,19 +470,12 @@ def dehn_fill_quotient(e, boundary, slope, slopes):
 
 
 def _multiple_of(pair, slope):
-    # m >= 1 with pair ~ m*slope up to sign, else None; (0,0) maps to m=0
+    # m >= 1 with pair ~ m*slope up to sign, else None; (0,0) maps to m=0.
+    # The slope is canonical and primitive, so m can only be gcd(p, q) of
+    # the canonical pair (0 for (0,0)).
     p, q = canon(*pair)
-    sa, sb = slope
-    if (p, q) == (0, 0):
-        return 0
-    for sign in (1, -1):
-        a, b = sign * sa, sign * sb
-        if a != 0:
-            if p % a == 0 and (m := p // a) >= 1 and m * b == q:
-                return m
-        elif p == 0 and b != 0 and q % b == 0 and (m := q // b) >= 1:
-            return m
-    return None
+    m = gcd(p, q)
+    return m if (p, q) == (m * slope[0], m * slope[1]) else None
 
 
 def affine_class(label, slopes):

@@ -7,6 +7,7 @@ ones; the converse direction is what the exact code is for).
 """
 
 import cmath
+import hashlib
 import json
 import math
 import random
@@ -432,3 +433,87 @@ def test_order_cap_rejects_before_allocating():
 )
 def test_str_anchors(x, text):
     assert str(x) == text
+
+
+# ---------------------------------------------------------------------------
+# pins recorded before totient and rational_sqrt_cyclotomic shared one
+# factorization, the Gauss sums became one evaluation, division by a rational
+# became a product and the trace scan stopped at k <= m/2; each is the
+# sha256 of the repr lines of the outputs below
+
+
+def _sha256_of_lines(items):
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+TOTIENT_SHA256 = "c5a36a45c40f43f570f10f5b10ffb53ac449d67b8d18907991ff13c8c7c5956b"
+RATIONAL_SQRT_SHA256 = "dc94ab0211ca1175507317570b229f4e6f34919c6d10e97a1e930e67362819ed"
+TRACE_SCAN_SHA256 = "54ffa3fd41703756869aecc3580f13f01bb8fb4b37bcfb0b1e5e5d8bc173e4cc"
+RATIONAL_DIVISION_SHA256 = "87720da9bec2e76180c2a04788dd3b98c949826d92f3677fdca8a59b5240262b"
+
+
+def test_totients_are_pinned():
+    assert _sha256_of_lines(totient(n) for n in range(1, 5001)) == TOTIENT_SHA256
+
+
+def _rational_sqrt_rows():
+    for a in range(1, 31):
+        for b in range(1, 31):
+            if math.gcd(a, b) == 1:
+                for q in (Fraction(a, b), Fraction(-a, b)):
+                    try:
+                        yield q, rational_sqrt_cyclotomic(q).as_dict()
+                    except ValueError as err:
+                        # the field is above MAX_ORDER: the message names it
+                        yield q, str(err)
+
+
+def test_rational_sqrts_are_pinned():
+    assert _sha256_of_lines(_rational_sqrt_rows()) == RATIONAL_SQRT_SHA256
+
+
+def _trace_scan_inputs():
+    """Every zeta_m^k + zeta_m^-k for m <= 60 and m in 84, 120, 420, every
+    a/b with |a| <= 5 and b <= 3, and zeta_m + zeta_m^-1 + s for s = 1, 2, 3
+    over the same m (2676 inputs)."""
+    orders = [*range(1, 61), 84, 120, 420]
+    for m in orders:
+        for k in range(m):
+            yield root_of_unity(m, k) + root_of_unity(m, -k)
+    for a in range(-5, 6):
+        for b in range(1, 4):
+            yield CycNum.rational(Fraction(a, b))
+    for m in orders:
+        x = root_of_unity(m, 1) + root_of_unity(m, -1)
+        for s in (1, 2, 3):
+            yield x + s
+
+
+def test_trace_scan_hits_are_pinned():
+    hits = [root_of_unity_with_trace(x) for x in _trace_scan_inputs()]
+    assert len(hits) == 2676
+    assert _sha256_of_lines(hits) == TRACE_SCAN_SHA256
+
+
+_DIVISORS = (1, 2, Fraction(3, 7), Fraction(5, 4), -1, -2, Fraction(-3, 7), Fraction(-5, 4))
+
+
+def _rational_division_rows():
+    rng = random.Random("cyclotomic/rational-division")
+    for order in (1, 4, 12, 60):
+        for _ in range(4):
+            x = CycNum(order, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(totient(order))])
+            for q in _DIVISORS:
+                yield order, q, (x / q).as_dict()
+
+
+def test_division_by_a_rational_is_pinned():
+    assert _sha256_of_lines(_rational_division_rows()) == RATIONAL_DIVISION_SHA256
+    x = root_of_unity(12, 5) + Fraction(1, 3)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero

@@ -1,5 +1,6 @@
 """2x2 matrices over cyclotomic-rational entries and their subalgebras."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from skeinmod.linalg import FieldEchelon, field_nullspace
 from skeinmod.mat2 import (
     _CANONICAL_BASIS,
     _classify,
+    _eigenvalues_det1,
     Mat2,
     algebra_closure,
     algebra_dim,
@@ -636,3 +638,34 @@ def test_eigenvector_matches_the_elimination(case):
 def test_eigenvector_rejects_a_non_eigenvalue():
     with pytest.raises(ValueError, match="no eigenvector"):
         eigenvector(Mat2(2, 1, 0, 3), CycNum.rational(5))
+
+
+# sha256 of the repr lines (t, lam1.as_dict(), lam2.as_dict()) below,
+# recorded while the second eigenvalue was still lam1.inverse()
+EIGENVALUES_DET1_SHA256 = "fcb1a8e16faf76028bc0858b36a38e6041d3df60c0c049fb7d3551325f256fef"
+_EIGEN_TRACES = (3, Fraction(5, 2), Fraction(7, 3), Fraction(-9, 4), Fraction(11, 5), Fraction(1, 3))
+
+
+def test_rational_trace_eigenvalues_are_pinned():
+    h = hashlib.sha256()
+    for t in _EIGEN_TRACES:
+        lam1, lam2 = _eigenvalues_det1(CycNum.rational(t))
+        assert lam1 * lam2 == 1 and lam1 + lam2 == t
+        h.update(repr((t, lam1.as_dict(), lam2.as_dict())).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == EIGENVALUES_DET1_SHA256
+
+
+def test_rational_trace_eigenvalues_make_no_inverse(monkeypatch):
+    # the second eigenvalue of an SL2 matrix is t - lam1 (lam1 + lam2 = t)
+    calls = []
+    inverse = CycNum.inverse
+
+    def counted(self):
+        calls.append(self.order)
+        return inverse(self)
+
+    monkeypatch.setattr(CycNum, "inverse", counted)
+    lam1, lam2 = _eigenvalues_det1(CycNum.rational(3))
+    assert lam1.order == 5
+    assert not calls

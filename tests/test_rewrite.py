@@ -9,6 +9,7 @@ necessary condition that is oblivious to how the formulas were derived.
 
 import hashlib
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from skeinmod.laurent import LaurentFraction, LaurentPoly
 from skeinmod.rewrite import (
+    _multiple_of,
     GENS,
     Complexity,
     ModuleElement,
@@ -37,6 +39,7 @@ from skeinmod.rewrite import (
     parse_module_element,
     reduce_step,
 )
+from skeinmod.torus import canon
 
 from conftest import laurent_polys
 
@@ -571,3 +574,22 @@ def test_finitely_many_irreducible_classes(sl):
     classes16 = irreducible_classes(sl, 16)
     assert len(classes8) <= bound
     assert classes8 == classes16, "class set keeps growing with the radius"
+
+
+def _multiple_by_search(pair, slope):
+    # the m >= 1 with pair = +-m * slope, by trying every m; 0 for (0, 0)
+    p, q = pair
+    if (p, q) == (0, 0):
+        return 0
+    for m in range(1, max(abs(p), abs(q)) + 1):
+        if canon(p, q) == canon(m * slope[0], m * slope[1]):
+            return m
+    return None
+
+
+def test_multiple_of_matches_a_search():
+    slopes = {(a, b) for a in range(1, 6) for b in range(-6, 7) if math.gcd(a, b) == 1}
+    slopes |= {(0, 1), (1, 0)}
+    for slope in sorted(slopes):
+        for pair in itertools.product(range(-12, 13), repeat=2):
+            assert _multiple_of(pair, slope) == _multiple_by_search(pair, slope), (pair, slope)
