@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .cyclotomic import MAX_ORDER, CycNum, root_of_unity, trace_roots
 from .linalg import smith_normal_form
@@ -197,14 +197,28 @@ def classify(data):
     return "no_essential_torus"
 
 
+def _det1_power(m, n):
+    """m ** n for det m = 1, n != 0, from the trace t by Cayley-Hamilton with
+    chebyshev's S (S_0 = 1, S_1 = t): m^n = S_(n-1) m - S_(n-2) I for n >= 2,
+    m^n = S_|n| I - S_(|n|-1) m for n < 0. Scalar products only."""
+    if n == 1:
+        return m
+    t = m.trace()
+    lo, hi = 1, t  # S_(k-1), S_k
+    for _ in range(n - 2 if n > 0 else -n - 1):
+        lo, hi = hi, t * hi - lo
+    x, y = (hi, -lo) if n > 0 else (-lo, hi)  # m^n = x m + y I
+    return Mat2(x * m.a + y, x * m.b, x * m.c, x * m.d + y)
+
+
 class Representation:
     """Generator images in SL2 over one cyclotomic field.
 
     All entries are lifted to a common order on construction (at least 4,
     so that i is always available downstream). `signs` maps each generator
     whose image is exactly +-I (the central fiber h, as a rule) to +1 or -1;
-    the word evaluators fold those letters into one sign and negate once at
-    the end, so a central letter costs no product, inverse or power.
+    both word evaluators read a word through `reduced`, so a central letter
+    costs nothing, nor does a relator such as [h, g] that reduces to 1.
     """
 
     __slots__ = ("images", "order", "signs")
@@ -224,49 +238,39 @@ class Representation:
     def image(self, sym):
         return self.images[sym]
 
+    def reduced(self, word):
+        """(sign, letters) with image(word) = sign * image(letters): central
+        letters fold into the sign, the others are freely reduced."""
+        signs = self.signs
+        sign = prod(signs[sym] for sym, e in word if sym in signs and e % 2)
+        return sign, word_mul([(sym, e) for sym, e in word if sym not in signs and e])
+
     def _signed(self, acc, sign):
-        if acc is None:  # no letter, or only central ones: +-I at self.order
+        if acc is None:  # no letter left: +-I at self.order
             one, zero = CycNum.one().lift(self.order), CycNum.zero().lift(self.order)
             acc = Mat2(one, zero, zero, one)
         return -acc if sign < 0 else acc
 
     def word_image(self, word):
-        images, signs = self.images, self.signs
-        acc, sign = None, 1
-        for sym, e in word:
-            if sym in signs:
-                if e % 2:
-                    sign *= signs[sym]
-                continue
-            m = images[sym] ** e
+        """Left to right over the reduced letters, each power binary."""
+        sign, letters = self.reduced(word)
+        acc = None
+        for sym, e in letters:
+            m = self.images[sym] ** e
             acc = m if acc is None else acc * m
         return self._signed(acc, sign)
 
     def word_image_alt(self, word):
-        """Same value as word_image on a second evaluation order: right to
-        left, one letter at a time, starting from the last non-central
-        letter, with inverses it computes itself. Nothing is cached, so it
-        reuses no result of word_image, and its partial products are
-        suffixes built letter by letter where word_image's are prefixes
-        built from whole (binary) powers. Central letters fold into one sign
-        on both paths; that is exact, because `signs` holds only images
-        equal to +-I."""
-        images, signs = self.images, self.signs
-        acc, sign = None, 1
-        for sym, e in reversed(word):
-            if sym in signs:
-                if e % 2:
-                    sign *= signs[sym]
-                continue
-            m = images[sym]
-            if e < 0:
-                m = m.inverse()
-                e = -e
-            if acc is None:
-                acc = m
-                e -= 1
-            for _ in range(e):
-                acc = m * acc
+        """word_image's value in a second order: right to left over the
+        reduced letters, one product per letter after the first, each power
+        from its trace (`_det1_power`), no inverse. Nothing is cached, so
+        the paths share the symbolic reduction but no numeric result. Every
+        image must have det 1; reverify_certificate checks that first."""
+        sign, letters = self.reduced(word)
+        acc = None
+        for sym, e in reversed(letters):
+            m = _det1_power(self.images[sym], e)
+            acc = m if acc is None else m * acc
         return self._signed(acc, sign)
 
     def satisfies(self, relators, evaluator=None):
@@ -665,13 +669,9 @@ def _loop_words(syms):
 
 
 def _word_witness(rep, side1, side2, delta_word):
-    h = (("h", 1),)
-    gammas = [
-        delta_word,
-        word_inverse(delta_word),
-        word_mul(delta_word, h),
-        word_mul(word_inverse(delta_word), h),
-    ]
+    # no gamma h: h maps to -I, which negates both traces, so gamma h hits
+    # exactly when gamma does, and gamma is tried first
+    gammas = [delta_word, word_inverse(delta_word)]
     gamma_mats = [rep.word_image(g) for g in gammas]
     for x1 in _loop_words(side1):
         m1 = rep.word_image(x1)
@@ -686,9 +686,9 @@ def _word_witness(rep, side1, side2, delta_word):
 
 
 def reverify_certificate(cert, data):
-    """Re-check a certificate from scratch: every image has det 1, every
-    relator holds under the alternate evaluation order, and the witness
-    traces are reproduced exactly and really differ."""
+    """Re-check a certificate from scratch: every image has det 1 (first, as
+    word_image_alt assumes it), every relator holds under that alternate
+    evaluation order, and the witness traces are reproduced and differ."""
     rep = cert.representation
     if rep is not None:
         pres = presentation(data)

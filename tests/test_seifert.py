@@ -318,6 +318,10 @@ def test_empty_word_image_is_the_identity():
     rep = build_representation(FIVE_INSTANCES[0], "sphere_base")
     assert rep.word_image(()) == Mat2.identity()
     assert rep.word_image_alt(()) == Mat2.identity()
+    # a zero exponent is the identity on both paths, also as the only letter
+    for ev in (rep.word_image, rep.word_image_alt):
+        assert ev((("q1", 0),)) == Mat2.identity()
+        assert ev((("q2", 1), ("q1", 0), ("q2", -1))) == Mat2.identity()
 
 
 @pytest.fixture
@@ -356,27 +360,107 @@ def test_no_wasted_products_in_powers_and_word_images(mat2_products):
         assert value == rep.word_image_alt(letters[:k])
 
 
-def test_alternate_path_costs_one_product_per_letter_step(mat2_products, monkeypatch):
+@pytest.fixture
+def mat2_inverses(monkeypatch):
+    """A list that grows by one entry per Mat2.inverse call."""
+    calls = []
+    plain = Mat2.inverse
+
+    def counted(self):
+        calls.append(1)
+        return plain(self)
+
+    monkeypatch.setattr(Mat2, "inverse", counted)
+    return calls
+
+
+def test_alternate_path_costs_one_product_per_letter_step(mat2_products, mat2_inverses):
     rep = build_representation(FIVE_INSTANCES[0], "sphere_base")
     assert rep.signs == {"h": -1}
-    inverses = []
-    plain_inverse = Mat2.inverse
-
-    def counted_inverse(self):
-        inverses.append(1)
-        return plain_inverse(self)
-
-    monkeypatch.setattr(Mat2, "inverse", counted_inverse)
     letters = (("q1", 2), ("h", 3), ("q2", -1), ("q3", 1), ("h", -1), ("q4", -3), ("q1", -1))
     for k in range(1, len(letters) + 1):
         word = letters[:k]
         mat2_products.clear()
-        inverses.clear()
+        mat2_inverses.clear()
         value = rep.word_image_alt(word)
-        moving = [e for sym, e in word if sym != "h"]
-        assert len(mat2_products) == sum(map(abs, moving)) - 1
-        assert len(inverses) == sum(1 for e in moving if e < 0)
+        # each power comes from its letter's trace: no inverse, and one
+        # product per non-central letter of the reduced word after the first
+        moving = word_mul([(sym, e) for sym, e in word if sym != "h"])
+        assert len(mat2_products) == len(moving) - 1
+        assert len(mat2_inverses) == 0
         assert value == rep.word_image(word)
+
+
+def test_relators_that_reduce_to_the_empty_word_cost_nothing(mat2_products, mat2_inverses):
+    sphere = build_representation(FIVE_INSTANCES[0], "sphere_base")
+    rp2 = build_representation(FIVE_INSTANCES[2], "rp2_base")
+    cases = [
+        (sphere, (("h", 1), ("q1", 1), ("h", -1), ("q1", -1))),
+        (rp2, (("a1", 1), ("h", 1), ("a1", -1), ("h", 1))),
+    ]
+    for rep, relator in cases:
+        assert rep.reduced(relator) == (1, ())
+        for ev in (rep.word_image, rep.word_image_alt):
+            mat2_products.clear()
+            mat2_inverses.clear()
+            assert ev(relator) == Mat2.identity()
+            assert (len(mat2_products), len(mat2_inverses)) == (0, 0)
+    # the forward path keeps binary powers; the alternate one takes none
+    for ev, products in ((sphere.word_image, 3), (sphere.word_image_alt, 0)):
+        mat2_products.clear()
+        ev((("q1", 8),))
+        assert len(mat2_products) == products
+
+
+def _plain_word_image(rep, word):
+    # reference: right to left, one letter at a time with no free
+    # reduction, central letters folded into a sign, Mat2.inverse for
+    # negative exponents
+    acc, sign = None, 1
+    for sym, e in reversed(word):
+        if sym in rep.signs:
+            if e % 2:
+                sign *= rep.signs[sym]
+            continue
+        m = rep.images[sym]
+        if e < 0:
+            m = m.inverse()
+            e = -e
+        if acc is None:
+            acc = m
+            e -= 1
+        for _ in range(e):
+            acc = m * acc
+    return rep._signed(acc, sign)
+
+
+def _random_word(rng, syms, central, length):
+    exps = [e for e in range(-13, 14) if e]
+    word = []
+    while len(word) < length:
+        kind = rng.random()
+        if kind < 0.2:
+            word.append((rng.choice(central), rng.choice(exps)))
+        elif kind < 0.4:  # a cancelling pair, reduced away by both paths
+            sym, e = rng.choice(syms), rng.choice(exps)
+            word += [(sym, e), (sym, -e)]
+        else:
+            word.append((rng.choice(syms), rng.choice(exps)))
+    return tuple(word)
+
+
+@pytest.mark.parametrize("data", [FIVE_INSTANCES[0], FIVE_INSTANCES[4]], ids=repr)
+def test_word_images_match_the_plain_product_on_random_words(data):
+    rep = build_representation(data, classify(data))
+    central = sorted(rep.signs)
+    syms = sorted(set(rep.images) - set(rep.signs))
+    assert central and syms
+    rng = random.Random(1)
+    for _ in range(25):
+        word = _random_word(rng, syms, central, rng.randint(0, 7))
+        want = _entry_dicts(_plain_word_image(rep, word))
+        assert _entry_dicts(rep.word_image(word)) == want
+        assert _entry_dicts(rep.word_image_alt(word)) == want
 
 
 def test_all_central_words_are_signed_identities():
@@ -688,6 +772,20 @@ def test_reverify_rejects_tampering():
         side_conditions=cert.side_conditions,
     )
     assert not reverify_certificate(bad2, data)
+
+    # word_image_alt's Cayley-Hamilton powers need det 1, so a non-central
+    # image scaled off SL2 must fail the det check
+    images = dict(cert.representation.images)
+    images["q1"] = images["q1"] * 2
+    assert not (images["q1"].det() == 1)
+    bad_det = TorsionCertificate(
+        kind=cert.kind,
+        representation=Representation(images),
+        witness=cert.witness,
+        criterion_ref=cert.criterion_ref,
+        side_conditions=cert.side_conditions,
+    )
+    assert not reverify_certificate(bad_det, data)
 
     bad3 = TorsionCertificate(
         kind="unknown_kind",
