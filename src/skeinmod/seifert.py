@@ -78,8 +78,10 @@ Presentation = namedtuple("Presentation", "generators relators")
 
 class BuildError(Exception):
     """Representation construction failed: the fibers need a certificate
-    field above cyclotomic.MAX_ORDER, a parameter schedule ran out, or a
-    relator check failed (which signals a bug, never bad input)."""
+    field above cyclotomic.MAX_ORDER, or a parameter schedule ran out.
+    Also raised, as a bug and never for bad input, when a relator fails:
+    in build_representation's check of the representation it returns, or
+    in reverify_certificate on a certificate certify built."""
 
 
 def word_inverse(word):
@@ -215,22 +217,31 @@ class Representation:
     """Generator images in SL2 over one cyclotomic field.
 
     All entries are lifted to a common order on construction (at least 4,
-    so that i is always available downstream). `signs` maps each generator
+    so that i is always available downstream). `units` maps 0, 1 and -1 to
+    one CycNum each at that order; every image entry of one of those values
+    is that object, and so is every entry of the +-I that an evaluator
+    returns for a word that reduces to no letter. `signs` maps each generator
     whose image is exactly +-I (the central fiber h, as a rule) to +1 or -1;
     both word evaluators read a word through `reduced`, so a central letter
     costs nothing, nor does a relator such as [h, g] that reduces to 1.
     """
 
-    __slots__ = ("images", "order", "signs")
+    __slots__ = ("images", "order", "units", "signs")
 
     def __init__(self, images):
         order = 4
         for m in images.values():
             order = lcm(order, m.order)
-        self.images = {
-            sym: Mat2(*(e.lift(order) for e in m.entries)) for sym, m in images.items()
-        }
+        units = {c: CycNum.rational(c).lift(order) for c in (-1, 0, 1)}
+
+        def entry(e):
+            if e.den == 1 and e.num[0] in units and e.is_rational:
+                return units[e.num[0]]
+            return e.lift(order)
+
+        self.images = {sym: Mat2(*map(entry, m.entries)) for sym, m in images.items()}
         self.order = order
+        self.units = units
         self.signs = {
             sym: 1 if m.a == 1 else -1 for sym, m in self.images.items() if m.is_central_sl2()
         }
@@ -246,9 +257,9 @@ class Representation:
         return sign, word_mul([(sym, e) for sym, e in word if sym not in signs and e])
 
     def _signed(self, acc, sign):
-        if acc is None:  # no letter left: +-I at self.order
-            one, zero = CycNum.one().lift(self.order), CycNum.zero().lift(self.order)
-            acc = Mat2(one, zero, zero, one)
+        if acc is None:  # no letter left: +-I from the shared units
+            u = self.units
+            return Mat2(u[sign], u[0], u[0], u[sign])
         return -acc if sign < 0 else acc
 
     def word_image(self, word):
@@ -463,8 +474,11 @@ def _chain_layout(data, case):
 def _chain_candidates(data, case):
     """Representations for the sphere_base / rp2_base / rp2_small chains.
 
-    Yields (rep, meta) for every parameter choice that completes and passes
-    the build-level checks; the schedule is deterministic and capped at
+    Yields (rep, meta) for every parameter choice that completes; meta
+    holds the choice as "assignment". The relators hold by construction and
+    are not evaluated here: reverify_certificate checks them on every
+    certificate certify returns, and build_representation on the one
+    representation it returns. The schedule is deterministic and capped at
     _MAX_CANDIDATES. Raises BuildError before the search when the field
     that the fiber letters need is above cyclotomic.MAX_ORDER.
     """
@@ -476,7 +490,6 @@ def _chain_candidates(data, case):
             f"{field_order} = lcm(4, {', '.join(map(str, d_orders))}), "
             f"above the limit {MAX_ORDER}"
         )
-    pres = presentation(data)
     chain = _chain_layout(data, case)
     m = len(chain)
     d_by_sym = {f"q{l + 1}": d for l, d in enumerate(d_orders)}
@@ -508,13 +521,13 @@ def _chain_candidates(data, case):
     for combo in itertools.islice(itertools.product(*spaces), _MAX_CANDIDATES):
         assign = dict(zip(names, combo))
         try:
-            rep, meta = _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign)
+            rep, meta = _attempt_chain(data, case, chain, d_by_sym, field_order, assign)
         except _Skip:
             continue
         yield rep, meta
 
 
-def _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign):
+def _attempt_chain(data, case, chain, d_by_sym, field_order, assign):
     m = len(chain)
     traces = [
         _root_trace(d_by_sym[sym], 1) if sym in d_by_sym
@@ -574,13 +587,8 @@ def _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign):
         images["a1"] = root
 
     rep = Representation(images)
-    if not rep.satisfies(pres.relators):
-        raise BuildError(
-            f"relation verification failed for {case} with assignment {assign!r}"
-        )
-
     if case == "rp2_small":
-        return rep, {}
+        return rep, {"assignment": assign}
     delta = ((chain[0], 1), (chain[1], 1))
     side1 = list(chain[:2])
     side2 = list(chain[2:]) + (["a1"] if case == "rp2_base" else [])
@@ -588,8 +596,8 @@ def _attempt_chain(data, case, pres, chain, d_by_sym, field_order, assign):
     if pair is None:
         raise _Skip
     return rep, {
-        "delta": delta, "torus_frame": torus_frame, "side1": side1, "side2": side2,
-        "irreducible_pair": pair,
+        "assignment": assign, "delta": delta, "torus_frame": torus_frame,
+        "side1": side1, "side2": side2, "irreducible_pair": pair,
     }
 
 
@@ -605,9 +613,11 @@ def _irreducible_pair(rep, syms):
 def _diagonal_representation(data):
     """(rep, gammas, delta) for positive_genus: every generator maps to
     diag(lambda^e, lambda^-e), lambda = zeta_5, for an exponent vector
-    orthogonal to the abelianized relators. Diagonal images commute, so
-    every relator holds; gammas are the candidate torus curves and delta
-    the crossing curve, whose witness traces already differ at zeta_5."""
+    orthogonal to the abelianized relators. Diagonal images commute, so the
+    image of a word depends only on its exponent sums, and the integer check
+    that the vector misses every abelianized relator proves every relator;
+    none is evaluated. gammas are the candidate torus curves and delta the
+    crossing curve, whose witness traces already differ at zeta_5."""
     pres = presentation(data)
     exponents = {sym: 0 for sym in pres.generators}
     if data.g > 0:
@@ -630,9 +640,13 @@ def _diagonal_representation(data):
             for sym, e in exponents.items()
         }
     )
-    if not rep.satisfies(pres.relators):
-        raise BuildError("relation verification failed for the diagonal construction")
     return rep, gammas, delta
+
+
+def _first_chain_candidate(data, case):
+    for rep, meta in _chain_candidates(data, case):
+        return rep, meta
+    raise BuildError(f"parameter schedule exhausted for case {case!r}")
 
 
 def build_representation(data, case):
@@ -640,15 +654,19 @@ def build_representation(data, case):
     diagonal one for positive_genus, else the first in the chain schedule.
 
     Raises BuildError when the schedule is exhausted, and also when a
-    relator check fails (that one indicates a bug, not bad input).
+    relator fails under word_image on the representation returned (that
+    one indicates a bug, not bad input). Certify does not call this: it
+    checks the relators once, in reverify_certificate.
     """
     if case == "positive_genus":
-        return _diagonal_representation(data)[0]
-    if case not in ("sphere_base", "rp2_base", "rp2_small"):
+        rep = _diagonal_representation(data)[0]
+    elif case in ("sphere_base", "rp2_base", "rp2_small"):
+        rep = _first_chain_candidate(data, case)[0]
+    else:
         raise ValueError(f"no representation construction for case {case!r}")
-    for rep, _meta in _chain_candidates(data, case):
-        return rep
-    raise BuildError(f"parameter schedule exhausted for case {case!r}")
+    if not rep.satisfies(presentation(data).relators):
+        raise BuildError(f"relation verification failed for case {case!r}")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +731,16 @@ def reverify_certificate(cert, data):
     return fwd == w["trace_fwd"] and swp == w["trace_swapped"]
 
 
+def _reverified(cert, data, attempt):
+    """cert, marked verified, once reverify_certificate accepts it. That is
+    the only relator check certify makes, and the construction makes every
+    check true, so a failure is a bug: BuildError names the attempt."""
+    if not reverify_certificate(cert, data):
+        raise BuildError(f"certificate for {attempt} failed re-verification")
+    cert.verified = True
+    return cert
+
+
 def _separating_certificate(data, case):
     for rep0, meta in _chain_candidates(data, case):
         delta_word = meta["delta"]
@@ -740,9 +768,7 @@ def _separating_certificate(data, case):
                 "torus_image_noncentral": True,
             },
         )
-        if reverify_certificate(cert, data):
-            cert.verified = True
-            return cert
+        return _reverified(cert, data, f"{case} with assignment {meta['assignment']!r}")
     raise BuildError(f"parameter schedule exhausted for case {case!r}")
 
 
@@ -764,12 +790,7 @@ def _nonseparating_certificate(data):
                 "crossing_trace": _coords_text(rep.word_image(delta).trace()),
             },
         )
-        # the relators and the unequal traces at zeta_5 are facts of the
-        # construction, so a failure here is a bug, not a reason to search on
-        if not reverify_certificate(cert, data):
-            raise BuildError(f"certificate for gamma = {format_word(gamma)} failed re-verification")
-        cert.verified = True
-        return cert
+        return _reverified(cert, data, f"positive_genus with gamma = {format_word(gamma)}")
     raise BuildError("no candidate torus curve has a nonzero doubled class")
 
 
@@ -789,7 +810,7 @@ def certify(data):
             verified=True,
         )
     if case == "rp2_small":
-        rep = build_representation(data, case)
+        rep, meta = _first_chain_candidate(data, case)
         chain = _chain_layout(data, case)
         cert = TorsionCertificate(
             kind="noneffective_boundary",
@@ -802,8 +823,7 @@ def certify(data):
                 "independent_trace_loops": chain,
             },
         )
-        cert.verified = reverify_certificate(cert, data)
-        return cert
+        return _reverified(cert, data, f"{case} with assignment {meta['assignment']!r}")
     if case == "positive_genus":
         return _nonseparating_certificate(data)
     return _separating_certificate(data, case)

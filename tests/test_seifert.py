@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import operator
 import random
 import time
 from unittest import mock
@@ -736,6 +737,78 @@ def test_noneffective_boundary_certificate():
     assert cert.kind == "noneffective_boundary"
     assert cert.representation is not None and cert.witness is None
     assert cert.verified
+
+
+RP2_SMALL = SeifertData(-1, 1, [(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "data", FIVE_INSTANCES + [SeifertData(-2, 0, [(1, 3)]), RP2_SMALL], ids=repr
+)
+def test_certify_checks_relators_once_on_the_alternate_path(data, monkeypatch):
+    calls = []
+    satisfies = Representation.satisfies
+
+    def counted(rep, relators, evaluator=None):
+        calls.append((rep, evaluator))
+        return satisfies(rep, relators, evaluator)
+
+    monkeypatch.setattr(Representation, "satisfies", counted)
+    cert = certify(data)
+    assert cert.verified
+    assert len(calls) == 1
+    rep, evaluator = calls[0]
+    assert rep is cert.representation
+    assert evaluator == rep.word_image_alt
+
+
+@pytest.fixture
+def broken_chain(monkeypatch):
+    """trace_triple_realize returns (p1 w, w^-1 p2) for a det-1 w: the chain
+    runs on as before, since p1 p2 is unchanged, but tr p1 w != tr p1, so
+    the first fiber letter's relator q^alpha h^beta fails."""
+    realize = seifert.trace_triple_realize
+    w = Mat2(1, 0, 1, 1)
+
+    def broken(x, y, s):
+        p1, p2 = realize(x, y, s)
+        return p1 * w, w.inverse() * p2
+
+    monkeypatch.setattr(seifert, "trace_triple_realize", broken)
+
+
+@pytest.mark.parametrize("data", [FIVE_INSTANCES[0], FIVE_INSTANCES[2], RP2_SMALL], ids=repr)
+def test_certify_raises_when_its_certificate_fails_reverification(data, broken_chain):
+    case = classify(data)
+    with pytest.raises(BuildError, match=f"{case} with assignment .* failed re-verification"):
+        certify(data)
+
+
+def test_build_representation_checks_its_relators(broken_chain):
+    with pytest.raises(BuildError, match="relation verification failed for case 'sphere_base'"):
+        build_representation(FIVE_INSTANCES[0], "sphere_base")
+
+
+def test_representation_shares_its_units():
+    z5 = seifert.root_of_unity(5)
+    one_at_5 = z5 * z5.inverse()
+    assert one_at_5.order == 5
+    built = Representation(
+        {"x": Mat2.identity(), "y": Mat2(z5, 0, one_at_5, z5.inverse()), "h": -Mat2.identity()}
+    )
+    conj = built.conjugated(Mat2(1, 1, 0, 1), Mat2(1, -1, 0, 1))
+    reps = [built, conj]
+    reps += [certify(data).representation for data in (FIVE_INSTANCES[0], FIVE_INSTANCES[3], RP2_SMALL)]
+    for rep in reps:
+        entries = [e for m in rep.images.values() for e in m.entries]
+        for c in (0, 1, -1):
+            assert rep.units[c] == c and rep.units[c].order == rep.order
+            assert all(e is rep.units[c] for e in entries if e == c)
+        for word, sign in (((), 1), ((("h", 1),), rep.signs["h"])):
+            units = (rep.units[sign], rep.units[0], rep.units[0], rep.units[sign])
+            assert all(map(operator.is_, rep.word_image(word).entries, units))
+    for c in (0, 1, -1):
+        assert any(e == c for m in built.images.values() for e in m.entries)
 
 
 def test_no_torsion_result():
