@@ -114,8 +114,9 @@ def _gen_text(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _int_range(low, high=None):
-    """An integer in [low, high]; no upper limit when high is None."""
+def _int_range(low, high=None, even=False):
+    """An integer in [low, high], and even if asked; no upper limit when high
+    is None."""
 
     def check(text):
         try:
@@ -126,6 +127,8 @@ def _int_range(low, high=None):
             raise argparse.ArgumentTypeError("must be at least %d" % low)
         if high is not None and value > high:
             raise argparse.ArgumentTypeError("must be at most %d" % high)
+        if even and value % 2:
+            raise argparse.ArgumentTypeError("must be even")
         return value
 
     return check
@@ -508,14 +511,14 @@ def build_parser():
         "lens-quotient",
         help="truncated quotient dimension and torsion lower bound for even p",
     )
-    p.add_argument("--p", type=_int_range(1, MAX_P), required=True)
+    p.add_argument("--p", type=_int_range(1, MAX_P, even=True), required=True)
     p.add_argument("--degree", type=_int_range(1, MAX_DEGREE), required=True)
     p.add_argument("--grading", choices=sorted(_GRADING), default="ee")
     _add_common(p, json_switch=False)
     p.set_defaults(func=_cmd_lens_quotient)
 
-    p = subs.add_parser("jprime-check", help="verify the shifted-ideal containment for p")
-    p.add_argument("--p", type=_int_range(1, MAX_P), required=True)
+    p = subs.add_parser("jprime-check", help="verify the shifted-ideal containment for even p")
+    p.add_argument("--p", type=_int_range(1, MAX_P, even=True), required=True)
     _add_common(p, json_switch=False)
     p.set_defaults(func=_cmd_jprime_check)
 

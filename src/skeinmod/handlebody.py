@@ -9,15 +9,18 @@ monomial, with the core variant selected by a parity of the monomial.
 Families 1-4 are a base polynomial plus or minus a multiple of the closed
 forms gamma_at_i_closed and gamma_prime_at_i_closed, so one closed form
 gives both variants of a family. The quotient dimensions build the cores
-and their integer row templates once per (p, grading), peel the columns
-that one-term relations put in the span, and take the rank of what is left
-with the sparse linalg.bareiss_rank.
+and their integer row templates once per (p, grading), collect the columns
+that one-term relations put in the span before building any row, build
+only the rows those columns do not already span, peel further columns off
+those, and take the rank of what is left with the sparse
+linalg.bareiss_rank.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import re
 
@@ -287,7 +290,8 @@ def v_restricted_cores(p):
     the trivially graded part, as (family, core) pairs."""
     if p % 2 or p < 2:
         raise ValueError("needs even p >= 2")
-    return _multiples(p, 0, (0, 0))[0]
+    _check_p(p)
+    return list(_core_table(p, (0, 0))[0])
 
 
 def verify_Jprime_containment(p):
@@ -338,14 +342,15 @@ def _check_degree(degree_bound):
 @functools.lru_cache(maxsize=32)
 def _core_table(p, grading):
     """The degree-independent part of the relation rows for one (p, grading),
-    as (cores, fits, width, forms).
+    as (cores, groups, fits, width, forms).
 
     cores is the tuple of (family, core) pairs whose multiples can land in
     the grading class (all of them for None), families 1..8 in order.
-    fits[cls][room] is the tuple of indices into cores, in that order, of the
-    cores a monomial of class cls multiplies when it leaves room degrees
-    below the bound, for room up to the largest core degree or MAX_DEGREE,
-    whichever is less; a larger room fits what that one fits.
+    groups lists the distinct tuples of indices into cores, in that order,
+    that a monomial can multiply; group 0 is the empty one. fits[2a + b][room]
+    is the group a monomial of class (a, b) multiplies when it leaves room
+    degrees below the bound, for room up to the largest core degree or
+    MAX_DEGREE, whichever is less; a larger room fits what that one fits.
     width and forms are `_integer_forms` of the cores, as tuples.
 
     The core variant for a monomial is picked by the parity of l+n (families
@@ -373,41 +378,84 @@ def _core_table(p, grading):
                     by_class[g].append((core.degree(), len(cores)))
                 cores.append((family, core))
     top = min(max((core.degree() for _family, core in cores), default=0), MAX_DEGREE)
-    fits = {
-        cls: tuple(tuple(j for degree, j in listed if degree <= room) for room in range(top + 1))
-        for cls, listed in by_class.items()
-    }
+    groups = {(): 0}
+    fits = tuple(
+        tuple(
+            groups.setdefault(tuple(j for degree, j in listed if degree <= room), len(groups))
+            for room in range(top + 1)
+        )
+        for listed in by_class.values()
+    )
     width, forms = _integer_forms(core for _family, core in cores)
-    return tuple(cores), fits, width, tuple(tuple(map(tuple, form)) for form in forms)
+    return tuple(cores), tuple(groups), fits, width, tuple(tuple(map(tuple, form)) for form in forms)
 
 
-def _multiples(p, degree_bound, grading=None):
+def _unkey(key, B):
+    """The exponent triple (k, l, n) of the key off*B^3 + (k*B + l)*B + n."""
+    k, rest = divmod(key % B**3, B * B)
+    return (k, *divmod(rest, B))
+
+
+def _multipliers(p, degree_bound, grading):
     """The relation generators x^k y^l z^n * core of degree <= degree_bound,
-    as ([(family, core)], [(monomial, indices into that list)], columns),
-    monomials in graded-lex order, each with the cores it multiplies in
-    family order; a monomial that multiplies none is left out. The columns
-    are the monomials of degree <= degree_bound in the requested grading
-    class (all of them for None), listed in the same pass, so each monomial
-    is enumerated and graded once per call. The cores come from
-    `_core_table`.
+    from one graded-lex listing of the monomials, as (B, columns, runs, fits).
+
+    A monomial x^k y^l z^n is keyed by the integer (k*B + l)*B + n with
+    B = degree_bound + 2 > every exponent, so a shifted core term's key is
+    the monomial's key plus the term's own key. Column j * width + off of
+    the `_integer_forms` rows is keyed by off*B^3 plus the key of monomial
+    j, so a row term's column is one lookup: columns maps each such key, for
+    the monomials in the requested grading class (all of them for None), to
+    its column, with the monomials in graded-lex order.
+
+    The listing goes a run at a time: x^k y^l z^(d-k-l) for l = d-k down to
+    0. Along a run the key falls by B - 1 per step, l+n = d-k is fixed and
+    k+n = d-l alternates in parity, so the class ((k+n) mod 2, (l+n) mod 2)
+    alternates between two values, starting at (k mod 2, (d-k) mod 2), and
+    so does the `_core_table` group of the cores a monomial multiplies.
+    runs holds a range of keys per run, with the monomials that multiply no
+    core left out, and fits the group of each monomial in those ranges, in
+    order; `_pairs` reads them out together. No key is kept per monomial,
+    and the entries of fits refer to the group numbers of `_core_table`, so
+    fits allocates no object per monomial either.
     """
     if p < 2:
         raise ValueError("needs p >= 2")
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     _check_p(p)
-    cores, fits, _width, _forms = _core_table(p, grading)
-    by_room = {
-        cls: [fit[min(room, len(fit) - 1)] for room in range(degree_bound + 1)] for cls, fit in fits.items()
-    }
-    multiples, cols = [], []
-    for mono in monomials_leq(degree_bound):
-        cls = monomial_grading(mono)
-        if grading is None or cls == grading:
-            cols.append(mono)
-        if js := by_room[cls][degree_bound - sum(mono)]:
-            multiples.append((mono, js))
-    return list(cores), multiples, cols
+    _cores, _groups, fits_by_class, width, _forms = _core_table(p, grading)
+    B = degree_bound + 2
+    columns, runs, fits = {}, [], []
+    for d in range(degree_bound + 1):
+        room = degree_bound - d
+        by_class = [fit[min(room, len(fit) - 1)] for fit in fits_by_class]
+        for k in range(d, -1, -1):
+            run = range((k * B + d - k) * B, k * B * B + d - k - 1, 1 - B)
+            a, b = k & 1, (d - k) & 1
+            if grading is None or b == grading[1]:
+                in_class = run if grading is None else run[a != grading[0] :: 2]
+                start = len(columns)
+                for off in range(width):
+                    shift = off * B**3
+                    columns.update(zip(range(in_class.start + shift, in_class.stop + shift, in_class.step),
+                                       itertools.count(start + off, width)))
+            # the groups at the even and at the odd places of the run
+            first, second = by_class[2 * a + b], by_class[2 * (1 - a) + b]
+            if first and second:
+                runs.append(run)
+                fits += [first, second] * (len(run) // 2)
+                if len(run) % 2:
+                    fits.append(first)
+            elif first or second:
+                runs.append(run[0 if first else 1 :: 2])
+                fits += [first or second] * len(runs[-1])
+    return B, columns, runs, fits
+
+
+def _pairs(runs, fits):
+    """(key, group) of each monomial of `_multipliers`, in order."""
+    return zip(itertools.chain.from_iterable(runs), fits)
 
 
 def relation_generators(p, degree_bound):
@@ -417,8 +465,9 @@ def relation_generators(p, degree_bound):
     l+n (families 1-4, 8) or k+n (families 5-7).
     """
     _check_degree(degree_bound)
-    cores, multiples, _cols = _multiples(p, degree_bound)
-    return [cores[j][1].monomial_shift(*mono) for mono, js in multiples for j in js]
+    B, _columns, runs, fits = _multipliers(p, degree_bound, None)
+    cores, groups = _core_table(p, None)[:2]
+    return [cores[j][1].monomial_shift(*_unkey(key, B)) for key, g in _pairs(runs, fits) for j in groups[g]]
 
 
 def _integer_forms(cores):
@@ -450,39 +499,57 @@ def _integer_forms(cores):
     ]
 
 
-def _row_source(p, degree_bound, grading):
-    """(cols, width, rows): the monomial columns of `_multiples`, and a
-    one-shot generator of the integer relation rows {column: int} over them,
-    with the width of `_integer_forms`; no Poly3 is built per multiple.
+def _keyed_forms(p, degree_bound, grading):
+    """(B, columns, runs, fits) of `_multipliers`, with width and the rows
+    of `_integer_forms` keyed as `columns` is, ([term key, ...], [value, ...]),
+    listed per `_core_table` group: the rows of its cores in order.
 
-    A monomial x^k y^l z^n of degree <= D is keyed by the integer
-    (k*B + l)*B + n with B = D + 1, so a shifted core term's key is the
-    monomial's key plus the term's own key, and each term of a row costs
-    one lookup in the column index.
+    Lists, not tuples, for what each call builds and drops: tuples of many
+    sizes raised the peak memory of repeated calls (by about 1 MB over 30
+    passes of the benchmark's quotient tasks), where lists leave it flat.
     """
-    _cores, multiples, cols = _multiples(p, degree_bound, grading)
-    _cores, _fits, width, forms = _core_table(p, grading)
-    B = degree_bound + 1
-    col_index = {(k * B + l) * B + n: width * idx for idx, (k, l, n) in enumerate(cols)}
-    templates = [
-        [[((a * B + b) * B + c, off, v) for (a, b, c), off, v in form] for form in core_forms]
+    B, columns, runs, fits = _multipliers(p, degree_bound, grading)
+    _cores, groups, _fits, width, forms = _core_table(p, grading)
+    keyed = [
+        [([off * B**3 + (a * B + b) * B + c for (a, b, c), off, _v in form], [v for _m, _off, v in form])
+         for form in core_forms]
         for core_forms in forms
     ]
+    return B, columns, runs, fits, width, [[form for j in group for form in keyed[j]] for group in groups]
 
-    def rows():
-        for (k, l, n), js in multiples:
-            key = (k * B + l) * B + n
-            for j in js:
-                for form in templates[j]:
-                    try:
-                        row = {col_index[key + term] + off: v for term, off, v in form}
-                    except KeyError as err:
-                        k2, rest = divmod(err.args[0], B * B)
-                        mono = (k2, *divmod(rest, B))
-                        raise ValueError(f"relation monomial {mono} outside the column set") from None
-                    yield row
 
-    return cols, width, rows()
+def _outside(err, B):
+    """The ValueError for a relation term whose key `columns` lacks."""
+    return ValueError(f"relation monomial {_unkey(err.args[0], B)} outside the column set")
+
+
+def _rows(B, columns, runs, fits, group_forms, killed=None):
+    """One-shot generator of the integer relation rows {column: int}, in
+    the order of the multiples, each core's rows in `_integer_forms` order;
+    each term of a row costs one lookup in columns. With a set killed, a
+    row whose columns all lie in it is in the span of those unit vectors,
+    and is skipped before its dict is built.
+    """
+    try:
+        for key, g in _pairs(runs, fits):
+            for terms, values in group_forms[g]:
+                cols = [columns[key + term] for term in terms]
+                if killed is None or not killed.issuperset(cols):
+                    yield dict(zip(cols, values))
+    except KeyError as err:
+        raise _outside(err, B) from None
+
+
+def _row_source(p, degree_bound, grading):
+    """(cols, width, rows): the monomial columns as exponent triples, and a
+    one-shot generator of every integer relation row over them, with the
+    width of `_integer_forms`; no Poly3 is built per multiple. This is the
+    reference listing of the rows: `_relation_rows` and
+    `nested_truncation_dimension` read it.
+    """
+    B, columns, runs, fits, width, group_forms = _keyed_forms(p, degree_bound, grading)
+    cols = [_unkey(key, B) for key in columns if key < B**3]
+    return cols, width, _rows(B, columns, runs, fits, group_forms)
 
 
 def _relation_rows(p, degree_bound, grading):
@@ -491,23 +558,26 @@ def _relation_rows(p, degree_bound, grading):
     return cols, width, list(rows)
 
 
-def _rank_of_rows(rows):
-    """Exact rank of sparse integer rows {column: nonzero int}, from any
-    iterable of them, read once.
+def _rank_of_rows(rows, killed=()):
+    """Exact rank of the unit vectors at the columns in killed together with
+    sparse integer rows {column: nonzero int}, from any iterable of them,
+    read once.
 
     A column hit by a one-term row is in the span as a unit vector, and so is
     the last live column of a row whose other columns are all in the span.
     Peeling those columns off first is structured Gaussian elimination
-    (LaMacchia and Odlyzko, CRYPTO '90): a one-term row only adds its column
-    to the killed set and is never stored; a row with two or more live
-    columns is stored with its count of live columns, and each live column
-    lists the rows that hold it. Killing a column lowers the count of each
-    of those rows, and a row that falls to one live column kills that
-    column in turn, off one worklist. The rank is the number of killed
-    columns plus the bareiss_rank of the rows left with two or more live
-    columns, projected off the killed ones.
+    (LaMacchia and Odlyzko, CRYPTO '90): the killed set starts as the given
+    columns, a one-term row only adds its column to it and is never stored;
+    a row with two or more live columns is stored with its count of live
+    columns, and each live column lists the rows that hold it. Killing a
+    column lowers the count of each of those rows, and a row that falls to
+    one live column kills that column in turn, off one worklist. The rank is
+    the number of killed columns plus the bareiss_rank of the rows left with
+    two or more live columns, projected off the killed ones. The killed set
+    this ends with, and so those rows, do not depend on the order in which
+    the unit vectors and rows arrive.
     """
-    killed, kept, live, holders = set(), [], [], collections.defaultdict(list)
+    killed, kept, live, holders = set(killed), [], [], collections.defaultdict(list)
 
     def kill(col):
         killed.add(col)
@@ -556,11 +626,30 @@ def _check_grading(p, grading):
 
 def truncated_quotient_dimension(p, degree_bound, grading=None):
     """Dimension of (monomials of degree <= bound, optionally one grading
-    class) modulo the degree-truncated relation span."""
+    class) modulo the degree-truncated relation span.
+
+    The multiples are read in two sweeps. The first collects the set of
+    columns that one-term rows hit, without building those rows; each is a
+    unit vector of the span. The second builds only the rows with more than
+    one term, and drops each one whose columns all lie in that set, since it
+    is in the span of those unit vectors already. `_rank_of_rows` peels the
+    rest after the set, so `bareiss_rank` gets the same rows as it would
+    from every row of `_row_source`.
+    """
     grading = _check_grading(p, grading)
     _check_degree(degree_bound)
-    cols, width, rows = _row_source(p, degree_bound, grading)
-    return len(cols) - _rank_of_rows(rows) // width
+    B, columns, runs, fits, width, group_forms = _keyed_forms(p, degree_bound, grading)
+    ones = [[terms[0] for terms, _values in forms if len(terms) == 1] for forms in group_forms]
+    killed = set()
+    try:
+        for key, g in _pairs(runs, fits):
+            for term in ones[g]:
+                killed.add(columns[key + term])
+    except KeyError as err:
+        raise _outside(err, B) from None
+    several = [[form for form in forms if len(form[0]) > 1] for forms in group_forms]
+    rows = _rows(B, columns, runs, fits, several, killed)
+    return len(columns) // width - _rank_of_rows(rows, killed) // width
 
 
 def nested_truncation_dimension(p, window_degree, relation_degree, grading=None):

@@ -5,6 +5,7 @@ import os
 import pathlib
 import stat
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -397,14 +398,38 @@ def test_lens_quotient_degree_above_the_cap_exits_1(capsys, monkeypatch):
     from skeinmod import handlebody
 
     def boom(*args, **kwargs):
-        raise AssertionError("monomials_leq ran above the degree cap")
+        raise AssertionError("monomials were listed above the degree cap")
 
-    monkeypatch.setattr(handlebody, "monomials_leq", boom)
+    monkeypatch.setattr(handlebody, "_multipliers", boom)
     for degree in (handlebody.MAX_DEGREE + 1, 10**9):
         code, out, err = run(capsys, "lens-quotient", "--p", "4", "--degree", str(degree))
         assert code == 1 and out == ""
         assert "Traceback" not in err
         assert "--degree" in err and "at most %d" % handlebody.MAX_DEGREE in err
+
+
+def test_odd_p_is_rejected_by_the_even_p_subcommands(capsys, monkeypatch):
+    from skeinmod import handlebody
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a computation ran for odd p")
+
+    for name in ("truncated_quotient_dimension", "verify_Jprime_containment"):
+        monkeypatch.setattr(cli, name, boom)
+    for p in (1, 3, 5, handlebody.MAX_P - 1):
+        for argv in (("lens-quotient", "--p", str(p), "--degree", "3"),
+                     ("jprime-check", "--p", str(p))):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert "Traceback" not in err
+            assert err.startswith("usage: skeinmod %s" % argv[0])
+            assert "argument --p: must be even" in err
+            assert "grading" not in err.splitlines()[-1]
+    # the library keeps its own messages
+    with pytest.raises(ValueError, match="requires even p"):
+        handlebody.truncated_quotient_dimension(3, 3, (0, 0))
+    with pytest.raises(ValueError, match="needs even p >= 2"):
+        handlebody.verify_Jprime_containment(3)
 
 
 def test_p_and_n_above_their_caps_exit_1(capsys, monkeypatch):

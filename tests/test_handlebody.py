@@ -2,6 +2,7 @@
 dimension counts."""
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -178,23 +179,37 @@ def test_a_quotient_call_builds_each_family_once(monkeypatch):
 
 
 def test_a_quotient_call_lists_and_grades_the_monomials_once(monkeypatch):
-    # the columns come from the same pass that lists the relation multiples
+    # the columns come from the same pass that lists the relation multiples,
+    # and that pass grades each monomial as it lists it
     listed, graded = [], []
-    leq, grading_of = handlebody.monomials_leq, handlebody.monomial_grading
-    monkeypatch.setattr(handlebody, "monomials_leq", lambda *a: listed.append(leq(*a)) or listed[-1])
+    multipliers, grading_of = handlebody._multipliers, handlebody.monomial_grading
+
+    def other_listing(*args):
+        raise AssertionError("monomials listed outside _multipliers")
+
+    monkeypatch.setattr(handlebody, "_multipliers", lambda *a: listed.append(multipliers(*a)) or listed[-1])
+    monkeypatch.setattr(handlebody, "monomials_leq", other_listing)
     monkeypatch.setattr(handlebody, "monomial_grading", lambda m: graded.append(m) or grading_of(m))
-    for call, args in (
-        (truncated_quotient_dimension, (6, 10, (0, 0))),
-        (truncated_quotient_dimension, (5, 8)),
-        (nested_truncation_dimension, (4, 4, 8, (1, 0))),
+    for call, args, (p, degree, grading) in (
+        (truncated_quotient_dimension, (6, 10, (0, 0)), (6, 10, (0, 0))),
+        (truncated_quotient_dimension, (5, 8), (5, 8, None)),
+        (nested_truncation_dimension, (4, 4, 8, (1, 0)), (4, 8, (1, 0))),
     ):
         listed.clear()
         graded.clear()
         call(*args)
         assert len(listed) == 1, (call.__name__, args)
-        ids = {id(m) for m in listed[0]}
-        # core homogeneity checks grade core monomials too; count only the list
-        assert sum(id(m) in ids for m in graded) == len(listed[0]), (call.__name__, args)
+        B, columns, runs, fits = listed[0]
+        width = handlebody._core_table(p, grading)[3]
+        keys = [key for run in runs for key in run]
+        assert len(keys) == len(set(keys)) == len(fits), (call.__name__, args)
+        # every column once: the monomials of degree <= bound in the class
+        expected = [m for m in monomials_leq(degree) if grading is None or grading_of(m) == grading]
+        assert sorted(handlebody._unkey(key, B) for key in columns if key < B**3) == sorted(expected)
+        assert len(columns) == width * len(expected), (call.__name__, args)
+        # core homogeneity checks grade core monomials; nothing else is graded one at a time
+        variants = [core for family in range(1, 9) for core in handlebody._variants(family, p) if core]
+        assert set(graded) <= {m for core in variants for m in core.terms}, (call.__name__, args)
 
 
 def test_family_crosscheck(p=4):
@@ -237,10 +252,13 @@ def test_monomials_leq_counts():
 
 def test_multiples_columns_are_the_graded_monomials():
     for grading in ((0, 0), (1, 0)):
-        _cores, _pairs, cols = handlebody._multiples(4, 4, grading)
+        cols, _width, _rows = handlebody._row_source(4, 4, grading)
         assert cols == [m for m in monomials_leq(4) if monomial_grading(m) == grading]
-    assert (0, 0, 0) in handlebody._multiples(4, 4, (0, 0))[2]
-    assert handlebody._multiples(4, 4)[2] == monomials_leq(4)
+    assert (0, 0, 0) in handlebody._row_source(4, 4, (0, 0))[0]
+    assert handlebody._row_source(4, 4, None)[0] == monomials_leq(4)
+    # odd p: the realified columns come in (real, imaginary) pairs
+    cols, width, _rows = handlebody._row_source(5, 4, None)
+    assert (cols, width) == (monomials_leq(4), 2)
 
 
 def test_truncated_dimension_anchors():
@@ -403,6 +421,65 @@ def test_peeled_rank_anchor():
     assert handlebody._rank_of_rows(rows) == bareiss_rank(rows) == 5
 
 
+@st.composite
+def quotient_cases(draw):
+    p = draw(st.integers(2, 12))
+    grading = draw(st.sampled_from(GRADINGS)) if p % 2 == 0 else None
+    return p, draw(st.integers(0, 28)), grading
+
+
+@given(quotient_cases())
+@settings(max_examples=25, deadline=None)
+def test_quotient_dimension_is_the_rank_of_every_row(case):
+    # beyond the pins: the two sweeps against bareiss_rank on the full rows
+    p, degree, grading = case
+    cols, width, rows = handlebody._relation_rows(p, degree, grading)
+    assert truncated_quotient_dimension(p, degree, grading) == len(cols) - bareiss_rank(rows) // width
+
+
+@pytest.mark.parametrize("p, degree, grading", [(6, 24, (0, 0)), (5, 16, None)])
+def test_the_peel_gets_each_kill_once_and_no_row_the_kills_span(monkeypatch, p, degree, grading):
+    _cols, _width, rows = handlebody._relation_rows(p, degree, grading)
+    kills = {c for row in rows if len(row) == 1 for c in row}
+    seen = []
+    rank_of_rows = handlebody._rank_of_rows
+
+    def spy(rows, killed=()):
+        rows, killed = list(rows), list(killed)
+        seen.append((rows, killed))
+        return rank_of_rows(rows, killed)
+
+    monkeypatch.setattr(handlebody, "_rank_of_rows", spy)
+    truncated_quotient_dimension(p, degree, grading)
+    ((arrived, killed),) = seen
+    assert not [row for row in arrived if kills.issuperset(row)]
+    arrivals = killed + [c for row in arrived if len(row) == 1 for c in row]
+    assert len(arrivals) == len(set(arrivals)) == len(kills)
+
+
+def test_a_relation_term_outside_the_columns_is_named(monkeypatch):
+    # one dropped column that a one-term row hits, one that only multi-term rows hit
+    p, degree, grading = 4, 6, (0, 0)
+    cols, _width, rows = handlebody._relation_rows(p, degree, grading)
+    kills = {c for row in rows if len(row) == 1 for c in row}
+    multi_only = next(c for row in rows for c in row if c not in kills)
+    multipliers = handlebody._multipliers
+    for dropped in (cols[min(kills)], cols[multi_only]):
+
+        def without(*args, dropped=dropped):
+            B, columns, runs, fits = multipliers(*args)
+            k, l, n = dropped
+            del columns[(k * B + l) * B + n]
+            return B, columns, runs, fits
+
+        monkeypatch.setattr(handlebody, "_multipliers", without)
+        message = re.escape(f"relation monomial {dropped} outside the column set")
+        with pytest.raises(ValueError, match=message):
+            truncated_quotient_dimension(p, degree, grading)
+        with pytest.raises(ValueError, match=message):
+            handlebody._relation_rows(p, degree, grading)
+
+
 def _reference_generators(p, degree_bound):
     # the definition, one Poly3 per monomial multiple
     out = []
@@ -422,9 +499,9 @@ def test_relation_generators_match_the_definition(p, degree):
 
 def test_degree_cap_fires_before_any_work(monkeypatch):
     def boom(*args, **kwargs):
-        raise AssertionError("monomials_leq ran above the degree cap")
+        raise AssertionError("monomials were listed above the degree cap")
 
-    monkeypatch.setattr(handlebody, "monomials_leq", boom)
+    monkeypatch.setattr(handlebody, "_multipliers", boom)
     for huge in (MAX_DEGREE + 1, 10**9):
         with pytest.raises(ValueError, match="exceeds the limit"):
             truncated_quotient_dimension(4, huge, (0, 0))
