@@ -8,12 +8,12 @@ quotient ideal; each is a fixed core polynomial times an arbitrary
 monomial, with the core variant selected by a parity of the monomial.
 Families 1-4 are a base polynomial plus or minus a multiple of the closed
 forms gamma_at_i_closed and gamma_prime_at_i_closed, so one closed form
-gives both variants of a family. The quotient dimensions build the cores
-and their integer row templates once per (p, grading), collect the columns
-that one-term relations put in the span before building any row, build
-only the rows those columns do not already span, peel further columns off
-those, and take the rank of what is left with the sparse
-linalg.bareiss_rank.
+gives both variants of a family. Both quotient dimensions share one path:
+it builds the cores and their integer row templates once per (p,
+grading), collects the columns that one-term relations put in the span
+before building any row, builds only the rows those columns do not
+already span, peels further columns off those, and takes the rank of
+what is left with the sparse linalg.bareiss_rank.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def crosscheck_relation_cores(p):
     if p < 2:
         raise ValueError("needs p >= 2")
     g_p = specialize_at_i(gamma(p))
-    g_p1 = specialize_at_i(gamma(p - 1)) if p >= 2 else None
+    g_p1 = specialize_at_i(gamma(p - 1))
     gp_p = specialize_at_i(gamma_prime(p))
     gp_p1 = specialize_at_i(gamma_prime(p - 1))
     i = root_of_unity(4)
@@ -523,39 +523,32 @@ def _outside(err, B):
     return ValueError(f"relation monomial {_unkey(err.args[0], B)} outside the column set")
 
 
-def _rows(B, columns, runs, fits, group_forms, killed=None):
+def _rows(B, columns, runs, fits, group_forms, killed):
     """One-shot generator of the integer relation rows {column: int}, in
     the order of the multiples, each core's rows in `_integer_forms` order;
-    each term of a row costs one lookup in columns. With a set killed, a
-    row whose columns all lie in it is in the span of those unit vectors,
-    and is skipped before its dict is built.
+    each term of a row costs one lookup in columns. A row whose columns all
+    lie in the set killed is in the span of those unit vectors, and is
+    skipped before its dict is built.
     """
     try:
         for key, g in _pairs(runs, fits):
             for terms, values in group_forms[g]:
                 cols = [columns[key + term] for term in terms]
-                if killed is None or not killed.issuperset(cols):
+                if not killed.issuperset(cols):
                     yield dict(zip(cols, values))
     except KeyError as err:
         raise _outside(err, B) from None
 
 
-def _row_source(p, degree_bound, grading):
+def _relation_rows(p, degree_bound, grading):
     """(cols, width, rows): the monomial columns as exponent triples, and a
-    one-shot generator of every integer relation row over them, with the
-    width of `_integer_forms`; no Poly3 is built per multiple. This is the
-    reference listing of the rows: `_relation_rows` and
-    `nested_truncation_dimension` read it.
+    list of every integer relation row over them, with the width of
+    `_integer_forms`. This is the reference listing of the rows, which the
+    tests pin and rank in full to check the quotient dimensions.
     """
     B, columns, runs, fits, width, group_forms = _keyed_forms(p, degree_bound, grading)
     cols = [_unkey(key, B) for key in columns if key < B**3]
-    return cols, width, _rows(B, columns, runs, fits, group_forms)
-
-
-def _relation_rows(p, degree_bound, grading):
-    """`_row_source` with the rows as a list."""
-    cols, width, rows = _row_source(p, degree_bound, grading)
-    return cols, width, list(rows)
+    return cols, width, list(_rows(B, columns, runs, fits, group_forms, set()))
 
 
 def _rank_of_rows(rows, killed=()):
@@ -621,51 +614,57 @@ def _check_grading(p, grading):
         return None
     if p % 2:
         raise ValueError("grading filter requires even p (homogeneous relations)")
+    if not isinstance(grading, (tuple, list)) or tuple(grading) not in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        raise ValueError(f"grading must be (0, 0), (0, 1), (1, 0), (1, 1) or None, got {grading!r}")
     return tuple(grading)
 
 
-def truncated_quotient_dimension(p, degree_bound, grading=None):
-    """Dimension of (monomials of degree <= bound, optionally one grading
-    class) modulo the degree-truncated relation span.
+def _quotient_ranks(p, degree_bound, grading, window=None):
+    """(inside, width, rank, outside): rank is that of every relation row of
+    degree <= degree_bound. With a window, inside counts the monomials of
+    degree <= window and outside is the rank of the rows projected to the
+    columns past them, a prefix as columns are ordered by degree; without
+    one, inside counts every monomial and outside is 0.
 
-    The multiples are read in two sweeps. The first collects the set of
-    columns that one-term rows hit, without building those rows; each is a
-    unit vector of the span. The second builds only the rows with more than
-    one term, and drops each one whose columns all lie in that set, since it
-    is in the span of those unit vectors already. `_rank_of_rows` peels the
-    rest after the set, so `bareiss_rank` gets the same rows as it would
-    from every row of `_row_source`.
+    The first sweep collects the columns that one-term rows hit, building
+    no row; each is a unit vector of the span. The second builds, once, the
+    multi-term rows with a column outside that set: the others lie in the
+    span of those unit vectors, and so do their projections past a window.
+    `_rank_of_rows` peels the built rows after the set.
     """
     grading = _check_grading(p, grading)
     _check_degree(degree_bound)
     B, columns, runs, fits, width, group_forms = _keyed_forms(p, degree_bound, grading)
     ones = [[terms[0] for terms, _values in forms if len(terms) == 1] for forms in group_forms]
-    killed = set()
     try:
-        for key, g in _pairs(runs, fits):
-            for term in ones[g]:
-                killed.add(columns[key + term])
+        killed = {columns[key + term] for key, g in _pairs(runs, fits) for term in ones[g]}
     except KeyError as err:
         raise _outside(err, B) from None
     several = [[form for form in forms if len(form[0]) > 1] for forms in group_forms]
     rows = _rows(B, columns, runs, fits, several, killed)
-    return len(columns) // width - _rank_of_rows(rows, killed) // width
+    if window is None:
+        return len(columns) // width, width, _rank_of_rows(rows, killed), 0
+    rows = list(rows)
+    rank = _rank_of_rows(rows, killed)
+    cut = sum(1 for key in columns if sum(_unkey(key, B)) <= window)
+    outside_rows = (proj for row in rows if (proj := {c: v for c, v in row.items() if c >= cut}))
+    return cut // width, width, rank, _rank_of_rows(outside_rows, [c for c in killed if c >= cut])
+
+
+def truncated_quotient_dimension(p, degree_bound, grading=None):
+    """Dimension of (monomials of degree <= bound, optionally one grading
+    class) modulo the degree-truncated relation span."""
+    monomials, width, rank, _ = _quotient_ranks(p, degree_bound, grading)
+    return monomials - rank // width
 
 
 def nested_truncation_dimension(p, window_degree, relation_degree, grading=None):
     """Dimension of the image of the degree <= window_degree monomial span in
-    the quotient by relations truncated at relation_degree >= window_degree.
-
-    dim = #window monomials - (rank of all rows - rank of rows projected to
-    the columns outside the window); increasing relation_degree can only
-    shrink it. Columns are ordered by degree, so the window is a prefix.
+    the quotient by relations truncated at relation_degree >= window_degree:
+    #window monomials - (rank of all rows - rank of their projections past
+    the window); a larger relation_degree can only shrink it.
     """
     if relation_degree < window_degree:
         raise ValueError("relation degree must dominate the window")
-    grading = _check_grading(p, grading)
-    _check_degree(relation_degree)
-    cols, width, rows = _relation_rows(p, relation_degree, grading)
-    inside = sum(1 for key in cols if sum(key) <= window_degree)
-    cut = width * inside
-    outside_rows = (proj for row in rows if (proj := {c: v for c, v in row.items() if c >= cut}))
-    return inside - (_rank_of_rows(rows) - _rank_of_rows(outside_rows)) // width
+    inside, width, rank, outside = _quotient_ranks(p, relation_degree, grading, window_degree)
+    return inside - (rank - outside) // width

@@ -252,12 +252,12 @@ def test_monomials_leq_counts():
 
 def test_multiples_columns_are_the_graded_monomials():
     for grading in ((0, 0), (1, 0)):
-        cols, _width, _rows = handlebody._row_source(4, 4, grading)
+        cols, _width, _rows = handlebody._relation_rows(4, 4, grading)
         assert cols == [m for m in monomials_leq(4) if monomial_grading(m) == grading]
-    assert (0, 0, 0) in handlebody._row_source(4, 4, (0, 0))[0]
-    assert handlebody._row_source(4, 4, None)[0] == monomials_leq(4)
+    assert (0, 0, 0) in handlebody._relation_rows(4, 4, (0, 0))[0]
+    assert handlebody._relation_rows(4, 4, None)[0] == monomials_leq(4)
     # odd p: the realified columns come in (real, imaginary) pairs
-    cols, width, _rows = handlebody._row_source(5, 4, None)
+    cols, width, _rows = handlebody._relation_rows(5, 4, None)
     assert (cols, width) == (monomials_leq(4), 2)
 
 
@@ -425,21 +425,31 @@ def test_peeled_rank_anchor():
 def quotient_cases(draw):
     p = draw(st.integers(2, 12))
     grading = draw(st.sampled_from(GRADINGS)) if p % 2 == 0 else None
-    return p, draw(st.integers(0, 28)), grading
+    degree = draw(st.integers(0, 28))
+    return p, degree, grading, draw(st.integers(0, degree))
+
+
+def _projected(rows, cut):
+    return [proj for row in rows if (proj := {c: v for c, v in row.items() if c >= cut})]
 
 
 @given(quotient_cases())
 @settings(max_examples=25, deadline=None)
 def test_quotient_dimension_is_the_rank_of_every_row(case):
-    # beyond the pins: the two sweeps against bareiss_rank on the full rows
-    p, degree, grading = case
+    # beyond the pins (the nested ones stop at relation degree 10): the two
+    # sweeps against bareiss_rank on the full rows and on their projections
+    p, degree, grading, window = case
     cols, width, rows = handlebody._relation_rows(p, degree, grading)
-    assert truncated_quotient_dimension(p, degree, grading) == len(cols) - bareiss_rank(rows) // width
+    rank = bareiss_rank(rows)
+    assert truncated_quotient_dimension(p, degree, grading) == len(cols) - rank // width
+    inside = sum(1 for key in cols if sum(key) <= window)
+    expected = inside - (rank - bareiss_rank(_projected(rows, width * inside))) // width
+    assert nested_truncation_dimension(p, window, degree, grading) == expected
 
 
 @pytest.mark.parametrize("p, degree, grading", [(6, 24, (0, 0)), (5, 16, None)])
 def test_the_peel_gets_each_kill_once_and_no_row_the_kills_span(monkeypatch, p, degree, grading):
-    _cols, _width, rows = handlebody._relation_rows(p, degree, grading)
+    cols, width, rows = handlebody._relation_rows(p, degree, grading)
     kills = {c for row in rows if len(row) == 1 for c in row}
     seen = []
     rank_of_rows = handlebody._rank_of_rows
@@ -450,11 +460,20 @@ def test_the_peel_gets_each_kill_once_and_no_row_the_kills_span(monkeypatch, p, 
         return rank_of_rows(rows, killed)
 
     monkeypatch.setattr(handlebody, "_rank_of_rows", spy)
+    window = degree // 2
+    cut = width * sum(1 for key in cols if sum(key) <= window)
     truncated_quotient_dimension(p, degree, grading)
-    ((arrived, killed),) = seen
+    nested_truncation_dimension(p, window, degree, grading)
+    (truncated, nested, projected) = seen
+    # the nested call's first rank reads the same kills and rows as the truncated one
+    assert nested == truncated
+    arrived, killed = truncated
     assert not [row for row in arrived if kills.issuperset(row)]
     arrivals = killed + [c for row in arrived if len(row) == 1 for c in row]
     assert len(arrivals) == len(set(arrivals)) == len(kills)
+    # its second: each kill past the window once, and the projections of those same rows
+    assert sorted(projected[1]) == sorted(c for c in kills if c >= cut)
+    assert projected[0] == _projected(arrived, cut)
 
 
 def test_a_relation_term_outside_the_columns_is_named(monkeypatch):
@@ -476,6 +495,8 @@ def test_a_relation_term_outside_the_columns_is_named(monkeypatch):
         message = re.escape(f"relation monomial {dropped} outside the column set")
         with pytest.raises(ValueError, match=message):
             truncated_quotient_dimension(p, degree, grading)
+        with pytest.raises(ValueError, match=message):
+            nested_truncation_dimension(p, degree // 2, degree, grading)
         with pytest.raises(ValueError, match=message):
             handlebody._relation_rows(p, degree, grading)
 
@@ -549,3 +570,12 @@ def test_quotient_argument_errors():
         truncated_quotient_dimension(3, 4, (0, 0))
     with pytest.raises(ValueError, match="dominate"):
         nested_truncation_dimension(2, 6, 4)
+    # a grading outside Z/2 x Z/2 names the four classes; a list is one of them
+    message = re.escape("grading must be (0, 0), (0, 1), (1, 0), (1, 1) or None")
+    for grading in ((2, 0), (-1, 0), (0, 5), (0, 0, 0), "ab", 5, [0]):
+        with pytest.raises(ValueError, match=message):
+            truncated_quotient_dimension(4, 6, grading)
+        with pytest.raises(ValueError, match=message):
+            nested_truncation_dimension(4, 4, 6, grading)
+    assert truncated_quotient_dimension(4, 6, [1, 0]) == truncated_quotient_dimension(4, 6, (1, 0))
+    assert nested_truncation_dimension(4, 4, 6, [1, 0]) == nested_truncation_dimension(4, 4, 6, (1, 0))
