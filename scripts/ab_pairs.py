@@ -17,9 +17,12 @@ both sides' median and quartiles, and how many pairs the change won. A
 speed claim holds when the change wins at least nine of ten pairs and its
 median beats the base median by more than the base's interquartile range,
 and no more tasks fail on the change side than on the base side. The
-no-regression verdict flags a metric whose change median is worse than the
-base median by more than the metric's `bound` in BENCHMARK.json, in the
-metric's own unit. Stdlib only.
+no-regression verdict, against the metric's `bound` in BENCHMARK.json in
+the metric's own unit, is `WORSE` when the change median is worse than the
+base median by more than the bound; else `unresolved` when the base's
+q3 - q1 is wider than the bound, so that no shift within the bound can be
+told apart, unless every change run beats every base run; else `ok`.
+Stdlib only.
 """
 
 import argparse
@@ -102,7 +105,9 @@ def summarize(pairs, metrics, failed=(0, 0)):
     pairs won, the median better by more than the base's q3 - q1, and no
     more failed tasks on the change side than on the base side; and
     `worse`: the change median worse than the base median by more than
-    the bound (False when no bound is given).
+    the bound (False when no bound is given); and `verdict`: "WORSE" when
+    worse, else "unresolved" when the base's q3 - q1 exceeds the bound and
+    not every change run beats every base run, else "ok".
     """
     rows = []
     for name, better, *bound in metrics:
@@ -117,6 +122,15 @@ def summarize(pairs, metrics, failed=(0, 0)):
             and sign * (b_med - c_med) > b_q3 - b_q1
             and failed[1] <= failed[0]
         )
+        worse = bool(bound) and sign * (c_med - b_med) > bound[0]
+        if worse:
+            verdict = "WORSE"
+        elif bound and b_q3 - b_q1 > bound[0] and not all(
+            sign * (b - c) > 0 for b in base for c in change
+        ):
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
         rows.append({
             "metric": name,
             "base": (b_med, b_q1, b_q3),
@@ -124,7 +138,8 @@ def summarize(pairs, metrics, failed=(0, 0)):
             "wins": wins,
             "pairs": len(pairs),
             "holds": holds,
-            "worse": bool(bound) and sign * (c_med - b_med) > bound[0],
+            "worse": worse,
+            "verdict": verdict,
         })
     return rows
 
@@ -140,7 +155,7 @@ def format_rows(rows):
             "%.4g [%.4g, %.4g]" % r["change"],
             "%d/%d" % (r["wins"], r["pairs"]),
             "holds" if r["holds"] else "-",
-            "WORSE" if r["worse"] else "ok",
+            r["verdict"],
         ))
     return "\n".join(out)
 

@@ -71,13 +71,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parsed_by(parse):
-    # keeps the text as given once `parse` accepts it
+    """(text, value): the value parsed once, the text kept for the cache key."""
+
     def check(text):
         try:
-            parse(text)
+            return text, parse(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
-        return text
 
     return check
 
@@ -317,10 +317,11 @@ def _emit(args, subcommand, inputs, compute, render_text):
 
 
 def _cmd_torus_mul(args):
-    inputs = {"left": args.left, "right": args.right}
+    (left_text, left), (right_text, right) = args.left, args.right
+    inputs = {"left": left_text, "right": right_text}
 
     def compute():
-        product = fg_multiply(parse_fg(args.left), parse_fg(args.right))
+        product = fg_multiply(left, right)
         return {"text": format_fg(product)}, None
 
     return _emit(args, "torus-mul", inputs, compute, lambda r: r["text"])
@@ -396,14 +397,14 @@ def _cmd_jprime_check(args):
 
 def _cmd_f12_reduce(args):
     text, slopes = args.slopes
+    element_text, element = args.element
     inputs = {
         "slopes": text,
-        "element": args.element,
+        "element": element_text,
         "max_steps": args.max_steps,
     }
 
     def compute():
-        element = parse_module_element(args.element)
         log = []
         try:
             reduced = normalize(element, slopes, max_steps=args.max_steps, log=log)

@@ -243,6 +243,15 @@ def _inverse_mod(n, vec):
 # ---------------------------------------------------------------------------
 
 
+def _exact(q):
+    """Fraction(q) for an exact rational q (an int, a Fraction, a string such
+    as "3/4"); a float is refused, since its binary value is rarely the
+    rational that was meant (0.1 is 3602879701896397/2^55)."""
+    if isinstance(q, float):
+        raise TypeError(f"CycNum needs exact rationals, got the float {q!r}")
+    return Fraction(q)
+
+
 def _make(order, num, den):
     """CycNum from a canonical (num tuple, den) pair, unchecked."""
     x = object.__new__(CycNum)
@@ -275,7 +284,7 @@ class CycNum:
     def __init__(self, order, coords):
         _check_order(order)
         phi = totient(order)
-        coords = [Fraction(c) for c in coords]
+        coords = [_exact(c) for c in coords]
         if len(coords) != phi:
             raise ValueError(f"order {order} needs {phi} coordinates, got {len(coords)}")
         # the lcm of the reduced denominators leaves no common factor
@@ -292,7 +301,7 @@ class CycNum:
 
     @classmethod
     def rational(cls, q):
-        q = Fraction(q)
+        q = _exact(q)
         return _make(1, (q.numerator,), q.denominator)
 
     @classmethod

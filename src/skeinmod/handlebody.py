@@ -134,6 +134,9 @@ MAX_P = 1024
 
 
 def _check_p(p):
+    # before any cache: 4.0 == 4 would hit p = 4's _core_table entry
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise TypeError(f"p must be an int, got {p!r}")
     if p > MAX_P:
         raise ValueError(f"p = {p} exceeds the limit {MAX_P}")
 

@@ -33,14 +33,15 @@ class SeifertData:
     """Base genus, boundary count, and exceptional fibers of a fibered space.
 
     fibers is a sequence of (beta, alpha) with alpha >= 2 and gcd = 1; g < 0
-    means a non-orientable base of genus |g|. Raises ValueError when |g|, n
+    means a non-orientable base of genus |g|. Raises TypeError when g, n or
+    a fiber entry is not an int (a bool is not), and ValueError when |g|, n
     or the number of fibers exceeds MAX_GENUS, MAX_BOUNDARY or MAX_FIBERS.
     """
 
     __slots__ = ("g", "n", "fibers")
 
     def __init__(self, g, n, fibers=()):
-        if not isinstance(g, int) or not isinstance(n, int):
+        if type(g) is not int or type(n) is not int:
             raise TypeError("genus and boundary count must be integers")
         if abs(g) > MAX_GENUS:
             raise ValueError(f"genus {g} is outside the limit +-{MAX_GENUS}")
@@ -52,7 +53,8 @@ class SeifertData:
             raise ValueError(f"{len(fibers)} fibers exceed the limit {MAX_FIBERS}")
         clean = []
         for beta, alpha in fibers:
-            beta, alpha = int(beta), int(alpha)
+            if type(beta) is not int or type(alpha) is not int:
+                raise TypeError(f"fiber ({beta!r},{alpha!r}) needs integer entries")
             if alpha < 2:
                 raise ValueError(f"fiber ({beta},{alpha}) needs alpha >= 2")
             if gcd(alpha, beta) != 1:
@@ -289,14 +291,6 @@ class Representation:
         ident = Mat2.identity()
         return all(ev(rel) == ident for rel in relators)
 
-    def conjugated(self, p, pinv):
-        """pinv * m * p for every image m, where pinv is the inverse of p
-        that the caller already holds; a central image commutes with p and
-        is kept as it is."""
-        return Representation(
-            {sym: m if sym in self.signs else pinv * m * p for sym, m in self.images.items()}
-        )
-
     def as_dict(self):
         return {
             "order": self.order,
@@ -460,27 +454,33 @@ def _extend_chain(p_prev, mu, muinv, letter_trace, target_trace):
     return e * local * e_inv, e, e_inv
 
 
+_ChainLayout = namedtuple("_ChainLayout", "chain delta side1 side2")
+
+
 def _chain_layout(data, case):
-    k = len(data.fibers)
-    qs = [f"q{l + 1}" for l in range(k)]
+    """The letter order, and the torus word chain[0] chain[1] with the
+    generators on its two sides (None for rp2_small, with no torus pair)."""
+    qs = [f"q{l + 1}" for l in range(len(data.fibers))]
     cs = [f"c{j + 1}" for j in range(data.n)]
     if case == "rp2_small":
-        return qs + cs  # relator order; no torus pair to front-load
-    if data.n:
-        return cs + qs  # rotate the boundary loops to the front
-    return qs
+        return _ChainLayout(qs + cs, None, None, None)  # relator order
+    chain = cs + qs  # the boundary loops rotated to the front
+    side2 = chain[2:] + (["a1"] if case == "rp2_base" else [])
+    return _ChainLayout(chain, ((chain[0], 1), (chain[1], 1)), chain[:2], side2)
 
 
-def _chain_candidates(data, case):
+def _chain_candidates(data, case, layout):
     """Representations for the sphere_base / rp2_base / rp2_small chains.
 
-    Yields (rep, meta) for every parameter choice that completes; meta
-    holds the choice as "assignment". The relators hold by construction and
-    are not evaluated here: reverify_certificate checks them on every
-    certificate certify returns, and build_representation on the one
-    representation it returns. The schedule is deterministic and capped at
-    _MAX_CANDIDATES. Raises BuildError before the search when the field
-    that the fiber letters need is above cyclotomic.MAX_ORDER.
+    Yields (rep, assignment, irreducible_pair) for every parameter choice
+    that completes; the pair is None for rp2_small. In the separating cases
+    every non-central image is in the torus frame, where delta's image is
+    diagonal. The relators hold by construction and are not evaluated here:
+    reverify_certificate checks them on every certificate certify returns,
+    and build_representation on the one representation it returns. The
+    schedule is deterministic and capped at _MAX_CANDIDATES. Raises
+    BuildError before the search when the field that the fiber letters need
+    is above cyclotomic.MAX_ORDER.
     """
     d_orders = _fiber_orders(data)
     field_order = lcm(4, *d_orders)
@@ -490,14 +490,13 @@ def _chain_candidates(data, case):
             f"{field_order} = lcm(4, {', '.join(map(str, d_orders))}), "
             f"above the limit {MAX_ORDER}"
         )
-    chain = _chain_layout(data, case)
-    m = len(chain)
+    m = len(layout.chain)
     d_by_sym = {f"q{l + 1}": d for l, d in enumerate(d_orders)}
     exps = _exponent_schedule(field_order)
 
     # schedule slots; the rightmost slot cycles fastest under product()
     slots = []
-    for sym in chain:
+    for sym in layout.chain:
         if sym not in d_by_sym:
             slots.append((f"trace_{sym}", exps))
     if case == "sphere_base":
@@ -521,13 +520,14 @@ def _chain_candidates(data, case):
     for combo in itertools.islice(itertools.product(*spaces), _MAX_CANDIDATES):
         assign = dict(zip(names, combo))
         try:
-            rep, meta = _attempt_chain(data, case, chain, d_by_sym, field_order, assign)
+            rep, pair = _attempt_chain(data, case, layout, d_by_sym, field_order, assign)
         except _Skip:
             continue
-        yield rep, meta
+        yield rep, assign, pair
 
 
-def _attempt_chain(data, case, chain, d_by_sym, field_order, assign):
+def _attempt_chain(data, case, layout, d_by_sym, field_order, assign):
+    chain = layout.chain
     m = len(chain)
     traces = [
         _root_trace(d_by_sym[sym], 1) if sym in d_by_sym
@@ -566,7 +566,7 @@ def _attempt_chain(data, case, chain, d_by_sym, field_order, assign):
         nxt, e, e_inv = _extend_chain(partial, mu, muinv, letter_trace, target)
         if j == 3:
             # partial is p1 p2, the torus image: e diagonalizes it
-            torus_frame = (partial, e, e_inv)
+            frame, frame_inv = e, e_inv
         letters.append(nxt)
         partial = partial * nxt
 
@@ -586,23 +586,20 @@ def _attempt_chain(data, case, chain, d_by_sym, field_order, assign):
             root = u * root * u.inverse()
         images["a1"] = root
 
-    rep = Representation(images)
     if case == "rp2_small":
-        return rep, {"assignment": assign}
-    delta = ((chain[0], 1), (chain[1], 1))
-    side1 = list(chain[:2])
-    side2 = list(chain[2:]) + (["a1"] if case == "rp2_base" else [])
-    pair = _irreducible_pair(rep, side1 + side2)
+        return Representation(images), None
+    # commutator determinants are the same in every frame and at every order
+    pair = _irreducible_pair(images, layout.side1 + layout.side2)
     if pair is None:
         raise _Skip
-    return rep, {
-        "assignment": assign, "delta": delta, "torus_frame": torus_frame,
-        "side1": side1, "side2": side2, "irreducible_pair": pair,
-    }
+    # a central image commutes with the frame and is kept as it is
+    return Representation(
+        {sym: mat if mat.is_central_sl2() else frame_inv * mat * frame for sym, mat in images.items()}
+    ), pair
 
 
-def _irreducible_pair(rep, syms):
-    mats = [rep.image(s) for s in syms]
+def _irreducible_pair(images, syms):
+    mats = [images[s] for s in syms]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             if is_irreducible(mats[i], mats[j]):
@@ -643,15 +640,16 @@ def _diagonal_representation(data):
     return rep, gammas, delta
 
 
-def _first_chain_candidate(data, case):
-    for rep, meta in _chain_candidates(data, case):
-        return rep, meta
+def _first_chain_candidate(data, case, layout):
+    for candidate in _chain_candidates(data, case, layout):
+        return candidate
     raise BuildError(f"parameter schedule exhausted for case {case!r}")
 
 
 def build_representation(data, case):
     """The representation the certificate for the case is built on: the
-    diagonal one for positive_genus, else the first in the chain schedule.
+    diagonal one for positive_genus, else the first in the chain schedule,
+    which certify takes as it is unless it yields no certificate.
 
     Raises BuildError when the schedule is exhausted, and also when a
     relator fails under word_image on the representation returned (that
@@ -661,7 +659,7 @@ def build_representation(data, case):
     if case == "positive_genus":
         rep = _diagonal_representation(data)[0]
     elif case in ("sphere_base", "rp2_base", "rp2_small"):
-        rep = _first_chain_candidate(data, case)[0]
+        rep = _first_chain_candidate(data, case, _chain_layout(data, case))[0]
     else:
         raise ValueError(f"no representation construction for case {case!r}")
     if not rep.satisfies(presentation(data).relators):
@@ -742,14 +740,12 @@ def _reverified(cert, data, attempt):
 
 
 def _separating_certificate(data, case):
-    for rep0, meta in _chain_candidates(data, case):
-        delta_word = meta["delta"]
-        _torus, e, e_inv = meta["torus_frame"]
-        rep = rep0.conjugated(e, e_inv)
-        dims = [algebra_dim([rep.image(s) for s in meta[side]]) for side in ("side1", "side2")]
+    layout = _chain_layout(data, case)
+    for rep, assign, pair in _chain_candidates(data, case, layout):
+        dims = [algebra_dim([rep.image(s) for s in side]) for side in (layout.side1, layout.side2)]
         if min(dims) < 3:
             continue
-        hit = _word_witness(rep, meta["side1"], meta["side2"], delta_word)
+        hit = _word_witness(rep, layout.side1, layout.side2, layout.delta)
         if hit is None:
             continue
         x1, x2, gamma, fwd, swp = hit
@@ -760,7 +756,7 @@ def _separating_certificate(data, case):
             criterion_ref="separating vertical torus trace criterion",
             side_conditions={
                 "classification": case,
-                "irreducible_pair": meta["irreducible_pair"],
+                "irreducible_pair": pair,
                 "side_algebra_dims": dims,
                 # at j = 3 _recognized_eigenvalue skips every p1 p2 of trace
                 # +-2, so the torus image has distinct eigenvalues
@@ -768,7 +764,7 @@ def _separating_certificate(data, case):
                 "torus_image_noncentral": True,
             },
         )
-        return _reverified(cert, data, f"{case} with assignment {meta['assignment']!r}")
+        return _reverified(cert, data, f"{case} with assignment {assign!r}")
     raise BuildError(f"parameter schedule exhausted for case {case!r}")
 
 
@@ -810,8 +806,8 @@ def certify(data):
             verified=True,
         )
     if case == "rp2_small":
-        rep, meta = _first_chain_candidate(data, case)
-        chain = _chain_layout(data, case)
+        layout = _chain_layout(data, case)
+        rep, assign, _pair = _first_chain_candidate(data, case, layout)
         cert = TorsionCertificate(
             kind="noneffective_boundary",
             representation=rep,
@@ -820,10 +816,10 @@ def certify(data):
             side_conditions={
                 "classification": case,
                 "homology": homology(data),
-                "independent_trace_loops": chain,
+                "independent_trace_loops": layout.chain,
             },
         )
-        return _reverified(cert, data, f"{case} with assignment {meta['assignment']!r}")
+        return _reverified(cert, data, f"{case} with assignment {assign!r}")
     if case == "positive_genus":
         return _nonseparating_certificate(data)
     return _separating_certificate(data, case)

@@ -100,3 +100,28 @@ def test_bound_on_a_higher_is_better_metric():
         [("rank_per_row", "higher", 0.25)],
     )
     assert not row["worse"] and row["wins"] == 5
+
+
+# a peak_rss_mb-like base whose q3 - q1 (0.3 MB) is wider than a 0.1 MB bound
+_WIDE_BASE = [50.0, 50.4, 50.1, 50.5, 50.0, 50.4, 50.1, 50.5, 50.2, 50.3]
+
+
+@pytest.mark.parametrize(
+    "change, verdict",
+    [
+        # worse by more than the bound: WORSE, whatever the base's spread
+        ([b + 0.5 for b in _WIDE_BASE], "WORSE"),
+        # the same runs again: a shift within the bound cannot be told apart
+        (list(_WIDE_BASE), "unresolved"),
+        # every change run beats every base run: the spread does not matter
+        ([49.5] * 10, "ok"),
+    ],
+    ids=["worse", "unresolved", "ok"],
+)
+def test_no_regression_verdict(change, verdict):
+    metrics = [("peak_rss_mb", "lower", 0.1)]
+    (row,) = ab_pairs.summarize(_pairs(_WIDE_BASE, change, name="peak_rss_mb"), metrics)
+    assert row["base"][2] - row["base"][1] > 0.1
+    assert row["verdict"] == verdict
+    assert row["worse"] == (verdict == "WORSE")
+    assert ab_pairs.format_rows([row]).splitlines()[1].endswith(verdict)

@@ -80,6 +80,30 @@ def test_f12_reduce_parses_the_slopes_once(capsys, monkeypatch):
     assert built == [(1, -2, 1, 1)]
 
 
+def _counting(monkeypatch, name):
+    calls = []
+    plain = getattr(cli, name)
+
+    def counted(text):
+        calls.append(text)
+        return plain(text)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_torus_mul_and_f12_reduce_parse_each_operand_once(capsys, monkeypatch):
+    fg_calls = _counting(monkeypatch, "parse_fg")
+    element_calls = _counting(monkeypatch, "parse_module_element")
+    code, env, _ = run_json(capsys, "torus-mul", "--json", "(1,0)", "(0,1)")
+    assert code == 0 and fg_calls == ["(1,0)", "(0,1)"]
+    assert env["inputs"] == {"left": "(1,0)", "right": "(0,1)"}
+    args = ("f12-reduce", "--json", "--slopes", "1,-2,1,1", "--element", "(0,0,0,3)*e")
+    code, env, _ = run_json(capsys, *args)
+    assert code == 0 and element_calls == ["(0,0,0,3)*e"]
+    assert env["inputs"]["element"] == "(0,0,0,3)*e"
+
+
 def test_f12_reduce_fractional_output_reparses(capsys):
     args = ("f12-reduce", "--slopes", "1,-2,1,1")
     code, out, _ = run(capsys, *args, "--element", "(1)/(1 + A)*(0,0,0,3)*e")

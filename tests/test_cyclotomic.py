@@ -178,6 +178,18 @@ def test_rational_recognition():
     assert (w + w.inverse()).as_fraction() == 1
 
 
+def test_constructors_refuse_floats():
+    # 0.1 would be 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="exact rationals"):
+        CycNum.rational(0.1)
+    with pytest.raises(TypeError, match="exact rationals"):
+        CycNum(4, [1, 0.5])
+    # exact inputs stay accepted: the CLI's JSON reader passes Fractions
+    assert CycNum.rational("1/10").as_fraction() == Fraction(1, 10)
+    assert CycNum.rational(Fraction(1, 10)) == CycNum.rational("0.1")
+    assert CycNum(4, ["1/2", Fraction(3)]).coords == (Fraction(1, 2), Fraction(3))
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 6, 7, 15, Fraction(1, 2), Fraction(9, 4), -1, -3, -Fraction(2, 5)])
 def test_rational_sqrt(q):
     s = rational_sqrt_cyclotomic(q)

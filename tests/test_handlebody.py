@@ -556,6 +556,26 @@ def test_p_cap_fires_before_any_work(monkeypatch):
             verify_Jprime_containment(huge)
 
 
+@pytest.mark.parametrize("int_first", [False, True], ids=["fresh_cache", "after_p_4"])
+def test_non_int_p_is_a_type_error_before_the_cache(int_first):
+    # 4.0 == 4 and hash(4.0) == hash(4): a float p that reached _core_table
+    # failed deep inside on a fresh cache and hit p = 4's entry after a p = 4
+    # call; the type check fires first in either order
+    handlebody._core_table.cache_clear()
+    if int_first:
+        truncated_quotient_dimension(4, 4)
+    calls = [
+        lambda: truncated_quotient_dimension(4.0, 4),
+        lambda: verify_Jprime_containment(4.0),
+        lambda: relation_core(1, 4.0, 0),
+        lambda: relation_core(5, True, 0),
+        lambda: gamma(3.0),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="p must be an int"):
+            call()
+
+
 def test_p_cap_admits_the_cap(monkeypatch):
     monkeypatch.setattr(handlebody, "chebyshev_T", lambda n: {0: 1})
     assert relation_core(1, MAX_P, 0) is not None

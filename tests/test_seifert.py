@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -70,6 +71,21 @@ def test_data_validation():
         SeifertData(0, -1)
     with pytest.raises(TypeError):
         SeifertData(0.0, 0)
+
+
+@pytest.mark.parametrize(
+    "fiber", [(1, 2.5), (1.0, 3), ("1", "3"), (True, 2), (1, Fraction(3))], ids=repr
+)
+def test_fiber_entries_must_be_ints(fiber):
+    # no entry is truncated or converted: (1, 2.5) is not the fiber (1, 2)
+    with pytest.raises(TypeError, match="needs integer entries"):
+        SeifertData(0, 0, [(1, 3), fiber])
+
+
+def test_genus_and_boundary_count_must_not_be_bools():
+    for g, n in ((True, 0), (0, False)):
+        with pytest.raises(TypeError, match="genus and boundary count"):
+            SeifertData(g, n)
 
 
 class _HugeFibers:
@@ -700,25 +716,32 @@ def test_certify_reads_side_algebra_dims_without_closures(monkeypatch):
     assert _certificates_sha256(CENSUS_PINNED_SPACES) == CENSUS_CERTIFICATES_SHA256
 
 
+FRAMED_SPACES = [
+    SeifertData(0, 0, [(1, 2), (1, 3), (1, 5), (1, 7)]),
+    SeifertData(0, 2, [(1, 6), (2, 7)]),
+    SeifertData(-1, 1, [(2, 5), (3, 7)]),
+]
+
+
+@pytest.mark.parametrize("data", FRAMED_SPACES, ids=repr)
+def test_first_candidate_is_in_the_torus_frame(data):
+    # the chain conjugates its images by the eigenframe of p1 p2, so the
+    # representation it yields maps delta to diag(mu, mu^-1), mu != mu^-1
+    case = classify(data)
+    layout = seifert._chain_layout(data, case)
+    rep, _assign, _pair = next(seifert._chain_candidates(data, case, layout))
+    torus = rep.word_image(layout.delta)
+    assert torus.b.is_zero and torus.c.is_zero and not (torus.a == torus.d)
+
+
 @pytest.mark.parametrize(
-    "data",
-    [
-        SeifertData(0, 0, [(1, 2), (1, 3), (1, 5), (1, 7)]),
-        SeifertData(0, 2, [(1, 6), (2, 7)]),
-        SeifertData(-1, 1, [(2, 5), (3, 7)]),
-    ],
-    ids=repr,
+    "data", FRAMED_SPACES + [SeifertData(0, 0, [(1, 2), (1, 2), (1, 3), (1, 3)])], ids=repr
 )
-def test_chain_frame_is_the_standardizing_frame(data):
-    # oracle: the reference path, standardize_pair on the torus image,
-    # gives the chain's frame entry by entry
-    rep, meta = next(seifert._chain_candidates(data, classify(data)))
-    torus, e, e_inv = meta["torus_frame"]
-    assert rep.word_image(meta["delta"]) == torus
-    assert standardize_pair(torus) == e
-    assert e * e_inv == Mat2.identity()
-    diag = e_inv * torus * e
-    assert diag.b.is_zero and diag.c.is_zero and not (diag.a == diag.d)
+def test_build_representation_is_the_certified_representation(data):
+    # on spaces whose first candidate certifies, certify keeps the
+    # representation the chain built
+    rep = build_representation(data, classify(data))
+    assert rep.as_dict() == certify(data).representation.as_dict()
 
 
 def test_noneffective_closed_certificate():
@@ -796,7 +819,10 @@ def test_representation_shares_its_units():
     built = Representation(
         {"x": Mat2.identity(), "y": Mat2(z5, 0, one_at_5, z5.inverse()), "h": -Mat2.identity()}
     )
-    conj = built.conjugated(Mat2(1, 1, 0, 1), Mat2(1, -1, 0, 1))
+    p, pinv = Mat2(1, 1, 0, 1), Mat2(1, -1, 0, 1)
+    conj = Representation(
+        {sym: m if sym in built.signs else pinv * m * p for sym, m in built.images.items()}
+    )
     reps = [built, conj]
     reps += [certify(data).representation for data in (FIVE_INSTANCES[0], FIVE_INSTANCES[3], RP2_SMALL)]
     for rep in reps:
