@@ -152,9 +152,9 @@ def _handle_recurrence(g1, g2, p):
 
 def gamma(p):
     """Curve winding p times around one handle, generic A, via the recurrence."""
+    _check_p(p)
     if p < 1:
         raise ValueError("gamma needs p >= 1")
-    _check_p(p)
     A = LaurentPoly.A
     g1 = Poly3({(0, 1, 0): LaurentPoly.one()})
     if p == 1:
@@ -165,9 +165,9 @@ def gamma(p):
 
 def gamma_prime(p):
     """Companion curve crossing the z-handle once, generic A."""
+    _check_p(p)
     if p < 1:
         raise ValueError("gamma_prime needs p >= 1")
-    _check_p(p)
     A = LaurentPoly.A
     g1 = Poly3({(0, 0, 1): LaurentPoly.one()})
     if p == 1:
@@ -184,17 +184,17 @@ def specialize_at_i(poly):
 
 def gamma_at_i_closed(p):
     """Closed form i^(p-1) * T_p(y)."""
+    _check_p(p)
     if p < 1:
         raise ValueError("needs p >= 1")
-    _check_p(p)
     return _y_poly(chebyshev_T(p), root_of_unity(4, p - 1))
 
 
 def gamma_prime_at_i_closed(p):
     """Closed form i^(p-1) z S_{p-1}(y) + i^(p+1) x S_{p-2}(y)."""
+    _check_p(p)
     if p < 1:
         raise ValueError("needs p >= 1")
-    _check_p(p)
     zpart = _y_poly(chebyshev_S(p - 1), root_of_unity(4, p - 1)).monomial_shift(0, 0, 1)
     xpart = _y_poly(chebyshev_S(p - 2), root_of_unity(4, p + 1)).monomial_shift(1, 0, 0)
     return zpart + xpart
@@ -241,9 +241,9 @@ def relation_core(family, p, parity):
         raise ValueError(f"family must be 1..8, got {family}")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
+    _check_p(p)
     if family <= 4 and p < 2:
         raise ValueError("families 1-4 need p >= 2")
-    _check_p(p)
     return _variants(family, p)[parity]
 
 
@@ -256,6 +256,7 @@ def crosscheck_relation_cores(p):
     opposite pairing (which is also the one its own ideal-membership proof
     needs), so this check is expected to flag family 4.
     """
+    _check_p(p)
     if p < 2:
         raise ValueError("needs p >= 2")
     g_p = specialize_at_i(gamma(p))
@@ -291,9 +292,9 @@ def crosscheck_relation_cores(p):
 def v_restricted_cores(p):
     """The one variant of each family whose monomial multiples can land in
     the trivially graded part, as (family, core) pairs."""
+    _check_p(p)
     if p % 2 or p < 2:
         raise ValueError("needs even p >= 2")
-    _check_p(p)
     return list(_core_table(p, (0, 0))[0])
 
 
@@ -305,9 +306,9 @@ def verify_Jprime_containment(p):
     these relations keeps all powers z^(2n) independent; that is the engine
     of the infinite-dimensionality argument. Returns (ok, report).
     """
+    _check_p(p)
     if p % 2 or p < 2:
         raise ValueError("needs even p >= 2")
-    _check_p(p)
     report = {}
     ok = True
     for family, core in v_restricted_cores(p):
@@ -422,11 +423,11 @@ def _multipliers(p, degree_bound, grading):
     and the entries of fits refer to the group numbers of `_core_table`, so
     fits allocates no object per monomial either.
     """
+    _check_p(p)
     if p < 2:
         raise ValueError("needs p >= 2")
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    _check_p(p)
     _cores, _groups, fits_by_class, width, _forms = _core_table(p, grading)
     B = degree_bound + 2
     columns, runs, fits = {}, [], []
@@ -635,6 +636,7 @@ def _quotient_ranks(p, degree_bound, grading, window=None):
     span of those unit vectors, and so do their projections past a window.
     `_rank_of_rows` peels the built rows after the set.
     """
+    _check_p(p)
     grading = _check_grading(p, grading)
     _check_degree(degree_bound)
     B, columns, runs, fits, width, group_forms = _keyed_forms(p, degree_bound, grading)

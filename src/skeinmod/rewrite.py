@@ -19,6 +19,12 @@ table with LaurentPoly coefficients, while `normalize` applies it to plain
 {exp: int} coefficient dicts as signed exponent shifts. Coefficients in
 Q(A) go through the same loop as integer numerators over one common
 denominator.
+
+`_oriented` is the one orientation rule: it flips each pair of a label, as
+given, by the sign of its complexity form and returns the two forms with
+it. The rule table branches on those forms, and it orients and
+canonicalizes in place: two sign tests give each output row's two pairs
+their canonical sign.
 """
 
 from __future__ import annotations
@@ -41,7 +47,14 @@ from .text import coeff_term, join_signed, split_coeff, split_terms
 from .torus import canon
 
 GENS = ("e", "x1", "x2")
-_GEN_RANK = {"e": 0, "x1": 1, "x2": 2}
+_GEN_RANK = {g: i for i, g in enumerate(GENS)}
+
+
+def _check_label(label):
+    # a float entry would flow through the forms into float exponents
+    for v in label:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"label entries must be ints, got {label!r}")
 
 
 def normalize_label(label):
@@ -63,7 +76,7 @@ class SlopeData:
 
     def __init__(self, a1, b1, a2, b2):
         for name, val in (("a1", a1), ("b1", b1), ("a2", a2), ("b2", b2)):
-            if not isinstance(val, int):
+            if isinstance(val, bool) or not isinstance(val, int):
                 raise TypeError(f"{name} must be an integer")
         if a1 <= 0 or b1 >= 0:
             raise ValueError("first slope needs a1 > 0 and b1 < 0")
@@ -128,7 +141,8 @@ class ModuleElement(SparseSum):
 
     Coefficients are LaurentPoly values when integral and LaurentFraction
     otherwise; both mix freely. Keys are ((a,b,c,d), gen) with the label
-    stored in canonical form.
+    stored in canonical form; a label entry that is not an int (a bool
+    included) is a TypeError.
     """
 
     __slots__ = ()
@@ -139,9 +153,11 @@ class ModuleElement(SparseSum):
             for (label, gen), coeff in terms.items():
                 if gen not in _GEN_RANK:
                     raise ValueError(f"unknown generator {gen!r}")
+                label = tuple(label)
+                _check_label(label)
                 if isinstance(coeff, int):
                     coeff = LaurentPoly.from_int(coeff)
-                accumulate(self.terms, (normalize_label(tuple(label)), gen), coeff)
+                accumulate(self.terms, (normalize_label(label), gen), coeff)
 
     @classmethod
     def term(cls, label, gen, coeff=1):
@@ -266,58 +282,74 @@ def boundary_multiply(e, pair, boundary):
 
 
 def _oriented(label, slopes):
-    # flip each pair independently so both complexity forms are nonnegative
-    a, b, c, d = normalize_label(label)
-    if slopes.a1 * b - slopes.b1 * a < 0:
-        a, b = -a, -b
-    if slopes.a2 * d - slopes.b2 * c < 0:
-        c, d = -c, -d
-    return a, b, c, d
+    """(u, v, w, z, c1, c2): label with each pair flipped to make its complexity
+    form c_i nonnegative, and the two forms.
+
+    This is the one orientation rule. A pair whose form is 0 is a multiple
+    of its slope, and a_i > 0, so it takes its canonical sign, first entry
+    >= 0. The label's own sign does not matter.
+    """
+    a, b, c, d = label
+    c1 = slopes.a1 * b - slopes.b1 * a
+    if c1 < 0 or c1 == 0 and a < 0:
+        a, b, c1 = -a, -b, -c1
+    c2 = slopes.a2 * d - slopes.b2 * c
+    if c2 < 0 or c2 == 0 and c < 0:
+        c, d, c2 = -c, -d, -c2
+    return a, b, c, d, c1, c2
 
 
 def _rules(label, gen, slopes):
-    """The rewrite of label*gen as rows (label, gen, ((sign, exp), ...)).
+    """The rewrite of label*gen as rows ((label, gen), sign, exp, cross).
 
     This table is the one copy of the rewrite formulas: three fiber trades
     on the second boundary, seven rules on 'e' and five on 'x1'/'x2'. A
-    row's coefficient is the sum of sign * A^exp over its pairs, so it is
-    +-A^k or A^k - A^(k-2), and multiplying by it is a signed exponent
-    shift. Labels are canonical; rows are not merged, so two of them can
-    share a key. Raises NotReducible inside the c1 <= 2(a1-b1), c2 <= 2a2
-    box.
+    row's coefficient is sign * A^exp, times (1 - A^-2) when cross is set,
+    so it is +-A^k or A^k - A^(k-2), and multiplying by it is a signed
+    exponent shift. The rows are built on the oriented label and each pair
+    is put in canonical form here, as torus.canon does; rows are not
+    merged, so two of them can share a key. Raises NotReducible inside the
+    c1 <= 2(a1-b1), c2 <= 2a2 box.
     """
-    u, v, w, z = _oriented(label, slopes)
+    u, v, w, z, c1, c2 = _oriented(label, slopes)
     t = v - u
-    if slopes.a2 * z - slopes.b2 * w > 2 * slopes.a2:
+    if c2 > 2 * slopes.a2:
         # fiber trade on the second boundary; works uniformly on all generators
         rows = (
-            ((u, v + 1, w, z - 1), gen, ((1, u - w),)),
-            ((u, v - 1, w, z - 1), gen, ((1, -u - w),)),
-            ((u, v, w, z - 2), gen, ((-1, -2 * w),)),
+            (u, v + 1, w, z - 1, gen, 1, u - w, False),
+            (u, v - 1, w, z - 1, gen, 1, -u - w, False),
+            (u, v, w, z - 2, gen, -1, -2 * w, False),
         )
-    elif slopes.a1 * v - slopes.b1 * u > 2 * (slopes.a1 - slopes.b1):
+    elif c1 > 2 * (slopes.a1 - slopes.b1):
         if gen == "e":
             rows = (
-                ((u - 2, v - 2, w, z), gen, ((-1, 2 * t),)),
-                ((u - 1, v - 1, w + 1, z - 1), gen, ((-1, t - w - z - 2),)),
-                ((u - 1, v - 1, w - 1, z + 1), gen, ((-1, t + w + z - 2),)),
-                ((u - 1, v - 1, w + 1, z + 1), gen, ((1, t + w - z),)),
-                ((u - 1, v - 1, w - 1, z - 1), gen, ((1, t - w + z),)),
-                ((u, v - 2, w, z), gen, ((1, -2 * u),)),
-                ((u - 2, v, w, z), gen, ((1, 2 * v - 4),)),
+                (u - 2, v - 2, w, z, gen, -1, 2 * t, False),
+                (u - 1, v - 1, w + 1, z - 1, gen, -1, t - w - z - 2, False),
+                (u - 1, v - 1, w - 1, z + 1, gen, -1, t + w + z - 2, False),
+                (u - 1, v - 1, w + 1, z + 1, gen, 1, t + w - z, False),
+                (u - 1, v - 1, w - 1, z - 1, gen, 1, t - w + z, False),
+                (u, v - 2, w, z, gen, 1, -2 * u, False),
+                (u - 2, v, w, z, gen, 1, 2 * v - 4, False),
             )
         else:
             other = "x2" if gen == "x1" else "x1"
             rows = (
-                ((u - 2, v - 2, w, z), gen, ((-1, 2 * t),)),
-                ((u, v - 2, w, z), gen, ((1, -2 * u - 2),)),
-                ((u - 2, v, w, z), gen, ((1, 2 * v - 6),)),
-                ((u - 1, v - 1, w, z + 1), other, ((1, t + w - 1), (-1, t + w - 3))),
-                ((u - 1, v - 1, w, z - 1), other, ((1, t - w - 1), (-1, t - w - 3))),
+                (u - 2, v - 2, w, z, gen, -1, 2 * t, False),
+                (u, v - 2, w, z, gen, 1, -2 * u - 2, False),
+                (u - 2, v, w, z, gen, 1, 2 * v - 6, False),
+                (u - 1, v - 1, w, z + 1, other, 1, t + w - 1, True),
+                (u - 1, v - 1, w, z - 1, other, 1, t - w - 1, True),
             )
     else:
         raise NotReducible(f"label {tuple(label)} is inside the irreducible box")
-    return [(normalize_label(lab), g, monos) for lab, g, monos in rows]
+    out = []
+    for p, q, r, s, g, sign, exp, cross in rows:
+        if p < 0 or p == 0 and q < 0:
+            p, q = -p, -q
+        if r < 0 or r == 0 and s < 0:
+            r, s = -r, -s
+        out.append((((p, q, r, s), g), sign, exp, cross))
+    return out
 
 
 def reduce_step(label, gen, slopes):
@@ -326,14 +358,28 @@ def reduce_step(label, gen, slopes):
     Returns a list of (coefficient, label, gen) triples with labels in
     canonical form and like terms merged: the rows of the rule table
     `_rules` with LaurentPoly coefficients. Raises NotReducible inside the
-    c1 <= 2(a1-b1), c2 <= 2a2 box.
+    c1 <= 2(a1-b1), c2 <= 2a2 box. Raises TypeError for a label entry that
+    is not an int.
     """
+    _check_label(label)
     if gen not in _GEN_RANK:
         raise ValueError(f"unknown generator {gen!r}")
     acc = {}
-    for lab, g, monos in _rules(label, gen, slopes):
-        accumulate(acc, (lab, g), LaurentPoly({exp: sign for sign, exp in monos}))
+    for key, sign, exp, cross in _rules(label, gen, slopes):
+        accumulate(acc, key, LaurentPoly._wrap({exp: sign, exp - 2: -sign} if cross else {exp: sign}))
     return [(acc[k], k[0], k[1]) for k in sorted(acc, key=lambda k: (_GEN_RANK[k[1]], k[0]))]
+
+
+def _times_cross(coeff):
+    """(1 - A^-2) * c for c given as {exp: int} items, as items."""
+    out = dict(coeff)
+    for exp, c in coeff:
+        s = out.get(exp - 2, 0) - c
+        if s:
+            out[exp - 2] = s
+        else:
+            del out[exp - 2]
+    return out.items()
 
 
 def _common_denominator(coeffs):
@@ -356,13 +402,16 @@ def normalize(e, slopes, max_steps=100000, log=None):
     (-(c1*a2 + c2*a1), c1, label, generator rank): scaling the measure
     (c1/a1 + c2/a2, -c1) by a1*a2 > 0 keeps its order, so the heap pops
     the same terms in the same order as a scan for the maximum would.
-    A term is pushed when it appears in the sum; an entry whose term has
-    since cancelled is skipped when popped. Every rewrite output is
+    Each entry carries its (label, gen) key after the heap key. A term is
+    pushed when it appears in the sum; an entry whose term has since
+    cancelled is skipped when popped. Every rewrite output is
     strictly below the term it replaces, so a popped key never returns.
 
     Each live coefficient is a plain {exp: int} dict, and a step applies
     the rows of the rule table `_rules` as signed adds at shifted
-    exponents; LaurentPoly values are built only for the returned element.
+    exponents; the two cross rows of an x1/x2 step share one product
+    (1 - A^-2) * c. LaurentPoly values are built only for the returned
+    element.
     Coefficients in Q(A) are first multiplied by D, the lcm of their
     denominators, and the same loop runs on the integer numerators. A key's
     sum is zero exactly when its numerator sum is, so the steps and the log
@@ -395,41 +444,46 @@ def normalize(e, slopes, max_steps=100000, log=None):
     box1, box2 = 2 * (a1 - b1), 2 * a2
     heap = []
 
-    def push(label, gen):
+    def push(key):
         # the is_reduced_label box test and the scaled complexity, on ints
+        label = key[0]
         a, b, c, d = label
         c1 = abs(a1 * b - b1 * a)
         c2 = abs(a2 * d - b2 * c)
         if c1 > box1 or c2 > box2:
-            heappush(heap, (-(c1 * a2 + c2 * a1), c1, label, _GEN_RANK[gen]))
+            heappush(heap, (-(c1 * a2 + c2 * a1), c1, label, _GEN_RANK[key[1]], key))
 
-    for label, gen in terms:
-        push(label, gen)
+    for key in terms:
+        push(key)
     steps = 0
     while heap:
-        entry = heappop(heap)
-        label, gen = pick = (entry[2], GENS[entry[3]])
+        pick = heappop(heap)[4]
         if pick not in terms:
             continue
         if steps >= max_steps:
             raise StepBudgetExceeded(f"no normal form within {max_steps} steps", element())
         steps += 1
+        label, gen = pick
         coeff = terms.pop(pick).items()
-        for lab, g, monos in _rules(label, gen, slopes):
-            key = (lab, g)
+        crossed = None  # (1 - A^-2) * coeff, shared by the step's two cross rows
+        for key, sign, shift, cross in _rules(label, gen, slopes):
             target = terms.get(key)
             if target is None:
                 # a nonzero coefficient times a nonzero row is nonzero
                 target = terms[key] = {}
-                push(lab, g)
-            for sign, shift in monos:
-                for exp, c in coeff:
-                    exp += shift
-                    s = target.get(exp, 0) + sign * c
-                    if s:
-                        target[exp] = s
-                    else:
-                        del target[exp]
+                push(key)
+            source = coeff
+            if cross:
+                if crossed is None:
+                    crossed = _times_cross(coeff)
+                source = crossed
+            for exp, c in source:
+                exp += shift
+                s = target.get(exp, 0) + sign * c
+                if s:
+                    target[exp] = s
+                else:
+                    del target[exp]
             if not target:
                 del terms[key]
         if log is not None:
@@ -485,9 +539,7 @@ def affine_class(label, slopes):
     first coordinate by a full period, so (form value, first coordinate mod
     period) pins the line. Labels of equal class differ by slope translates.
     """
-    a, b, c, d = _oriented(label, slopes)
-    c1 = slopes.a1 * b - slopes.b1 * a
-    c2 = slopes.a2 * d - slopes.b2 * c
+    a, _b, c, _d, c1, c2 = _oriented(label, slopes)
     return (c1, a % slopes.a1, c2, c % slopes.a2)
 
 

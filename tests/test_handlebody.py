@@ -576,6 +576,44 @@ def test_non_int_p_is_a_type_error_before_the_cache(int_first):
             call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_Jprime_containment(4.5),
+        lambda: v_restricted_cores(4.5),
+        lambda: gamma(0.5),
+        lambda: gamma_prime(0.5),
+        lambda: gamma_at_i_closed(0.5),
+        lambda: gamma_prime_at_i_closed(0.5),
+        lambda: relation_core(1, True, 0),
+        lambda: crosscheck_relation_cores(0.5),
+        lambda: relation_generators(True, 2),
+        lambda: truncated_quotient_dimension(True, 4),
+        lambda: truncated_quotient_dimension(4.5, 4, (0, 0)),
+        lambda: nested_truncation_dimension(True, 2, 4),
+    ],
+    ids=[
+        "verify_Jprime_containment",
+        "v_restricted_cores",
+        "gamma",
+        "gamma_prime",
+        "gamma_at_i_closed",
+        "gamma_prime_at_i_closed",
+        "relation_core",
+        "crosscheck_relation_cores",
+        "relation_generators",
+        "truncated_quotient_dimension",
+        "truncated_quotient_dimension_graded",
+        "nested_truncation_dimension",
+    ],
+)
+def test_non_int_p_is_a_type_error_before_the_range(call):
+    # each of these p is also out of range (below 1 or 2, or odd where even
+    # p is needed); the type is checked first
+    with pytest.raises(TypeError, match="p must be an int"):
+        call()
+
+
 def test_p_cap_admits_the_cap(monkeypatch):
     monkeypatch.setattr(handlebody, "chebyshev_T", lambda n: {0: 1})
     assert relation_core(1, MAX_P, 0) is not None

@@ -10,6 +10,7 @@ necessary condition that is oblivious to how the formulas were derived.
 import hashlib
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from skeinmod.laurent import LaurentFraction, LaurentPoly
 from skeinmod.rewrite import (
     _multiple_of,
+    _oriented,
     GENS,
     Complexity,
     ModuleElement,
@@ -64,6 +66,27 @@ def test_slope_validation():
         SlopeData(1, -1, 2, 4)
     with pytest.raises(TypeError):
         SlopeData(1.0, -1, 1, 0)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_slope_data_rejects_bools(position):
+    # True == 1 would pass the range checks and repr as ((True,-1),(1,0))
+    values = [1, -1, 1, 0]
+    values[position] = bool(values[position])
+    with pytest.raises(TypeError):
+        SlopeData(*values)
+
+
+@pytest.mark.parametrize("label", [(0.5, 1, 0, 3), (True, 1, 0, 3), (0, 1, 0, 3.0)], ids=str)
+def test_non_int_labels_are_type_errors(label):
+    # a float label used to normalize to float exponents, A^-0.5*(0.5,0,0,2)*e
+    sl = SlopeData(1, -1, 1, 0)
+    with pytest.raises(TypeError, match=re.escape(repr(label))):
+        ModuleElement.term(label, "e")
+    with pytest.raises(TypeError, match=re.escape(repr(label))):
+        ModuleElement({(label, "x1"): A(1)})
+    with pytest.raises(TypeError, match=re.escape(repr(label))):
+        reduce_step(label, "e", sl)
 
 
 def test_slope_gap_condition():
@@ -269,6 +292,18 @@ def _oriented_for_test(label, sl):
     if sl.a2 * d - sl.b2 * c < 0:
         c, d = -c, -d
     return a, b, c, d
+
+
+@pytest.mark.parametrize("sl", SLOPES, ids=str)
+def test_oriented_is_the_canonical_orientation(sl):
+    # _oriented reads the label as given: each pair flipped by the sign of its
+    # form, a pair of form 0 in canonical sign, and the two forms returned
+    for label in itertools.product(range(-4, 5), repeat=4):
+        a, b, c, d = label
+        want = _oriented_for_test(label, sl)
+        c1, c2 = abs(sl.a1 * b - sl.b1 * a), abs(sl.a2 * d - sl.b2 * c)
+        assert _oriented(label, sl) == want + (c1, c2)
+        assert _oriented((-a, -b, c, d), sl) == _oriented((a, b, -c, -d), sl) == want + (c1, c2)
 
 
 def _targeted_rows(label, gen, sl):
@@ -501,6 +536,44 @@ def test_reduce_step_outputs_are_pinned():
                     h.update(("%s %r %s;" % (coeff, lab, g)).encode())
                 h.update(b"\n")
     assert h.hexdigest() == REDUCE_STEP_SHA256
+
+
+def _pinned_normalize_inputs():
+    # a fixed draw of 1-3 term elements with labels in [-5,5]^4 and one- or
+    # two-term coefficients; every fifth element has its coefficients over
+    # 1 + A^2, so the Q(A) path is pinned too
+    rng = random.Random(2024)
+    den = A(2) + 1
+    for i in range(120):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            label = tuple(rng.randint(-5, 5) for _ in range(4))
+            coeff = LaurentPoly({rng.randint(-3, 3): rng.choice((-2, -1, 1, 3))})
+            if rng.random() < 0.5:
+                coeff = coeff + LaurentPoly({rng.randint(-3, 3): rng.choice((-1, 1))})
+            if i % 5 == 4:
+                coeff = LaurentFraction(coeff, den)
+            terms[(label, rng.choice(GENS))] = coeff
+        yield ModuleElement(terms)
+
+
+# sha256 of normalize's output text and full step log (label, gen, term
+# count) on _pinned_normalize_inputs under each of SLOPES; recorded before
+# the rule table oriented and canonicalized its rows in place
+NORMALIZE_SHA256 = "a5f861a02138f88ac277ebdd2e5231c43c8fc33b1b7cbcc73633612027ff162a"
+
+
+def test_normalize_outputs_and_steps_are_pinned():
+    h = hashlib.sha256()
+    for el in _pinned_normalize_inputs():
+        for sl in SLOPES:
+            log = []
+            out = normalize(el, sl, log=log)
+            h.update(format_module_element(out).encode())
+            for label, gen, count in log:
+                h.update(("|%r %s %d" % (label, gen, count)).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == NORMALIZE_SHA256
 
 
 # ---------------------------------------------------------------------------
