@@ -32,8 +32,12 @@ the certificate kind, the classification of a space without a certificate
 the canonical JSON (sorted keys, no spaces) of `certify(data).as_dict()`, or
 `-` when there is none. Two runs give the same digest for a space exactly
 when their results are byte-identical. A summary table per census and status
-(count, median, p90 and max seconds) goes to standard error. Stdlib only;
-the package is imported from the `src/` next to this script.
+(count, median, p90 and max seconds) goes to standard error, then one line
+`census sha256 <hex>`: the sha256 of every output line without its seconds
+column (census, genus, boundary count, fibers, status and digest, tab-joined,
+one newline each), so two runs print the same line exactly when every
+space has the same status and digest. Stdlib only; the package is imported
+from the `src/` next to this script.
 """
 
 import hashlib
@@ -183,13 +187,16 @@ def summary(rows):
 def main():
     spaces = [("A", s) for s in census_a()] + [("B", s) for s in census_b()]
     rows = []
+    census_hash = hashlib.sha256()
     start = time.monotonic()
     for index, (status, seconds, digest) in run([s for _, s in spaces]):
         name, (g, n, fibers) = spaces[index]
         fields = (name, g, n, format_fibers(fibers), status, f"{seconds:.3f}", digest)
         print("\t".join(map(str, fields)), flush=True)
+        census_hash.update(("\t".join(map(str, fields[:5] + fields[6:])) + "\n").encode())
         rows.append((name, status, seconds))
     print(summary(rows), file=sys.stderr)
+    print(f"census sha256 {census_hash.hexdigest()}", file=sys.stderr)
     print(f"{len(rows)} spaces, {time.monotonic() - start:.0f} s wall", file=sys.stderr)
 
 

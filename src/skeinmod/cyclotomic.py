@@ -11,11 +11,13 @@ result mod Phi_N; a sum of two products, the entry of a 2x2 matrix
 product, convolves twice and folds once (dot2). The inverse of a rational
 value n/den is den/n at the same order, in closed form (the canonical pair
 that Euclid would reach); any other inverse runs extended Euclid on
-primitive integer remainders. Both the remainders and Phi_N itself (x^N - 1
-divided by the product of the Phi_d of the proper divisors d) come from
-laurent.pseudo_divmod, the one integer polynomial division of the package.
-Mixed-order arithmetic lifts both operands to their lcm order. One trial
-division, _factor, serves totient and rational_sqrt_cyclotomic.
+primitive integer remainders. Phi_N is built by prime steps: Phi_rp(x) =
+Phi_r(x^p) / Phi_r(x) for each prime p of N, largest last, then Phi_N(x) =
+Phi_rad(x^(N/rad)) for rad the product of those primes. Both those
+quotients and the Euclid remainders come from laurent.pseudo_divmod, the
+one integer polynomial division of the package. Mixed-order arithmetic
+lifts both operands to their lcm order. One trial division, _factor, serves
+totient, Phi_N and rational_sqrt_cyclotomic.
 
 A CycNum, a root of unity or a rational square root asked for at an order
 above MAX_ORDER is rejected before any table is built: the power rows of
@@ -24,11 +26,19 @@ scanned (a power below phi(N) is a unit vector and is built when asked
 for, not stored). Orders that arithmetic reaches by lifting are not
 capped. root_of_unity_with_trace scans the orders lcm(N, t) ascending, up to
 MAX_ORDER, and in each only k <= m/2: zeta^k and zeta^-k have one trace.
+An order is scanned through its trace table, built once from its power
+rows: the hashes of the coordinate tuples of the traces zeta^k + zeta^-k,
+sorted, with each one's k, in two flat machine-int buffers. A lookup
+confirms each k offered under the target's hash against the power rows,
+so it returns what the ascending scan would, and no coordinates are
+stored twice.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
 from operator import add, floordiv, mul, neg, sub
@@ -80,18 +90,31 @@ def totient(n):
 _CYCLO_CACHE = {}
 
 
+def _spread(poly, step):
+    """poly(x^step) as a constant-first list."""
+    out = [0] * ((len(poly) - 1) * step + 1)
+    out[::step] = poly
+    return out
+
+
 def _cyclo_tail(n):
     tail = _CYCLO_CACHE.get(n)
     if tail is None:
-        # x^n - 1 over the product of the Phi_d of the proper divisors d: one
-        # division by a long divisor, not one per divisor by short ones
-        den = [1]
-        for d in range(1, n):
-            if n % d == 0:
-                den = _convolve(den, cyclotomic_poly(d))
-        mult, poly, rem = pseudo_divmod([-1] + [0] * (n - 1) + [1], den)
-        if mult != 1 or rem:
-            raise ArithmeticError(f"x^{n} - 1 is not divisible by its proper cyclotomic factors")
+        primes = list(_factor(n))
+        rad = math.prod(primes)
+        if n == 1:
+            poly = [-1, 1]
+        elif n != rad:
+            # Phi_n(x) = Phi_rad(x^(n/rad)), rad the product of the primes of n
+            poly = _spread(cyclotomic_poly(rad), n // rad)
+        else:
+            # Phi_rp(x) = Phi_r(x^p) / Phi_r(x) for a prime p that does not
+            # divide r; peeling the largest prime keeps the divisor short
+            p = primes[-1]
+            low = cyclotomic_poly(n // p)
+            mult, poly, rem = pseudo_divmod(_spread(low, p), low)
+            if mult != 1 or rem:
+                raise ArithmeticError(f"Phi_{n // p}(x^{p}) is not divisible by Phi_{n // p}(x)")
         tail = _CYCLO_CACHE[n] = tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
     return tail
 
@@ -557,14 +580,48 @@ def rational_sqrt_cyclotomic(q):
 # root_of_unity_with_trace scans Q(zeta_m), m = lcm(N, t), for x of order N and each t here
 _TRACE_ORDERS = (1, 4, 8, 12, 24)
 
+# m -> (hashes, ks): the hashes of the coordinate tuples of zeta_m^k +
+# zeta_m^-k over k <= m/2, sorted, and each one's k at the same index,
+# ascending among equal hashes. Two flat buffers of 64-bit ints, 16 bytes a
+# k where a dict of Python ints takes about 150; no coordinates are kept.
+_TRACE_TABLES = {}
+
+
+def _int64s(values):
+    """The ints as a flat read-only sequence of 64-bit machine ints."""
+    values = list(values)
+    return memoryview(struct.pack(f"{len(values)}q", *values)).cast("q")
+
+
+def _trace_table(m):
+    """The trace table of order m (_TRACE_TABLES), built on first use."""
+    table = _TRACE_TABLES.get(m)
+    if table is None:
+        phi, rows = _zeta_rows(m, m - 1)
+        hashes = [
+            hash(tuple(map(add, _power_row(phi, rows, k), _power_row(phi, rows, (m - k) % m))))
+            for k in range(m // 2 + 1)
+        ]
+        ks = sorted(range(len(hashes)), key=hashes.__getitem__)  # stable: k ascending
+        table = _TRACE_TABLES[m] = (_int64s(map(hashes.__getitem__, ks)), _int64s(ks))
+    return table
+
 
 def root_of_unity_with_trace(x):
     """Find (m, k) with zeta_m^k + zeta_m^-k equal to x, scanning bounded orders.
 
     Returns None when no root of unity in the scanned fields has trace x.
-    The orders lcm(N, t) are scanned ascending and the scan stops at the
-    first above MAX_ORDER, since scanning one takes seconds and can take
-    hundreds of megabytes of power rows.
+    The orders m = lcm(N, t) are scanned ascending, and in each only
+    k <= m/2, since zeta^k and zeta^-k have one trace: the result is the
+    first such (m, k). The scan stops at the first order above MAX_ORDER,
+    since the power rows of one can take hundreds of megabytes.
+
+    An order is scanned through its trace table (_trace_table), built the
+    first time the order is scanned: the hash of the coordinates of x at
+    order m is looked up among the sorted hashes of the traces zeta_m^k +
+    zeta_m^-k, and the k with that hash, ascending, are each confirmed
+    against the cached power rows. The table keeps no coordinates, and a
+    hash collision costs one comparison, never a wrong hit.
     """
     if isinstance(x, (int, Fraction)):
         x = CycNum.rational(x)
@@ -575,13 +632,17 @@ def root_of_unity_with_trace(x):
         if m > MAX_ORDER:
             break
         target = x.lift(m).num
+        hashes, ks = _trace_table(m)
         phi, rows = _zeta_rows(m, m - 1)
-        # zeta^k and zeta^(m-k) have one trace, and the smaller k comes first
-        for k in range(m // 2 + 1):
+        key = hash(target)
+        i = bisect_left(hashes, key)
+        while i < len(hashes) and hashes[i] == key:
+            k = ks[i]
             row_k = _power_row(phi, rows, k)
             row_nk = _power_row(phi, rows, (m - k) % m)
             if all(t == a + b for t, a, b in zip(target, row_k, row_nk)):
                 return m, k
+            i += 1
     return None
 
 

@@ -176,6 +176,12 @@ def commutator(a, b):
     return Mat2(x, y, z, -x)
 
 
+def trace_of_product(x, y):
+    """tr(xy) as (x * y).trace() computes it, the same value at the same
+    order, from the two diagonal entries of the product only."""
+    return dot2(x.a, y.a, x.b, y.c) + dot2(x.c, y.b, x.d, y.d)
+
+
 def algebra_dim(gens):
     """Dimension of the unital algebra A the 2x2 matrices generate, with no
     field inverse and no Mat2 product.

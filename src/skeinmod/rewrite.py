@@ -50,11 +50,11 @@ GENS = ("e", "x1", "x2")
 _GEN_RANK = {g: i for i, g in enumerate(GENS)}
 
 
-def _check_label(label):
+def _check_label(label, what="label"):
     # a float entry would flow through the forms into float exponents
     for v in label:
         if isinstance(v, bool) or not isinstance(v, int):
-            raise TypeError(f"label entries must be ints, got {label!r}")
+            raise TypeError(f"{what} entries must be ints, got {label!r}")
 
 
 def normalize_label(label):
@@ -262,8 +262,10 @@ def boundary_multiply(e, pair, boundary):
     """Multiply every term of e by the curve (p,q) on the given boundary (1 or 2).
 
     Blind two-term product-to-sum per label; (0,0) stays a label, so the
-    result is exact in the same formal basis the rewrites use.
+    result is exact in the same formal basis the rewrites use. Raises
+    TypeError when p or q is not an int (a bool is not), as for a label.
     """
+    _check_label(pair, "curve")
     p, q = pair
     if boundary not in (1, 2):
         raise ValueError("boundary must be 1 or 2")

@@ -18,7 +18,15 @@ from math import gcd, lcm, prod
 
 from .cyclotomic import MAX_ORDER, CycNum, root_of_unity, trace_roots
 from .linalg import smith_normal_form
-from .mat2 import Mat2, algebra_dim, eigenvector, is_irreducible, sl2_sqrt, trace_triple_realize
+from .mat2 import (
+    Mat2,
+    algebra_dim,
+    eigenvector,
+    is_irreducible,
+    sl2_sqrt,
+    trace_of_product,
+    trace_triple_realize,
+)
 
 # Input limits, checked before anything is built. The Smith normal forms of
 # homology and of certify's torus-curve test stay fast up to 64 fibers;
@@ -442,16 +450,40 @@ def _extend_chain(p_prev, mu, muinv, letter_trace, target_trace):
     product trace with the running partial product equal to target_trace,
     and the eigenframe e of the partial product (columns: eigenvectors for
     mu and muinv, so e^-1 p_prev e is diagonal) with its inverse. mu and
-    muinv must be the eigenvalues of the partial product, with mu != muinv."""
+    muinv must be the eigenvalues of the partial product, with mu != muinv,
+    both at one order (as trace_roots gives them)."""
     inv = (mu - muinv).inverse()
     a = (target_trace - muinv * letter_trace) * inv
     d = (mu * letter_trace - target_trace) * inv
     local = Mat2(a, 1, a * d - 1, d)
-    v1 = eigenvector(p_prev, mu)
-    v2 = eigenvector(p_prev, muinv)
-    e = Mat2.from_columns(v1, v2)
-    e_inv = e.inverse()
+    e, e_inv = _eigenframe(p_prev, mu, muinv, inv)
     return e * local * e_inv, e, e_inv
+
+
+def _eigenframe(p, mu, muinv, inv):
+    """(e, e^-1) for the eigenframe e = [[x1, x2], [1, 1]] of the det-1
+    matrix p = [[a, b], [c, d]] with eigenvalues mu != muinv, given inv =
+    1/(mu - muinv): the matrices, entries and orders that eigenvector and
+    Mat2.inverse give, from one field inverse, of c.
+
+    (a - mu)(a - muinv) = a^2 - a(a + d) + 1 = -bc, so eigenvector's
+    -b/(a - mu) and -b/(a - muinv) are x1 = (a - muinv)/c and x2 =
+    (a - mu)/c, at the same order when b and c have one order. det e =
+    x1 - x2 = (mu - muinv)/c, so e^-1 = c inv [[1, -x2], [-1, x1]], each
+    entry at the order of x1 as Mat2.inverse leaves it. When b or c is
+    zero (then a is mu or muinv) or their orders differ, e comes from
+    eigenvector and e^-1 from Mat2.inverse.
+    """
+    b, c = p.b, p.c
+    if b.is_zero or c.is_zero or b.order != c.order or mu.order != muinv.order:
+        e = Mat2.from_columns(eigenvector(p, mu), eigenvector(p, muinv))
+        return e, e.inverse()
+    cinv = c.inverse()
+    x1 = (p.a - muinv) * cinv
+    x2 = (p.a - mu) * cinv
+    s = (c * inv).lift(x1.order)
+    one = CycNum.one()
+    return Mat2(x1, x2, one, one), Mat2(s, -(x2 * s), -s, x1 * s)
 
 
 _ChainLayout = namedtuple("_ChainLayout", "chain delta side1 side2")
@@ -693,9 +725,11 @@ def _word_witness(rep, side1, side2, delta_word):
         m1 = rep.word_image(x1)
         for x2 in _loop_words(side2):
             m2 = rep.word_image(x2)
+            m12 = m1 * m2
             for gw, mg in zip(gammas, gamma_mats):
-                fwd = (m1 * m2 * mg).trace()
-                swp = (m1 * mg * m2).trace()
+                # tr(m1 m2 mg) and tr(m1 mg m2), as the full products give them
+                fwd = trace_of_product(m12, mg)
+                swp = trace_of_product(m1 * mg, m2)
                 if not (fwd == swp):
                     return x1, x2, gw, fwd, swp
     return None

@@ -36,7 +36,7 @@ from skeinmod.laurent import LaurentPoly
 from conftest import cyc_numbers, laurent_polys
 
 
-@pytest.mark.parametrize("n", list(range(1, 61)))
+@pytest.mark.parametrize("n", [*range(1, 201), 3960, 4095, 4096])
 def test_cyclotomic_poly_against_sympy(n):
     x = sympy.symbols("x")
     expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
@@ -244,6 +244,54 @@ def test_trace_scan_stops_at_the_order_cap():
     assert all(n <= MAX_ORDER for n in set(cyclotomic._ROW_CACHE) - before)
     tr = root_of_unity(4004, 7) + root_of_unity(4004, 3997)
     assert root_of_unity_with_trace(tr) == (4004, 7)
+
+
+def _reference_trace_scan(x):
+    """root_of_unity_with_trace as a plain scan: the orders lcm(N, t)
+    ascending up to MAX_ORDER, and in each the first k <= m/2 whose
+    zeta_m^k + zeta_m^-k equals x."""
+    if isinstance(x, (int, Fraction)):
+        x = CycNum.rational(x)
+    if x.den != 1:
+        return None
+    for m in sorted({math.lcm(x.order, t) for t in (1, 4, 8, 12, 24)}):
+        if m > MAX_ORDER:
+            break
+        target = x.lift(m)
+        for k in range(m // 2 + 1):
+            trace = root_of_unity(m, k) + root_of_unity(m, -k)
+            if trace.order == m and trace.num == target.num:
+                return m, k
+    return None
+
+
+@st.composite
+def trace_candidates(draw):
+    """A trace zeta_n^k + zeta_n^-k, maybe lifted to lcm(n, t), maybe
+    shifted by a small rational, which usually makes it a miss."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(0, n - 1))
+    x = root_of_unity(n, k) + root_of_unity(n, -k)
+    t = draw(st.sampled_from((1, 4, 8, 12, 24)))
+    x = x.lift(math.lcm(x.order, t))
+    return x + draw(st.sampled_from((0, 0, 1, -1, 2, 3, Fraction(1, 2))))
+
+
+@given(trace_candidates())
+@settings(max_examples=150, deadline=None)
+def test_trace_table_matches_the_ascending_scan(x):
+    assert root_of_unity_with_trace(x) == _reference_trace_scan(x)
+
+
+def test_trace_table_survives_hash_collisions(monkeypatch):
+    # with every trace of an order under one hash, a lookup confirms the
+    # k ascending against the power rows and still returns the scan's hit
+    monkeypatch.setattr(cyclotomic, "_TRACE_TABLES", {})
+    monkeypatch.setattr(cyclotomic, "hash", lambda v: 7, raising=False)
+    for m, k in [(60, 7), (60, 30), (36, 0)]:
+        x = root_of_unity(m, k) + root_of_unity(m, -k)
+        assert root_of_unity_with_trace(x) == _reference_trace_scan(x) == (m, k)
+    assert root_of_unity_with_trace(root_of_unity(60, 7) + 5) is None
 
 
 @given(laurent_polys(), st.sampled_from([(4, 1), (3, 1), (8, 3), (12, 5)]))
@@ -509,6 +557,56 @@ def test_trace_scan_hits_are_pinned():
     hits = [root_of_unity_with_trace(x) for x in _trace_scan_inputs()]
     assert len(hits) == 2676
     assert _sha256_of_lines(hits) == TRACE_SCAN_SHA256
+
+
+# root_of_unity_with_trace over _trace_roots_groups(), hashed at the
+# plain ascending scan, before the per-order trace tables
+TRACE_ROOTS_SHA256 = "8ecfc63eafaf845c5e6312a11bad00e10c9de622178656764311aff677a3da30"
+
+
+def _trace_roots_groups():
+    """Inputs in groups that share their orders: for each n <= 120, every
+    zeta_n^k + zeta_n^-k, each followed by its lifts to lcm(n, t) != n, t in
+    4, 8, 12 and 24; then five seeded shifts by a small rational, usually
+    misses, for each of 40 seeded n (32660 inputs)."""
+    for n in range(1, 121):
+        group = []
+        for k in range(n):
+            x = root_of_unity(n, k) + root_of_unity(n, -k)
+            group.append(x)
+            group += [x.lift(m) for t in (4, 8, 12, 24) if (m := math.lcm(x.order, t)) != x.order]
+        yield group
+    rng = random.Random("cyclotomic/trace-roots-misses")
+    for n in sorted(rng.sample(range(1, 121), 40)):
+        group = []
+        for _ in range(5):
+            k = rng.randrange(n)
+            x = root_of_unity(n, k) + root_of_unity(n, -k)
+            group.append(x + rng.choice((1, 2, 3, -3, Fraction(1, 2))))
+        yield group
+
+
+def test_trace_roots_are_pinned():
+    # the power rows and trace tables of the orders above 120 that a group
+    # scans are dropped after it, so the test holds only one group's
+    caches = (cyclotomic._ROW_CACHE, cyclotomic._TRACE_TABLES)
+    kept = {n for cache in caches for n in cache}
+
+    def drop_new_orders():
+        for cache in caches:
+            for n in set(cache) - kept:
+                if n > 120:
+                    del cache[n]
+
+    hits = []
+    try:
+        for group in _trace_roots_groups():
+            hits += [root_of_unity_with_trace(x) for x in group]
+            drop_new_orders()
+    finally:
+        drop_new_orders()
+    assert len(hits) == 32660
+    assert _sha256_of_lines(hits) == TRACE_ROOTS_SHA256
 
 
 _DIVISORS = (1, 2, Fraction(3, 7), Fraction(5, 4), -1, -2, Fraction(-3, 7), Fraction(-5, 4))

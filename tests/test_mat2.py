@@ -28,6 +28,7 @@ from skeinmod.mat2 import (
     sl2_sqrt,
     sqrt_of_trace_plus_two,
     standardize_pair,
+    trace_of_product,
     trace_triple_realize,
 )
 
@@ -353,6 +354,18 @@ def test_no_pair_of_the_m2_triple_is_irreducible():
 @settings(max_examples=60, deadline=None)
 def test_commutator_is_ab_minus_ba(a, b):
     assert commutator(a, b) == a * b - b * a
+
+
+@st.composite
+def _mixed_order_mat2(draw):
+    # entries drawn at their own orders, so the products lift
+    return Mat2(*(draw(cyc_numbers(orders=(1, 3, 4, 5, 12))) for _ in range(4)))
+
+
+@given(_mixed_order_mat2(), _mixed_order_mat2())
+@settings(max_examples=80, deadline=None)
+def test_trace_of_product_is_the_product_trace(x, y):
+    assert trace_of_product(x, y).as_dict() == (x * y).trace().as_dict()
 
 
 def test_algebra_dim_makes_no_inverse_and_no_product(monkeypatch):

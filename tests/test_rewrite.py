@@ -89,6 +89,16 @@ def test_non_int_labels_are_type_errors(label):
         reduce_step(label, "e", sl)
 
 
+@pytest.mark.parametrize("pair", [(0.5, 1), (True, 1), (1, Fraction(1))], ids=repr)
+def test_boundary_multiply_rejects_non_int_curves(pair):
+    # (0.5, 1) used to give (0.5,1,0,3)*e + (1.5,3,0,3)*e, and (True, 1)
+    # was taken as (1, 1)
+    el = ModuleElement.term((1, 2, 0, 3), "e")
+    for boundary in (1, 2):
+        with pytest.raises(TypeError, match=re.escape(f"curve entries must be ints, got {pair!r}")):
+            boundary_multiply(el, pair, boundary)
+
+
 def test_slope_gap_condition():
     # 1 - b1/a1 must strictly dominate both |1 +- b2/a2|
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from skeinmod import linalg, mat2, seifert
-from skeinmod.cyclotomic import CycNum
+from skeinmod.cyclotomic import CycNum, root_of_unity
 from skeinmod.linalg import bareiss_rank, smith_normal_form
 from skeinmod.mat2 import Mat2, algebra_closure, standardize_pair
 from skeinmod.seifert import (
@@ -690,6 +690,74 @@ CENSUS_CERTIFICATES_SHA256 = "ab0d84d3ffdba4c20339f9389369394619d2e5b206175d991e
 
 def test_census_certificates_are_pinned():
     assert _certificates_sha256(CENSUS_PINNED_SPACES) == CENSUS_CERTIFICATES_SHA256
+
+
+def _chain_steps(spaces, monkeypatch):
+    """(p, mu, muinv) of every chain extension step certify makes on the spaces."""
+    steps = []
+    extend = seifert._extend_chain
+
+    def recording(p_prev, mu, muinv, *rest):
+        steps.append((p_prev, mu, muinv))
+        return extend(p_prev, mu, muinv, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(seifert, "_extend_chain", recording)
+        for data in spaces:
+            certify(data)
+    return steps
+
+
+def _eigenvector_frame(p, mu, muinv):
+    e = Mat2.from_columns(mat2.eigenvector(p, mu), mat2.eigenvector(p, muinv))
+    return e, e.inverse()
+
+
+def _frame_dicts(frame):
+    return [[x.as_dict() for x in m.entries] for m in frame]
+
+
+def _eigenframe_and_fallback(p, mu, muinv, monkeypatch):
+    """_eigenframe's (e, e^-1) and whether it called eigenvector."""
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(seifert, "eigenvector", lambda *args: calls.append(args) or mat2.eigenvector(*args))
+        frame = seifert._eigenframe(p, mu, muinv, (mu - muinv).inverse())
+    return frame, bool(calls)
+
+
+def test_closed_form_eigenframe_is_the_eigenvector_frame(monkeypatch):
+    # on every chain step of the pinned spaces: the same entries at the
+    # same orders, and eigenvector only where b or c is zero or their
+    # orders differ
+    steps = _chain_steps(FIVE_INSTANCES + CENSUS_PINNED_SPACES, monkeypatch)
+    closed = 0
+    for p, mu, muinv in steps:
+        frame, fell_back = _eigenframe_and_fallback(p, mu, muinv, monkeypatch)
+        assert _frame_dicts(frame) == _frame_dicts(_eigenvector_frame(p, mu, muinv))
+        assert fell_back == (p.b.is_zero or p.c.is_zero or p.b.order != p.c.order)
+        closed += not fell_back
+    assert len(steps) >= 30 and 0 < closed < len(steps)  # both paths run
+
+
+def _fallback_frames():
+    mu, muinv = root_of_unity(5, 1), root_of_unity(5, 4)
+    tr = mu + muinv
+    yield Mat2(mu, 3, 0, muinv), mu, muinv  # c = 0
+    yield Mat2(muinv, 0, tr, mu), mu, muinv  # b = 0
+    # a = 2, b = 1 of order 1, c = -(a - mu)(a - muinv) = 2 tr - 5 of order 5
+    yield Mat2(2, 1, tr * 2 - 5, tr - 2), mu, muinv
+    # mu and muinv at two orders
+    yield Mat2(2, tr, (tr * 2 - 5) / tr, tr - 2), mu.lift(20), muinv
+
+
+@pytest.mark.parametrize("case", list(_fallback_frames()), ids=["c0", "b0", "orders", "mu-orders"])
+def test_eigenframe_falls_back_to_eigenvector(case, monkeypatch):
+    p, mu, muinv = case
+    assert p.det() == 1 and p.trace() == mu + muinv
+    frame, fell_back = _eigenframe_and_fallback(p, mu, muinv, monkeypatch)
+    assert fell_back
+    assert _frame_dicts(frame) == _frame_dicts(_eigenvector_frame(p, mu, muinv))
 
 
 def test_certify_takes_its_torus_frame_from_the_chain(monkeypatch):
