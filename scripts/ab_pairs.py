@@ -17,12 +17,13 @@ both sides' median and quartiles, and how many pairs the change won. A
 speed claim holds when the change wins at least nine of ten pairs and its
 median beats the base median by more than the base's interquartile range,
 and no more tasks fail on the change side than on the base side. The
-no-regression verdict, against the metric's `bound` in BENCHMARK.json in
-the metric's own unit, is `WORSE` when the change median is worse than the
-base median by more than the bound; else `unresolved` when the base's
-q3 - q1 is wider than the bound, so that no shift within the bound can be
-told apart, unless every change run beats every base run; else `ok`.
-Stdlib only.
+no-regression verdict reads the metric's `bound` in BENCHMARK.json as a
+fraction of the base median, as the benchmark's spreads are (perfbench's
+baseline.json divides q3 - q1 by the median): it is `WORSE` when the change
+median is worse than the base median by more than bound * base median;
+else `unresolved` when the base's (q3 - q1) / median is wider than the
+bound, so that no shift within the bound can be told apart, unless every
+change run beats every base run; else `ok`. Stdlib only.
 """
 
 import argparse
@@ -105,9 +106,10 @@ def summarize(pairs, metrics, failed=(0, 0)):
     pairs won, the median better by more than the base's q3 - q1, and no
     more failed tasks on the change side than on the base side; and
     `worse`: the change median worse than the base median by more than
-    the bound (False when no bound is given); and `verdict`: "WORSE" when
-    worse, else "unresolved" when the base's q3 - q1 exceeds the bound and
-    not every change run beats every base run, else "ok".
+    the bound, a fraction of the (positive) base median (False when no
+    bound is given); and `verdict`: "WORSE" when worse, else "unresolved"
+    when the base's (q3 - q1) / median exceeds the bound and not every
+    change run beats every base run, else "ok".
     """
     rows = []
     for name, better, *bound in metrics:
@@ -122,10 +124,10 @@ def summarize(pairs, metrics, failed=(0, 0)):
             and sign * (b_med - c_med) > b_q3 - b_q1
             and failed[1] <= failed[0]
         )
-        worse = bool(bound) and sign * (c_med - b_med) > bound[0]
+        worse = bool(bound) and sign * (c_med - b_med) / b_med > bound[0]
         if worse:
             verdict = "WORSE"
-        elif bound and b_q3 - b_q1 > bound[0] and not all(
+        elif bound and (b_q3 - b_q1) / b_med > bound[0] and not all(
             sign * (b - c) > 0 for b in base for c in change
         ):
             verdict = "unresolved"

@@ -70,12 +70,15 @@ class _Parser(argparse.ArgumentParser):
 # reported against the offending flag by name)
 
 
-def _parsed_by(parse):
-    """(text, value): the value parsed once, the text kept for the cache key."""
+def _parsed_by(name):
+    """(text, value): the value parsed once by the module function `name`,
+    the text kept for the cache key. The function is looked up when a value
+    is parsed, not when the parser is built, so the one parser that main
+    keeps sees a later rebinding of it."""
 
     def check(text):
         try:
-            return text, parse(text)
+            return text, globals()[name](text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
 
@@ -486,13 +489,14 @@ def _add_common(sub, json_switch=True):
 
 
 def build_parser():
+    """A fresh parser for the whole command line."""
     parser = _Parser(prog="skeinmod", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version="%(prog)s " + __version__)
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p = subs.add_parser("torus-mul", help="multiply two torus basis combinations")
-    p.add_argument("left", type=_parsed_by(parse_fg), help="element text, e.g. \"(1,0)\"")
-    p.add_argument("right", type=_parsed_by(parse_fg), help="element text, e.g. \"(0,1)\"")
+    p.add_argument("left", type=_parsed_by("parse_fg"), help="element text, e.g. \"(1,0)\"")
+    p.add_argument("right", type=_parsed_by("parse_fg"), help="element text, e.g. \"(0,1)\"")
     _add_common(p)
     p.set_defaults(func=_cmd_torus_mul)
 
@@ -525,7 +529,7 @@ def build_parser():
 
     p = subs.add_parser("f12-reduce", help="rewrite an element to reduced form")
     p.add_argument("--slopes", type=_slopes_text, required=True, help="a1,b1,a2,b2")
-    p.add_argument("--element", type=_parsed_by(parse_module_element), required=True)
+    p.add_argument("--element", type=_parsed_by("parse_module_element"), required=True)
     p.add_argument("--max-steps", type=_int_range(1), default=100000)
     _add_common(p)
     p.set_defaults(func=_cmd_f12_reduce)
@@ -556,10 +560,17 @@ def build_parser():
     return parser
 
 
+# the parser main uses, built on its first call and kept: building one costs
+# far more than a parse, and parsing leaves no state in it
+_PARSER = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         # argparse-controlled exits, a handler's usage error included: usage

@@ -132,7 +132,10 @@ def cyclotomic_poly(n):
 
 
 # n -> (phi(n), rows) with rows[k - phi] the coordinates of x^k mod Phi_n for
-# k >= phi; x^k for k < phi is the unit vector e_k, built when asked for
+# k >= phi; x^k for k < phi is the unit vector e_k, built when asked for.
+# Rows are filled by the readers that need many of them: lift, laurent_eval
+# and _trace_table (through _zeta_rows). root_of_unity reads rows already
+# stored and never adds one.
 _ROW_CACHE = {}
 
 
@@ -513,11 +516,21 @@ def dot2(a, b, c, d):
 
 
 def root_of_unity(n, k=1):
-    """zeta_n^k as a CycNum of order n."""
+    """zeta_n^k as a CycNum of order n.
+
+    Reads x^k mod Phi_n from _ROW_CACHE when the stored rows of order n
+    reach k; otherwise folds x^k mod Phi_n once and stores nothing, so a
+    single power never fills the n - phi rows below it.
+    """
     _check_order(n)
     k %= n
-    phi, rows = _zeta_rows(n, k)
-    return _make(n, _power_row(phi, rows, k), 1)
+    entry = _ROW_CACHE.get(n)
+    if entry is not None and k < entry[0] + len(entry[1]):
+        return _make(n, _power_row(*entry, k), 1)
+    phi = totient(n)
+    vec = [0] * max(phi, k + 1)
+    vec[k] = 1
+    return _make(n, tuple(_fold(n, vec, phi)), 1)
 
 
 def laurent_eval(p, n, k=1):

@@ -159,8 +159,14 @@ def smith_normal_form(matrix):
     of (d_i, d_j) -> (gcd, lcm) over i < j makes it one, because diag(a, b)
     is equivalent to diag(gcd, lcm) (M. Newman, Integral Matrices, ch. II;
     H. Cohen, A Course in Computational Algebraic Number Theory, 2.4).
+    Raises TypeError naming the row and column of an entry that is not
+    exactly an int (a float or a bool is not).
     """
-    a = [[int(v) for v in row] for row in matrix]
+    a = [list(row) for row in matrix]
+    for i, row in enumerate(a):
+        for j, v in enumerate(row):
+            if type(v) is not int:
+                raise TypeError(f"smith_normal_form entry ({i}, {j}) must be an int, got {v!r}")
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     size = min(nrows, ncols)

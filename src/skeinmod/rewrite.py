@@ -44,17 +44,10 @@ from .laurent import (
 )
 from .sparse import SparseSum, accumulate
 from .text import coeff_term, join_signed, split_coeff, split_terms
-from .torus import canon
+from .torus import canon, check_label
 
 GENS = ("e", "x1", "x2")
 _GEN_RANK = {g: i for i, g in enumerate(GENS)}
-
-
-def _check_label(label, what="label"):
-    # a float entry would flow through the forms into float exponents
-    for v in label:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise TypeError(f"{what} entries must be ints, got {label!r}")
 
 
 def normalize_label(label):
@@ -154,7 +147,7 @@ class ModuleElement(SparseSum):
                 if gen not in _GEN_RANK:
                     raise ValueError(f"unknown generator {gen!r}")
                 label = tuple(label)
-                _check_label(label)
+                check_label(label)
                 if isinstance(coeff, int):
                     coeff = LaurentPoly.from_int(coeff)
                 accumulate(self.terms, (normalize_label(label), gen), coeff)
@@ -265,7 +258,7 @@ def boundary_multiply(e, pair, boundary):
     result is exact in the same formal basis the rewrites use. Raises
     TypeError when p or q is not an int (a bool is not), as for a label.
     """
-    _check_label(pair, "curve")
+    check_label(pair, "curve")
     p, q = pair
     if boundary not in (1, 2):
         raise ValueError("boundary must be 1 or 2")
@@ -363,7 +356,7 @@ def reduce_step(label, gen, slopes):
     c1 <= 2(a1-b1), c2 <= 2a2 box. Raises TypeError for a label entry that
     is not an int.
     """
-    _check_label(label)
+    check_label(label)
     if gen not in _GEN_RANK:
         raise ValueError(f"unknown generator {gen!r}")
     acc = {}

@@ -17,6 +17,14 @@ from .sparse import SparseSum, accumulate
 from .text import coeff_term, join_signed, split_coeff, split_terms
 
 
+def check_label(label, what="label"):
+    """Raise TypeError naming the label when an entry is not an int (a bool
+    is not): a float entry would flow through products into float exponents."""
+    for v in label:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"{what} entries must be ints, got {label!r}")
+
+
 def canon(p, q):
     """Representative of (p,q) up to sign: p > 0, or p == 0 and q >= 0."""
     if p < 0 or (p == 0 and q < 0):
@@ -28,8 +36,10 @@ def fg_normalize(p, q):
     """Canonical label for (p,q) under (p,q) ~ (-p,-q).
 
     Returns (label, trivial_scalar). The scalar is None except for (0,0),
-    whose curve class is not a basis key but the constant 2.
+    whose curve class is not a basis key but the constant 2. Raises
+    TypeError naming the label when p or q is not an int (a bool is not).
     """
+    check_label((p, q))
     if (p, q) == (0, 0):
         return (0, 0), LaurentPoly.from_int(2)
     return canon(p, q), None
@@ -45,7 +55,8 @@ def _as_poly(c):
 
 class FGElement(SparseSum):
     """Finite linear combination of curve classes with Laurent coefficients.
-    The empty link is the key (); the constructor takes it apart as `unit`."""
+    The empty link is the key (); the constructor takes it apart as `unit`.
+    A label entry that is not an int (a bool included) is a TypeError."""
 
     __slots__ = ()
 
@@ -55,6 +66,7 @@ class FGElement(SparseSum):
             accumulate(self.terms, (), _as_poly(unit))
         if terms:
             for (p, q), c in terms.items():
+                check_label((p, q))
                 c = _as_poly(c)
                 if c and (p, q) == (0, 0):
                     raise ValueError("(0,0) is not a basis key; pass it as unit")
@@ -67,6 +79,7 @@ class FGElement(SparseSum):
     @classmethod
     def basis(cls, p, q):
         """The curve class (p,q); (0,0) collapses to the scalar 2."""
+        check_label((p, q))
         if (p, q) == (0, 0):
             return cls(unit=2)
         return cls({canon(p, q): 1})

@@ -70,28 +70,44 @@ def test_format_rows_names_each_metric():
     assert text.splitlines()[2].startswith("b ") and "0/1" in text
 
 
+# bounds are fractions of the base median: 0.24 is 24% of it
+
+
 def test_median_worse_by_more_than_the_bound_is_flagged():
     base = [0.80, 0.82, 0.84, 0.81, 0.83, 0.85, 0.79, 0.86, 0.80, 0.84]
-    change = [b + 0.30 for b in base]
+    change = [b * 1.30 for b in base]
     (row,) = ab_pairs.summarize(_pairs(base, change), [("pass_s", "lower", 0.24)])
-    assert row["change"][0] - row["base"][0] == pytest.approx(0.30)
+    assert row["change"][0] / row["base"][0] == pytest.approx(1.30)
     assert row["worse"]
     assert ab_pairs.format_rows([row]).splitlines()[1].endswith("WORSE")
 
 
 def test_median_worse_by_less_than_the_bound_is_not_flagged():
     base = [0.80, 0.82, 0.84, 0.81, 0.83, 0.85, 0.79, 0.86, 0.80, 0.84]
-    change = [b + 0.20 for b in base]
+    change = [b * 1.20 for b in base]
     (row,) = ab_pairs.summarize(_pairs(base, change), [("pass_s", "lower", 0.24)])
     assert row["wins"] == 0
     assert not row["worse"]
     assert ab_pairs.format_rows([row]).splitlines()[1].endswith("ok")
 
 
+def test_bound_is_a_fraction_not_a_difference_in_the_unit():
+    # 0.1 s worse on a 0.06 s median is far past a 0.24 bound, and 0.3 MB
+    # worse on a 25 MB median is well within a 0.1 bound
+    base = [0.058, 0.059, 0.060, 0.061, 0.062]
+    (row,) = ab_pairs.summarize(_pairs(base, [b + 0.1 for b in base]), [("pass_s", "lower", 0.24)])
+    assert row["worse"]
+    base = [25.0, 25.1, 25.2, 25.1, 25.0]
+    (row,) = ab_pairs.summarize(
+        _pairs(base, [b + 0.3 for b in base], name="peak_rss_mb"), [("peak_rss_mb", "lower", 0.1)]
+    )
+    assert not row["worse"] and row["verdict"] == "ok"
+
+
 def test_bound_on_a_higher_is_better_metric():
     base = [2.0, 2.1, 2.2, 2.0, 2.1]
     (row,) = ab_pairs.summarize(
-        _pairs(base, [b - 0.5 for b in base], name="rank_per_row"),
+        _pairs(base, [b * 0.7 for b in base], name="rank_per_row"),
         [("rank_per_row", "higher", 0.25)],
     )
     assert row["worse"]
@@ -102,7 +118,8 @@ def test_bound_on_a_higher_is_better_metric():
     assert not row["worse"] and row["wins"] == 5
 
 
-# a peak_rss_mb-like base whose q3 - q1 (0.3 MB) is wider than a 0.1 MB bound
+# a peak_rss_mb-like base whose (q3 - q1) / median (0.3 / 50.25, about 0.6%)
+# is wider than a bound of 0.5%
 _WIDE_BASE = [50.0, 50.4, 50.1, 50.5, 50.0, 50.4, 50.1, 50.5, 50.2, 50.3]
 
 
@@ -119,9 +136,9 @@ _WIDE_BASE = [50.0, 50.4, 50.1, 50.5, 50.0, 50.4, 50.1, 50.5, 50.2, 50.3]
     ids=["worse", "unresolved", "ok"],
 )
 def test_no_regression_verdict(change, verdict):
-    metrics = [("peak_rss_mb", "lower", 0.1)]
+    metrics = [("peak_rss_mb", "lower", 0.005)]
     (row,) = ab_pairs.summarize(_pairs(_WIDE_BASE, change, name="peak_rss_mb"), metrics)
-    assert row["base"][2] - row["base"][1] > 0.1
+    assert (row["base"][2] - row["base"][1]) / row["base"][0] > 0.005
     assert row["verdict"] == verdict
     assert row["worse"] == (verdict == "WORSE")
     assert ab_pairs.format_rows([row]).splitlines()[1].endswith(verdict)

@@ -104,6 +104,26 @@ def test_torus_mul_and_f12_reduce_parse_each_operand_once(capsys, monkeypatch):
     assert env["inputs"]["element"] == "(0,0,0,3)*e"
 
 
+def test_operands_are_parsed_once_by_functions_patched_after_the_parser_is_built(capsys, monkeypatch):
+    # main keeps its parser; the type= callables still look their parse
+    # functions up when they run, so a later rebinding sees every call
+    assert cli.main(["--version"]) == 0
+    capsys.readouterr()
+    assert cli._PARSER is not None
+    fg_calls = _counting(monkeypatch, "parse_fg")
+    element_calls = _counting(monkeypatch, "parse_module_element")
+    gen_calls = _counting(monkeypatch, "_matrix_from_json")
+    slopes = []
+    monkeypatch.setattr(cli, "SlopeData", lambda *args: slopes.append(args) or SlopeData(*args))
+    assert run(capsys, "torus-mul", "(1,0)", "(0,1)")[0] == 0
+    assert run(capsys, "f12-reduce", "--slopes", "1,-2,1,1", "--element", "(0,0,0,3)*e")[0] == 0
+    assert run(capsys, "algebra-closure", "--gen", "[[1,1],[0,1]]")[0] == 0
+    assert fg_calls == ["(1,0)", "(0,1)"]
+    assert element_calls == ["(0,0,0,3)*e"]
+    assert gen_calls == [[[1, 1], [0, 1]]]
+    assert slopes == [(1, -2, 1, 1)]
+
+
 def test_f12_reduce_fractional_output_reparses(capsys):
     args = ("f12-reduce", "--slopes", "1,-2,1,1")
     code, out, _ = run(capsys, *args, "--element", "(1)/(1 + A)*(0,0,0,3)*e")
@@ -235,6 +255,77 @@ def test_no_certificate_exits_2(capsys):
 def test_version_flag(capsys):
     assert cli.main(["--version"]) == 0
     assert "0.1.0" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the parser main keeps across calls
+
+
+_GOOD_ARGV = [
+    ("torus-mul", "(1,1)", "(1,-1)"),
+    ("chebyshev", "--family", "S", "--n", "4"),
+    ("gamma", "--p", "3", "--prime"),
+    ("f12-reduce", "--slopes", "1,-2,1,1", "--element", "(0,0,0,3)*e"),
+    ("algebra-closure", "--gen", "[[1,1],[0,1]]", "--gen", "[[1,0],[1,1]]"),
+    ("homology", "--genus", "0", "--fiber", "1,2", "--fiber", "1,3"),
+    ("jprime-check", "--p", "4"),
+]
+
+_BAD_ARGV = [
+    ("chebyshev", "--family", "T", "--n", "-1"),
+    ("chebyshev", "--family", "T", "--n", "x"),
+    ("frobnicate",),
+    ("gamma", "--p", "0"),
+    ("homology", "--genus", "0", "--fiber", "1,1"),
+]
+
+
+def _comparable(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, timing_ms dropped from an
+    envelope."""
+    code, out, err = run(capsys, *argv)
+    if out.startswith("{"):
+        env = json.loads(out)
+        env.pop("timing_ms")
+        out = env
+    return code, out, err
+
+
+def test_kept_parser_answers_as_a_fresh_one_after_usage_errors(capsys, monkeypatch):
+    monkeypatch.delenv("SKEINMOD_CACHE_DIR", raising=False)
+    fresh = {}
+    for argv in _GOOD_ARGV + _BAD_ARGV:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh[argv] = _comparable(capsys, argv)
+    kept = cli._PARSER
+    for bad in _BAD_ARGV:
+        assert _comparable(capsys, bad) == fresh[bad]
+        assert fresh[bad][0] == 1
+        for argv in _GOOD_ARGV:
+            assert _comparable(capsys, argv) == fresh[argv]
+    assert cli._PARSER is kept
+    # the handler's own usage error still names its subcommand
+    code, _out, err = run(capsys, "chebyshev", "--family", "T", "--n", "-1")
+    assert code == 1 and err.startswith("usage: skeinmod chebyshev")
+
+
+def test_repeated_fiber_flags_do_not_carry_over_between_calls(capsys):
+    for _ in range(2):
+        code, env, _ = run_json(capsys, "homology", "--genus", "0", "--fiber=1,2")
+        assert code == 0 and env["inputs"]["fibers"] == [[1, 2]]
+    code, env, _ = run_json(capsys, "homology", "--genus", "0")
+    assert code == 0 and env["inputs"]["fibers"] == []
+
+
+def test_version_flag_on_a_kept_parser(capsys):
+    for argv in (["--version"], ["chebyshev", "--family", "T", "--n", "2"], ["--version"]):
+        assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("skeinmod %s\n" % cli.__version__) == 2
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,32 @@ def test_power_rows_match_sympy_remainders(n):
         rem = sympy.Poly(x**k, x).rem(phi_n).all_coeffs()[::-1]
         want = tuple(int(c) for c in rem) + (0,) * (totient(n) - len(rem))
         assert root_of_unity(n, k).num == want
-    # powers below phi are unit vectors, built on request and never stored
+
+
+def _stored_rows():
+    return {n: len(rows) for n, (_phi, rows) in cyclotomic._ROW_CACHE.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 15, 30, 42])
+def test_root_of_unity_stores_no_power_row(n):
+    before = _stored_rows()
+    for k in range(2 * n):
+        root_of_unity(n, k)
+    assert _stored_rows() == before
+
+
+@pytest.mark.parametrize("n", [12, 60, 420, 840])
+def test_root_of_unity_reads_stored_rows_as_it_folds(monkeypatch, n):
+    monkeypatch.setattr(cyclotomic, "_ROW_CACHE", {})
+    monkeypatch.setattr(cyclotomic, "_TRACE_TABLES", {})
+    folded = [root_of_unity(n, k) for k in range(n)]
+    assert cyclotomic._ROW_CACHE == {}
+    cyclotomic._trace_table(n)
     phi, rows = cyclotomic._ROW_CACHE[n]
-    assert phi == totient(n) and len(rows) <= n - phi
+    assert phi + len(rows) == n
+    for k, z in enumerate(folded):
+        stored = root_of_unity(n, k)
+        assert (stored.order, stored.num, stored.den) == (z.order, z.num, z.den)
 
 
 def test_lift_preserves_value():

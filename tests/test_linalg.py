@@ -3,6 +3,7 @@ integer echelon also against field elimination over Q and Q(i), and the
 field echelon over Q(zeta_8) and Q(zeta_12) by its own laws."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,20 @@ def test_nullspace_vectors_annihilate(m):
 def test_snf_count_matches_smaller_dimension():
     assert len(smith_normal_form([[1, 2, 3]])) == 1
     assert len(smith_normal_form([[1], [2], [3]])) == 1
+
+
+@pytest.mark.parametrize(
+    "matrix, where, entry",
+    [
+        ([[2.5, 1], [1, 3]], (0, 0), 2.5),
+        ([[True, 2]], (0, 0), True),
+        ([[1, 2], [3, Fraction(4)]], (1, 1), Fraction(4)),
+        ([[1, 2, 3], [4, 5, 6.0]], (1, 2), 6.0),
+    ],
+)
+def test_snf_rejects_an_entry_that_is_not_an_int(matrix, where, entry):
+    with pytest.raises(TypeError, match=re.escape(f"entry {where} must be an int, got {entry!r}")):
+        smith_normal_form(matrix)
 
 
 # ---------------------------------------------------------------------------

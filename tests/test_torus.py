@@ -1,6 +1,7 @@
 """Torus skein algebra in the symmetrized curve basis."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,18 @@ def test_zero_zero_is_not_a_basis_key():
     with pytest.raises(ValueError):
         FGElement({(0, 0): 1})
     assert FGElement.basis(0, 0) == FGElement(unit=2)
+
+
+@pytest.mark.parametrize("label", [(1.5, 0), (0, 0.0), (True, 1), (1, False), (0.0, 0.0)])
+def test_labels_take_only_ints(label):
+    # a float label would reach fg_multiply and give float exponents
+    message = re.escape(f"label entries must be ints, got {label!r}")
+    with pytest.raises(TypeError, match=message):
+        FGElement({label: 1})
+    with pytest.raises(TypeError, match=message):
+        FGElement.basis(*label)
+    with pytest.raises(TypeError, match=message):
+        fg_normalize(*label)
 
 
 def test_product_anchor():
