@@ -17,21 +17,22 @@ Phi_rad(x^(N/rad)) for rad the product of those primes. Both those
 quotients and the Euclid remainders come from laurent.pseudo_divmod, the
 one integer polynomial division of the package. Mixed-order arithmetic
 lifts both operands to their lcm order. One trial division, _factor, serves
-totient, Phi_N and rational_sqrt_cyclotomic.
+totient, Phi_N and rational_sqrt_cyclotomic; phi(N) is kept with Phi_N.
 
-A CycNum, a root of unity or a rational square root asked for at an order
-above MAX_ORDER is rejected before any table is built: the power rows of
-zeta_N hold phi(N) integers each, up to N - phi(N) rows once traces are
-scanned (a power below phi(N) is a unit vector and is built when asked
-for, not stored). Orders that arithmetic reaches by lifting are not
-capped. root_of_unity_with_trace scans the orders lcm(N, t) ascending, up to
+Every power of zeta_N is one fold: a lift writes num(x^step) into one
+vector, a Laurent evaluation adds each coefficient at its exponent mod N,
+and a root of unity is a unit vector, each reduced once mod Phi_N by _fold.
+No power is stored. A CycNum, a root of unity, Phi_N or a rational square
+root asked for at an order above MAX_ORDER is rejected before anything is
+built; orders that arithmetic reaches by lifting are not capped.
+root_of_unity_with_trace scans the orders lcm(N, t) ascending, up to
 MAX_ORDER, and in each only k <= m/2: zeta^k and zeta^-k have one trace.
-An order is scanned through its trace table, built once from its power
-rows: the hashes of the coordinate tuples of the traces zeta^k + zeta^-k,
-sorted, with each one's k, in two flat machine-int buffers. A lookup
-confirms each k offered under the target's hash against the power rows,
-so it returns what the ascending scan would, and no coordinates are
-stored twice.
+An order is scanned through its trace table, built once by walking zeta^k
+up and zeta^-k down together: the hashes of the coordinate tuples of the
+traces zeta^k + zeta^-k, sorted, with each one's k, in two flat
+machine-int buffers. A lookup confirms each k offered under the target's
+hash against zeta^k and zeta^-k, folded once each, so it returns what the
+ascending scan would.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ def totient(n):
     return n
 
 
-# n -> nonzero (j, c_j) with j < phi(n) of the monic Phi_n = x^phi + sum c_j x^j
+# n -> (phi(n), tail), tail the nonzero (j, c_j) with j < phi of the monic
+# Phi_n = x^phi + sum c_j x^j
 _CYCLO_CACHE = {}
 
 
@@ -97,73 +99,45 @@ def _spread(poly, step):
     return out
 
 
-def _cyclo_tail(n):
-    tail = _CYCLO_CACHE.get(n)
-    if tail is None:
+def _cyclo(n):
+    """The _CYCLO_CACHE entry (phi(n), tail) of Phi_n, built on first use;
+    not capped, since arithmetic lifts past MAX_ORDER."""
+    entry = _CYCLO_CACHE.get(n)
+    if entry is None:
         primes = list(_factor(n))
         rad = math.prod(primes)
         if n == 1:
             poly = [-1, 1]
         elif n != rad:
             # Phi_n(x) = Phi_rad(x^(n/rad)), rad the product of the primes of n
-            poly = _spread(cyclotomic_poly(rad), n // rad)
+            poly = _spread(_cyclo_poly(rad), n // rad)
         else:
             # Phi_rp(x) = Phi_r(x^p) / Phi_r(x) for a prime p that does not
             # divide r; peeling the largest prime keeps the divisor short
             p = primes[-1]
-            low = cyclotomic_poly(n // p)
+            low = _cyclo_poly(n // p)
             mult, poly, rem = pseudo_divmod(_spread(low, p), low)
             if mult != 1 or rem:
                 raise ArithmeticError(f"Phi_{n // p}(x^{p}) is not divisible by Phi_{n // p}(x)")
-        tail = _CYCLO_CACHE[n] = tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
-    return tail
+        tail = tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
+        entry = _CYCLO_CACHE[n] = (len(poly) - 1, tail)
+    return entry
 
 
-def cyclotomic_poly(n):
-    """Coefficients of the n-th cyclotomic polynomial, constant term first."""
-    if n < 1:
-        raise ValueError("cyclotomic_poly needs n >= 1")
-    tail = _cyclo_tail(n)
-    poly = [0] * (totient(n) + 1)
-    poly[-1] = 1
+def _cyclo_poly(n):
+    """Phi_n, constant term first, at any order n >= 1."""
+    phi, tail = _cyclo(n)
+    poly = [0] * phi + [1]
     for j, c in tail:
         poly[j] = c
     return poly
 
 
-# n -> (phi(n), rows) with rows[k - phi] the coordinates of x^k mod Phi_n for
-# k >= phi; x^k for k < phi is the unit vector e_k, built when asked for.
-# Rows are filled by the readers that need many of them: lift, laurent_eval
-# and _trace_table (through _zeta_rows). root_of_unity reads rows already
-# stored and never adds one.
-_ROW_CACHE = {}
-
-
-def _power_row(phi, rows, k):
-    """x^k mod Phi_n from the (phi, rows) entry of _zeta_rows."""
-    return rows[k - phi] if k >= phi else (0,) * k + (1,) + (0,) * (phi - 1 - k)
-
-
-def _zeta_rows(n, upto):
-    """(phi, rows): integer coordinate rows of x^k mod Phi_n for k = phi..upto,
-    x^k at rows[k - phi]."""
-    entry = _ROW_CACHE.get(n)
-    if entry is None:
-        entry = _ROW_CACHE[n] = (totient(n), [])
-    phi, rows = entry
-    if phi + len(rows) <= upto:
-        tail = _cyclo_tail(n)
-        prev = _power_row(phi, rows, phi - 1 + len(rows))
-        while phi + len(rows) <= upto:
-            shifted = [0, *prev[:-1]]
-            t = prev[-1]
-            if t:
-                # x^phi = -(c_0 + ... + c_{phi-1} x^{phi-1})
-                for j, c in tail:
-                    shifted[j] -= t * c
-            prev = tuple(shifted)
-            rows.append(prev)
-    return entry
+def cyclotomic_poly(n):
+    """Coefficients of the n-th cyclotomic polynomial, constant term first,
+    for an int n in 1..MAX_ORDER."""
+    _check_order(n)
+    return _cyclo_poly(n)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +192,7 @@ def _convolve(u, v):
 def _fold(n, vec, phi):
     """Reduce an integer coefficient list mod Phi_n in place; returns it cut to phi."""
     if len(vec) > phi:
-        tail = _cyclo_tail(n)
+        tail = _cyclo(n)[1]
         for k in range(len(vec) - 1, phi - 1, -1):
             t = vec[k]
             if t:
@@ -237,7 +211,7 @@ def _inverse_mod(n, vec):
     scalar) with r_i == (t_i / e_i) * vec mod Phi_n, kept in lowest terms so
     that only the true rational cofactor's size is ever stored.
     """
-    r0 = cyclotomic_poly(n)
+    r0 = _cyclo_poly(n)
     r1 = trim(list(vec))
     content = math.gcd(*r1)
     r1 = list(map(floordiv, r1, repeat(content)))
@@ -274,7 +248,7 @@ def _exact(q):
     as "3/4"); a float is refused, since its binary value is rarely the
     rational that was meant (0.1 is 3602879701896397/2^55)."""
     if isinstance(q, float):
-        raise TypeError(f"CycNum needs exact rationals, got the float {q!r}")
+        raise TypeError(f"exact rationals only, got the float {q!r}")
     return Fraction(q)
 
 
@@ -354,20 +328,15 @@ class CycNum:
         if m % self.order:
             raise ValueError("can only lift to a multiple of the order")
         step = m // self.order
-        phi, rows = _zeta_rows(m, (len(self.num) - 1) * step)
-        out = [0] * phi
-        for j, c in enumerate(self.num):
-            if c:
-                k = j * step
-                if k < phi:
-                    out[k] += c
-                else:
-                    for idx, r in enumerate(rows[k - phi]):
-                        if r:
-                            out[idx] += c * r
+        phi = _cyclo(m)[0]
+        num = self.num
+        top = (len(num) - 1) * step + 1
+        # num(x^step), folded once mod Phi_m
+        out = [0] * max(phi, top)
+        out[:top:step] = num
         # Z[zeta_m] meets Q(zeta_order) in Z[zeta_order], so the lifted
         # vector shares no factor with den that num did not: still canonical
-        return _make(m, tuple(out), self.den)
+        return _make(m, tuple(_fold(m, out, phi)), self.den)
 
     def _pair(self, other):
         if not isinstance(other, CycNum):
@@ -515,22 +484,24 @@ def dot2(a, b, c, d):
     return _canonical(n, _fold(n, num, len(a.num)), du)
 
 
-def root_of_unity(n, k=1):
-    """zeta_n^k as a CycNum of order n.
+def _check_exponent(k):
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"the exponent k must be an int, got {k!r}")
 
-    Reads x^k mod Phi_n from _ROW_CACHE when the stored rows of order n
-    reach k; otherwise folds x^k mod Phi_n once and stores nothing, so a
-    single power never fills the n - phi rows below it.
-    """
-    _check_order(n)
-    k %= n
-    entry = _ROW_CACHE.get(n)
-    if entry is not None and k < entry[0] + len(entry[1]):
-        return _make(n, _power_row(*entry, k), 1)
-    phi = totient(n)
+
+def _power(n, k, phi):
+    """x^k mod Phi_n as a list of phi integer coordinates, for 0 <= k < n."""
     vec = [0] * max(phi, k + 1)
     vec[k] = 1
-    return _make(n, tuple(_fold(n, vec, phi)), 1)
+    return _fold(n, vec, phi)
+
+
+def root_of_unity(n, k=1):
+    """zeta_n^k as a CycNum of order n: the unit vector e_(k mod n), folded
+    once mod Phi_n."""
+    _check_order(n)
+    _check_exponent(k)
+    return _make(n, tuple(_power(n, k % n, _cyclo(n)[0])), 1)
 
 
 def laurent_eval(p, n, k=1):
@@ -538,18 +509,11 @@ def laurent_eval(p, n, k=1):
     if not isinstance(p, LaurentPoly):
         raise TypeError("expected a LaurentPoly")
     _check_order(n)
-    needed = {(e * k) % n for e, _ in p.items()}
-    phi, rows = _zeta_rows(n, max(needed, default=0))
-    acc = [0] * phi
+    _check_exponent(k)
+    acc = [0] * n
     for e, v in p.items():
-        j = (e * k) % n
-        if j < phi:
-            acc[j] += v
-        else:
-            for idx, r in enumerate(rows[j - phi]):
-                if r:
-                    acc[idx] += v * r
-    return _make(n, tuple(acc), 1)
+        acc[(e * k) % n] += v
+    return _make(n, tuple(_fold(n, acc, _cyclo(n)[0])), 1)
 
 
 def rational_sqrt_cyclotomic(q):
@@ -563,7 +527,7 @@ def rational_sqrt_cyclotomic(q):
     a factor 2), the odd primes of r, and 4 (for q < 0 or a prime of r that
     is 3 mod 4).
     """
-    q = Fraction(q)
+    q = _exact(q)
     if q == 0:
         return CycNum.zero()
     negative = q < 0
@@ -607,35 +571,32 @@ def _int64s(values):
 
 
 def _trace_table(m):
-    """The trace table of order m (_TRACE_TABLES), built on first use."""
+    """The trace table of order m (_TRACE_TABLES), built on first use by
+    walking x^k up and x^-k down together, one step each per k."""
     table = _TRACE_TABLES.get(m)
     if table is None:
-        phi, rows = _zeta_rows(m, m - 1)
-        hashes = [
-            hash(tuple(map(add, _power_row(phi, rows, k), _power_row(phi, rows, (m - k) % m))))
-            for k in range(m // 2 + 1)
-        ]
+        phi = _cyclo(m)[0]
+        xinv = _power(m, m - 1, phi)
+        up = _power(m, 0, phi)
+        down = list(up)
+        hashes = [hash(tuple(map(add, up, down)))]
+        for _ in range(m // 2):
+            up = _fold(m, [0, *up], phi)
+            # x^-k = x^-1 * x^-(k-1): each x^j of down moves to x^(j-1), and
+            # the constant term d0 becomes d0 * x^-1
+            d0 = down[0]
+            down = [*down[1:], 0]
+            if d0:
+                down = [a + d0 * b for a, b in zip(down, xinv)]
+            hashes.append(hash(tuple(map(add, up, down))))
         ks = sorted(range(len(hashes)), key=hashes.__getitem__)  # stable: k ascending
         table = _TRACE_TABLES[m] = (_int64s(map(hashes.__getitem__, ks)), _int64s(ks))
     return table
 
 
-def root_of_unity_with_trace(x):
-    """Find (m, k) with zeta_m^k + zeta_m^-k equal to x, scanning bounded orders.
-
-    Returns None when no root of unity in the scanned fields has trace x.
-    The orders m = lcm(N, t) are scanned ascending, and in each only
-    k <= m/2, since zeta^k and zeta^-k have one trace: the result is the
-    first such (m, k). The scan stops at the first order above MAX_ORDER,
-    since the power rows of one can take hundreds of megabytes.
-
-    An order is scanned through its trace table (_trace_table), built the
-    first time the order is scanned: the hash of the coordinates of x at
-    order m is looked up among the sorted hashes of the traces zeta_m^k +
-    zeta_m^-k, and the k with that hash, ascending, are each confirmed
-    against the cached power rows. The table keeps no coordinates, and a
-    hash collision costs one comparison, never a wrong hit.
-    """
+def _trace_hit(x):
+    """(m, k, x^k, x^-k) for the first (m, k) of root_of_unity_with_trace,
+    both powers as coordinate lists mod Phi_m; None when there is none."""
     if isinstance(x, (int, Fraction)):
         x = CycNum.rational(x)
     if x.den != 1:
@@ -646,25 +607,45 @@ def root_of_unity_with_trace(x):
             break
         target = x.lift(m).num
         hashes, ks = _trace_table(m)
-        phi, rows = _zeta_rows(m, m - 1)
+        phi = len(target)
         key = hash(target)
         i = bisect_left(hashes, key)
         while i < len(hashes) and hashes[i] == key:
             k = ks[i]
-            row_k = _power_row(phi, rows, k)
-            row_nk = _power_row(phi, rows, (m - k) % m)
+            row_k = _power(m, k, phi)
+            row_nk = _power(m, (m - k) % m, phi)
             if all(t == a + b for t, a, b in zip(target, row_k, row_nk)):
-                return m, k
+                return m, k, row_k, row_nk
             i += 1
     return None
+
+
+def root_of_unity_with_trace(x):
+    """Find (m, k) with zeta_m^k + zeta_m^-k equal to x, scanning bounded orders.
+
+    Returns None when no root of unity in the scanned fields has trace x.
+    The orders m = lcm(N, t) are scanned ascending, and in each only
+    k <= m/2, since zeta^k and zeta^-k have one trace: the result is the
+    first such (m, k). The scan stops at the first order above MAX_ORDER,
+    whose table would cost m/2 folds mod Phi_m to build.
+
+    An order is scanned through its trace table (_trace_table), built the
+    first time the order is scanned: the hash of the coordinates of x at
+    order m is looked up among the sorted hashes of the traces zeta_m^k +
+    zeta_m^-k, and the k with that hash, ascending, are each confirmed
+    against x^k and x^-k, folded once each. The table keeps no coordinates,
+    and a hash collision costs one comparison, never a wrong hit.
+    """
+    hit = _trace_hit(x)
+    return None if hit is None else hit[:2]
 
 
 def trace_roots(x):
     """(zeta, zeta^-1) for the root of unity zeta = zeta_m^k of the first
     (m, k) that root_of_unity_with_trace finds for x, both at order m; None
     when the scan finds none."""
-    hit = root_of_unity_with_trace(x)
+    hit = _trace_hit(x)
     if hit is None:
         return None
-    m, k = hit
-    return root_of_unity(m, k), root_of_unity(m, (m - k) % m)
+    m, _k, row_k, row_nk = hit
+    return _make(m, tuple(row_k), 1), _make(m, tuple(row_nk), 1)

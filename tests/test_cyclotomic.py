@@ -114,30 +114,24 @@ def test_power_rows_match_sympy_remainders(n):
         assert root_of_unity(n, k).num == want
 
 
-def _stored_rows():
-    return {n: len(rows) for n, (_phi, rows) in cyclotomic._ROW_CACHE.items()}
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 12, 15, 30, 42])
-def test_root_of_unity_stores_no_power_row(n):
-    before = _stored_rows()
-    for k in range(2 * n):
-        root_of_unity(n, k)
-    assert _stored_rows() == before
+def _power_recurrence(n):
+    """x^k mod Phi_n for k = 0..n-1 by x^(k+1) = x * x^k: shift up one place
+    and replace x^phi by -(c_0 + ... + c_(phi-1) x^(phi-1))."""
+    poly = cyclotomic_poly(n)
+    phi = len(poly) - 1
+    row = [1] + [0] * (phi - 1)
+    for _ in range(n):
+        yield tuple(row)
+        top = row[-1]
+        row = [0, *row[:-1]]
+        row = [r - top * c for r, c in zip(row, poly)]
 
 
 @pytest.mark.parametrize("n", [12, 60, 420, 840])
-def test_root_of_unity_reads_stored_rows_as_it_folds(monkeypatch, n):
-    monkeypatch.setattr(cyclotomic, "_ROW_CACHE", {})
-    monkeypatch.setattr(cyclotomic, "_TRACE_TABLES", {})
-    folded = [root_of_unity(n, k) for k in range(n)]
-    assert cyclotomic._ROW_CACHE == {}
-    cyclotomic._trace_table(n)
-    phi, rows = cyclotomic._ROW_CACHE[n]
-    assert phi + len(rows) == n
-    for k, z in enumerate(folded):
-        stored = root_of_unity(n, k)
-        assert (stored.order, stored.num, stored.den) == (z.order, z.num, z.den)
+def test_root_of_unity_matches_the_power_recurrence(n):
+    for k, want in enumerate(_power_recurrence(n)):
+        z = root_of_unity(n, k)
+        assert (z.order, z.num, z.den) == (n, want, 1)
 
 
 def test_lift_preserves_value():
@@ -260,11 +254,13 @@ def test_trace_roots_are_the_scan_hit_and_its_inverse():
 
 
 def test_trace_scan_stops_at_the_order_cap():
-    # order 1820 lifts to 5460 and 10920 for t = 12 and 24: scanning those
-    # took seconds and hundreds of megabytes, so they are skipped
-    before = set(cyclotomic._ROW_CACHE)
+    # order 1820 lifts to 5460 and 10920 for t = 12 and 24, above the cap,
+    # so no table or polynomial of those orders is built
+    caches = (cyclotomic._CYCLO_CACHE, cyclotomic._TRACE_TABLES)
+    before = [set(cache) for cache in caches]
     assert root_of_unity_with_trace(root_of_unity(1820, 1) + 3) is None
-    assert all(n <= MAX_ORDER for n in set(cyclotomic._ROW_CACHE) - before)
+    for cache, keys in zip(caches, before):
+        assert all(n <= MAX_ORDER for n in set(cache) - keys)
     tr = root_of_unity(4004, 7) + root_of_unity(4004, 3997)
     assert root_of_unity_with_trace(tr) == (4004, 7)
 
@@ -308,7 +304,7 @@ def test_trace_table_matches_the_ascending_scan(x):
 
 def test_trace_table_survives_hash_collisions(monkeypatch):
     # with every trace of an order under one hash, a lookup confirms the
-    # k ascending against the power rows and still returns the scan's hit
+    # k ascending against their folded powers and still returns the scan's hit
     monkeypatch.setattr(cyclotomic, "_TRACE_TABLES", {})
     monkeypatch.setattr(cyclotomic, "hash", lambda v: 7, raising=False)
     for m, k in [(60, 7), (60, 30), (36, 0)]:
@@ -323,6 +319,37 @@ def test_laurent_eval_is_a_homomorphism(p, nk):
     n, k = nk
     q = LaurentPoly.A(2) - 3
     assert laurent_eval(p * q, n, k) == laurent_eval(p, n, k) * laurent_eval(q, n, k)
+
+
+def _sympy_remainder(terms, m):
+    """The coordinates of sum c X^e mod Phi_m, for (e, c) in terms, by sympy."""
+    X = sympy.symbols("X")
+    poly = sympy.Poly(sum((sympy.Rational(c) * X**e for e, c in terms), sympy.Integer(0)), X, domain="QQ")
+    rem = poly.rem(sympy.Poly(sympy.cyclotomic_poly(m, X), X, domain="QQ")).all_coeffs()[::-1]
+    return [Fraction(int(c.p), int(c.q)) for c in rem] + [Fraction(0)] * (totient(m) - len(rem))
+
+
+# (n, step): 420 -> 840 and 12 -> 24 bring no new prime, so x(X^step) is
+# already reduced; the others bring one, and x(X^step) reaches past
+# phi(n * step), so it folds
+@pytest.mark.parametrize("n, step", [(420, 2), (12, 2), (5, 12), (7, 12), (3, 20), (60, 7)])
+def test_lift_matches_sympy_remainders(n, step):
+    rng = random.Random(f"cyclotomic/lift/{n}/{step}")
+    m = n * step
+    for _ in range(4):
+        x = CycNum(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(totient(n))])
+        want = _sympy_remainder([(j * step, c) for j, c in enumerate(x.coords)], m)
+        lifted = x.lift(m)
+        assert lifted.order == m
+        assert list(lifted.coords) == want
+
+
+@given(laurent_polys(), st.sampled_from([(4, 1), (3, 1), (8, 3), (12, 5), (12, -5), (60, 7), (7, 0)]))
+@settings(max_examples=60, deadline=None)
+def test_laurent_eval_matches_sympy_remainders(p, nk):
+    n, k = nk
+    want = _sympy_remainder([((e * k) % n, c) for e, c in p.items()], n)
+    assert list(laurent_eval(p, n, k).coords) == want
 
 
 def test_laurent_eval_at_i_anchor():
@@ -484,7 +511,7 @@ def test_zero_is_canonical():
 
 
 def test_order_cap_rejects_before_allocating():
-    rows, polys = set(cyclotomic._ROW_CACHE), set(cyclotomic._CYCLO_CACHE)
+    tables, polys = set(cyclotomic._TRACE_TABLES), set(cyclotomic._CYCLO_CACHE)
     for huge in (MAX_ORDER + 1, 10**12):
         with pytest.raises(ValueError, match="exceeds the limit"):
             CycNum(huge, [])
@@ -494,8 +521,36 @@ def test_order_cap_rejects_before_allocating():
             laurent_eval(LaurentPoly.A(1), huge)
         gen = json.dumps([[{"order": huge, "coords": [[1, 1]]}, 0], [0, 1]])
         assert cli.main(["algebra-closure", "--gen", gen]) == 1
-    assert set(cyclotomic._ROW_CACHE) == rows
+    assert set(cyclotomic._TRACE_TABLES) == tables
     assert set(cyclotomic._CYCLO_CACHE) == polys
+
+
+def test_cyclotomic_poly_is_capped():
+    polys = set(cyclotomic._CYCLO_CACHE)
+    for bad in (True, 6.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            cyclotomic_poly(bad)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        cyclotomic_poly(1009 * 1013)
+    assert set(cyclotomic._CYCLO_CACHE) == polys
+    # arithmetic that lifts past the cap still builds Phi_4620 and inverts there
+    x = (root_of_unity(2310, 1) + 1) * root_of_unity(4, 1)
+    assert x.order == 4620 > MAX_ORDER
+    assert x * x.inverse() == 1
+
+
+@pytest.mark.parametrize("k", [True, 1.5, 2.0, Fraction(1), "1", None])
+def test_exponent_must_be_an_int(k):
+    with pytest.raises(TypeError, match="exponent k"):
+        root_of_unity(4, k)
+    with pytest.raises(TypeError, match="exponent k"):
+        laurent_eval(LaurentPoly.A(1), 8, k)
+
+
+@pytest.mark.parametrize("q", [0.25, 0.1, 2.0])
+def test_rational_sqrt_refuses_floats(q):
+    with pytest.raises(TypeError, match="exact rationals"):
+        rational_sqrt_cyclotomic(q)
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +665,10 @@ def _trace_roots_groups():
 
 
 def test_trace_roots_are_pinned():
-    # the power rows and trace tables of the orders above 120 that a group
-    # scans are dropped after it, so the test holds only one group's
-    caches = (cyclotomic._ROW_CACHE, cyclotomic._TRACE_TABLES)
+    # the cyclotomic polynomials and trace tables of the orders above 120
+    # that a group scans are dropped after it, so the test holds only one
+    # group's
+    caches = (cyclotomic._CYCLO_CACHE, cyclotomic._TRACE_TABLES)
     kept = {n for cache in caches for n in cache}
 
     def drop_new_orders():
