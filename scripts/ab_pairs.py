@@ -23,13 +23,18 @@ baseline.json divides q3 - q1 by the median): it is `WORSE` when the change
 median is worse than the base median by more than bound * base median;
 else `unresolved` when the base's (q3 - q1) / median is wider than the
 bound, so that no shift within the bound can be told apart, unless every
-change run beats every base run; else `ok`. Stdlib only.
+change run beats every base run; else `ok`. Each run's pass count, read
+from perfbench's ``... N passes, ...`` line, is printed beside its metrics,
+and the summary adds a `passes` row of both medians with no verdict: a
+faster side fits more passes into the run, and perfbench keeps every
+pass's latencies, so peak memory is read against it. Stdlib only.
 """
 
 import argparse
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -72,9 +77,20 @@ def drop_pycache(tree):
 SECONDS = 20
 
 
+_PASSES = re.compile(r" (\d+) passes, ")
+
+
+def passes_of(stdout):
+    """The pass count perfbench's standard output reports."""
+    match = _PASSES.search(stdout)
+    if match is None:
+        raise RuntimeError("no pass count in benchmark output:\n%s" % stdout)
+    return int(match.group(1))
+
+
 def run_side(tree, workload, seed):
     """One benchmark run in `tree`; returns its result object (the last
-    line of perfbench's standard output)."""
+    line of perfbench's standard output) and its pass count."""
     drop_pycache(tree)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -84,7 +100,7 @@ def run_side(tree, workload, seed):
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError("benchmark in %s printed nothing:\n%s" % (tree, proc.stderr))
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), passes_of(proc.stdout)
 
 
 def _spread(values):
@@ -146,7 +162,9 @@ def summarize(pairs, metrics, failed=(0, 0)):
     return rows
 
 
-def format_rows(rows):
+def format_rows(rows, passes=None):
+    """The summary table; `passes`, a (base, change) pair of pass-count
+    lists, adds a row of both medians with no verdict."""
     out = ["%-12s %32s %32s %7s %-6s %s" % ("metric", "base median [q1, q3]",
                                              "change median [q1, q3]", "wins", "claim",
                                              "bound")]
@@ -159,6 +177,9 @@ def format_rows(rows):
             "holds" if r["holds"] else "-",
             r["verdict"],
         ))
+    if passes is not None:
+        out.append("%-12s %32s %32s" % (
+            "passes", "%g" % statistics.median(passes[0]), "%g" % statistics.median(passes[1])))
     return "\n".join(out)
 
 
@@ -180,17 +201,20 @@ def main(argv=None):
         export_base(root, args.base, trees["base"])
         export_worktree(root, trees["change"])
         pairs, failed = [], {"base": 0, "change": 0}
+        passes = {"base": [], "change": []}
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             result = {}
             for side in order:
-                res = run_side(trees[side], args.workload, args.seed)
+                res, count = run_side(trees[side], args.workload, args.seed)
                 failed[side] += res["failed"]
+                passes[side].append(count)
                 result[side] = {k: v["value"] for k, v in res["metrics"].items()}
-                print("pair %d %-6s %s" % (i + 1, side, " ".join(
-                    "%s=%.4g" % (k, result[side][k]) for k, *_rest in metrics)), flush=True)
+                print("pair %d %-6s %s passes=%d" % (i + 1, side, " ".join(
+                    "%s=%.4g" % (k, result[side][k]) for k, *_rest in metrics), count), flush=True)
             pairs.append((result["base"], result["change"]))
-    print(format_rows(summarize(pairs, metrics, (failed["base"], failed["change"]))))
+    rows = summarize(pairs, metrics, (failed["base"], failed["change"]))
+    print(format_rows(rows, (passes["base"], passes["change"])))
     if failed["base"] or failed["change"]:
         print("failed tasks: base %d, change %d" % (failed["base"], failed["change"]))
         return 1

@@ -22,7 +22,10 @@ from .text import format_power_sum, parse_power_sum
 MAX_N = 4096
 
 
-def _check_n(n):
+def _check_n(n, name):
+    # before the range check: True would read as 1, and 2.0 fail as out of range
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"{name} needs an int n, got {n!r}")
     if n > MAX_N:
         raise ValueError(f"n = {n} exceeds the limit {MAX_N}")
 
@@ -42,9 +45,9 @@ def _recurrence(n, p_prev, p_cur):
 
 def chebyshev_T(n):
     """First kind, trace normalization: T(0) = 2, T(1) = x."""
-    if not isinstance(n, int) or n < 0:
+    _check_n(n, "chebyshev_T")
+    if n < 0:
         raise ValueError("chebyshev_T needs n >= 0")
-    _check_n(n)
     if n == 0:
         return {0: 2}
     return _recurrence(n - 1, {0: 2}, {1: 1})
@@ -52,9 +55,9 @@ def chebyshev_T(n):
 
 def chebyshev_S(n):
     """Second kind: S(0) = 1, S(1) = x, and S(-1) = 0 by convention."""
-    if not isinstance(n, int) or n < -1:
+    _check_n(n, "chebyshev_S")
+    if n < -1:
         raise ValueError("chebyshev_S needs n >= -1")
-    _check_n(n)
     if n == -1:
         return {}
     if n == 0:

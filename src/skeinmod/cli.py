@@ -281,7 +281,8 @@ def _emit(args, subcommand, inputs, compute, render_text):
     """
     json_out = render_text is None or getattr(args, "json_out", False)
     cdir = _cache_dir(args)
-    key = _cache_key(subcommand, inputs)
+    # the key and the envelope bytes only for a cache or printed JSON
+    key = _cache_key(subcommand, inputs) if cdir else None
     hit = _cache_load(cdir, key)
     if hit is not None:
         raw, envelope = hit
@@ -305,8 +306,9 @@ def _emit(args, subcommand, inputs, compute, render_text):
         "verification": verification,
         "timing_ms": elapsed_ms,
     }
-    raw = (json.dumps(envelope, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    _cache_store(cdir, key, raw)
+    if json_out or cdir:
+        raw = (json.dumps(envelope, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        _cache_store(cdir, key, raw)
     if json_out:
         sys.stdout.buffer.write(raw)
         sys.stdout.flush()

@@ -142,12 +142,24 @@ def _check_p(p):
 
 
 def _handle_recurrence(g1, g2, p):
-    """Term p of g_(k+1) = A*y*g_k - A^2*g_(k-1), started at g1, g2 (p >= 2)."""
-    A = LaurentPoly.A
-    prev, cur = g1, g2
+    """Term p of g_(k+1) = A*y*g_k - A^2*g_(k-1), started at g1, g2 (p >= 2).
+
+    A power of A times a coefficient is an exponent shift, so each step is
+    one pass over the two dicts, merged by SparseSum.__add__'s rule.
+    """
+    wrap = LaurentPoly._wrap
+    prev, cur = g1.terms, g2.terms
     for _ in range(p - 2):
-        prev, cur = cur, cur.monomial_shift(0, 1, 0).scale(A(1)) - prev.scale(A(2))
-    return cur
+        nxt = {(a, b + 1, c): v.shift(1) for (a, b, c), v in cur.items()}
+        for key, v in prev.items():
+            v = wrap({e + 2: -x for e, x in v.terms.items()})
+            s = nxt[key] + v if key in nxt else v
+            if s:
+                nxt[key] = s
+            else:
+                del nxt[key]
+        prev, cur = cur, nxt
+    return Poly3._wrap(cur)
 
 
 def gamma(p):
@@ -237,6 +249,10 @@ def relation_core(family, p, parity):
     Returns None when the family has no variant for that parity (family 6
     exists only for odd k+n) or when the variant collapses to zero.
     """
+    # before the lookups: 1.0 and True would hash to family 1's key
+    for name, value in (("family", family), ("parity", parity)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if family not in FAMILY_SELECTOR:
         raise ValueError(f"family must be 1..8, got {family}")
     if parity not in (0, 1):

@@ -26,7 +26,8 @@ from .text import format_power_sum, parse_power_sum, strip_parens
 
 class LaurentPoly(SparseSum):
     """Integer Laurent polynomial: `terms` maps exponents to nonzero ints.
-    Immutable; ints coerce to constants on either side of +, -, * and ==."""
+    Immutable; ints, but not bools, coerce to constants on either side of
+    +, -, * and ==."""
 
     __slots__ = ()
 
@@ -35,7 +36,8 @@ class LaurentPoly(SparseSum):
         if coeffs:
             items = coeffs.items() if hasattr(coeffs, "items") else coeffs
             for exp, coeff in items:
-                if not isinstance(exp, int) or not isinstance(coeff, int):
+                if (not isinstance(exp, int) or not isinstance(coeff, int)
+                        or type(exp) is bool or type(coeff) is bool):
                     raise TypeError("exponents and coefficients must be int")
                 if coeff:
                     c[exp] = c.get(exp, 0) + coeff
@@ -45,7 +47,8 @@ class LaurentPoly(SparseSum):
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return LaurentPoly.from_int(other)
+            # a bool is no constant, as it is no coefficient
+            return None if type(other) is bool else LaurentPoly.from_int(other)
         return other if isinstance(other, LaurentPoly) else None
 
     @classmethod
@@ -63,7 +66,7 @@ class LaurentPoly(SparseSum):
     @classmethod
     def A(cls, exp=1):
         """The monomial A^exp."""
-        if not isinstance(exp, int):
+        if not isinstance(exp, int) or type(exp) is bool:
             raise TypeError("exponents and coefficients must be int")
         return cls._wrap({exp: 1})
 

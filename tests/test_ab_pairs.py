@@ -142,3 +142,23 @@ def test_no_regression_verdict(change, verdict):
     assert row["verdict"] == verdict
     assert row["worse"] == (verdict == "WORSE")
     assert ab_pairs.format_rows([row]).splitlines()[1].endswith(verdict)
+
+
+def test_passes_are_read_from_the_benchmark_summary_line():
+    stdout = (
+        "setup: 3 samples\n"
+        "workload cli-queries seed 1: 200 tasks (one median latency each), 412 passes, 3 setup samples\n"
+        '{"metrics": {}}\n'
+    )
+    assert ab_pairs.passes_of(stdout) == 412
+    with pytest.raises(RuntimeError, match="no pass count"):
+        ab_pairs.passes_of('{"metrics": {}}\n')
+
+
+def test_passes_row_holds_both_medians_and_no_verdict():
+    rows = ab_pairs.summarize(_pairs([1.0, 1.1, 1.2], [0.5, 0.6, 0.7]), [("pass_s", "lower", 0.24)])
+    lines = ab_pairs.format_rows(rows, ([300, 310, 305], [400, 390, 420])).splitlines()
+    assert len(lines) == 3 and lines[1].endswith("ok")
+    assert lines[2].split() == ["passes", "305", "400"]
+    # without pass counts the table is as before
+    assert ab_pairs.format_rows(rows).splitlines() == lines[:2]

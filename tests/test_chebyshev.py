@@ -35,6 +35,14 @@ def test_domain_errors():
         chebyshev_S(-2)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+def test_non_int_n_is_a_type_error(n):
+    # True would read as 1, and 2.0 used to fail the range check
+    for family in (chebyshev_T, chebyshev_S):
+        with pytest.raises(TypeError, match="%s needs an int n" % family.__name__):
+            family(n)
+
+
 def test_size_cap_fires_before_the_recurrence(monkeypatch):
     def boom(*args):
         raise AssertionError("the recurrence ran above the cap")

@@ -420,6 +420,65 @@ def test_cached_text_rendering(capsys, tmp_path):
     assert json.loads(out3)["result"]["text"] == out1.strip()
 
 
+# a text call with no cache directory builds no cache key and no envelope bytes
+_TEXT_CALLS = [
+    ("torus-mul", "(2,1)", "(1,1)"),
+    ("chebyshev", "--family", "S", "--n", "6"),
+    ("gamma", "--p", "5"),
+    ("gamma", "--p", "4", "--prime"),
+    ("algebra-closure", "--gen", "[[1,1],[0,1]]"),
+    ("f12-reduce", "--slopes", "1,-2,1,1", "--element", "(0,0,0,3)*e"),
+]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built for a text call with no cache directory")
+
+
+def _text_of(result):
+    # algebra-closure prints its tag and dimension; the others their text
+    if "text" in result:
+        return result["text"]
+    return "%s (dim %d)" % (result["tag"], result["dim"])
+
+
+@pytest.mark.parametrize("argv", _TEXT_CALLS, ids=[" ".join(a) for a in _TEXT_CALLS])
+def test_text_output_without_a_cache_builds_no_key_or_envelope(capsys, monkeypatch, argv):
+    monkeypatch.delenv("SKEINMOD_CACHE_DIR", raising=False)
+    _, env, _ = run_json(capsys, *argv, "--json")
+    monkeypatch.setattr(cli, "_cache_key", _refuse)
+    monkeypatch.setattr(cli.json, "dumps", _refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == _text_of(env["result"]) + "\n"
+
+
+def test_step_capped_text_f12_reduce_without_a_cache_exits_2(capsys, monkeypatch):
+    monkeypatch.delenv("SKEINMOD_CACHE_DIR", raising=False)
+    argv = ("f12-reduce", "--slopes", "1,-2,1,1", "--element", "(5,5,5,5)*e", "--max-steps", "2")
+    _, env, _ = run_json(capsys, *argv, "--json")
+    monkeypatch.setattr(cli, "_cache_key", _refuse)
+    monkeypatch.setattr(cli.json, "dumps", _refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == _text_of(env["result"]) + "\n"
+
+
+@pytest.mark.parametrize("argv", _TEXT_CALLS, ids=[" ".join(a) for a in _TEXT_CALLS])
+def test_text_call_stores_the_entry_its_json_call_prints(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.delenv("SKEINMOD_CACHE_DIR", raising=False)
+    _, printed, _ = run_json(capsys, *argv, "--json")
+    code, _, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+    (entry,) = tmp_path.iterdir()
+    raw = entry.read_bytes()
+    stored = json.loads(raw)
+    stored["timing_ms"] = printed["timing_ms"] = 0
+    assert stored == printed
+    # the stored bytes are the --json form: sorted keys, indent 2, one newline
+    assert raw == (json.dumps(json.loads(raw), sort_keys=True, indent=2) + "\n").encode()
+
+
 # ---------------------------------------------------------------------------
 # malformed cyclotomic matrix entries: exit 1 with the entry named, no traceback
 

@@ -577,6 +577,38 @@ def test_non_int_p_is_a_type_error_before_the_cache(int_first):
 
 
 @pytest.mark.parametrize(
+    "family, parity, name",
+    [(1.0, 0, "family"), (True, 0, "family"), (5, 0.0, "parity"), (1, False, "parity")],
+)
+def test_non_int_family_or_parity_is_a_type_error(family, parity, name):
+    # 1.0 and True hash to FAMILY_SELECTOR's key 1, 0.0 and False into (0, 1)
+    with pytest.raises(TypeError, match="%s must be an int" % name):
+        relation_core(family, 4, parity)
+
+
+def _oracle_recurrence(g1, g2, p):
+    # the recurrence through full Laurent multiplication and subtraction
+    prev, cur = g1, g2
+    for _ in range(p - 2):
+        prev, cur = cur, cur.monomial_shift(0, 1, 0).scale(A(1)) - prev.scale(A(2))
+    return cur
+
+
+def test_gamma_recurrence_matches_the_multiplying_oracle(monkeypatch):
+    got = [(gamma(p), gamma_prime(p)) for p in range(1, 49)]
+    monkeypatch.setattr(handlebody, "_handle_recurrence", _oracle_recurrence)
+    for p, (g, gp) in enumerate(got, start=1):
+        assert g == gamma(p) and str(g) == str(gamma(p)), p
+        assert gp == gamma_prime(p) and str(gp) == str(gamma_prime(p)), p
+
+
+def test_crosscheck_is_unchanged_under_the_oracle_recurrence(monkeypatch):
+    got = {p: crosscheck_relation_cores(p) for p in range(2, 13)}
+    monkeypatch.setattr(handlebody, "_handle_recurrence", _oracle_recurrence)
+    assert got == {p: crosscheck_relation_cores(p) for p in range(2, 13)}
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: verify_Jprime_containment(4.5),

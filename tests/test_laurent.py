@@ -37,6 +37,28 @@ def test_constructor_rejects_nonint():
         LaurentPoly({1.0: 2})
 
 
+@pytest.mark.parametrize("terms", [{True: 1}, {0: True}, [(False, 2)], [(1, False)]])
+def test_constructor_rejects_bool_exponents_and_coefficients(terms):
+    # a bool key was stored as is: LaurentPoly({True: 1}).terms was {True: 1}
+    with pytest.raises(TypeError, match="exponents and coefficients must be int"):
+        LaurentPoly(terms)
+
+
+def test_monomial_rejects_bool_exponent():
+    for bad in (True, False):
+        with pytest.raises(TypeError, match="exponents and coefficients must be int"):
+            A(bad)
+
+
+def test_bool_operands_are_not_constants():
+    # equality with a bool is False rather than an error; arithmetic refuses it
+    assert (LaurentPoly.one() == True) is False
+    assert LaurentPoly.one() != True
+    for op in (lambda p: p + True, lambda p: False - p, lambda p: p * True):
+        with pytest.raises(TypeError):
+            op(LaurentPoly.one())
+
+
 def test_basic_anchors():
     assert str(A(1) + A(-1)) == "A + A^-1"
     assert str(LaurentPoly.from_int(-2) + A(2)) == "A^2 - 2"
