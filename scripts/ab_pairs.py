@@ -27,10 +27,13 @@ change run beats every base run; else `ok`. Each run's pass count, read
 from perfbench's ``... N passes, ...`` line, is printed beside its metrics,
 and the summary adds a `passes` row of both medians with no verdict: a
 faster side fits more passes into the run, and perfbench keeps every
-pass's latencies, so peak memory is read against it. Stdlib only.
+pass's latencies, so peak memory is read against it. A last `src_lines`
+row gives each side's line count of ``src/skeinmod/*.py``, as
+``cat src/skeinmod/*.py | wc -l`` counts it. Stdlib only.
 """
 
 import argparse
+import glob
 import json
 import math
 import os
@@ -71,6 +74,16 @@ def drop_pycache(tree):
         if "__pycache__" in dirs:
             shutil.rmtree(os.path.join(parent, "__pycache__"))
             dirs.remove("__pycache__")
+
+
+def src_lines(tree):
+    """The number of lines of src/skeinmod/*.py in `tree`: its newlines, as
+    wc -l counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "skeinmod", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 # Run length of every benchmark run: a speed claim is measured at 20 s.
@@ -162,9 +175,10 @@ def summarize(pairs, metrics, failed=(0, 0)):
     return rows
 
 
-def format_rows(rows, passes=None):
+def format_rows(rows, passes=None, lines=None):
     """The summary table; `passes`, a (base, change) pair of pass-count
-    lists, adds a row of both medians with no verdict."""
+    lists, adds a row of both medians with no verdict, and `lines`, a
+    (base, change) pair of src_lines counts, a row of both."""
     out = ["%-12s %32s %32s %7s %-6s %s" % ("metric", "base median [q1, q3]",
                                              "change median [q1, q3]", "wins", "claim",
                                              "bound")]
@@ -180,6 +194,8 @@ def format_rows(rows, passes=None):
     if passes is not None:
         out.append("%-12s %32s %32s" % (
             "passes", "%g" % statistics.median(passes[0]), "%g" % statistics.median(passes[1])))
+    if lines is not None:
+        out.append("%-12s %32d %32d" % ("src_lines", *lines))
     return "\n".join(out)
 
 
@@ -200,6 +216,7 @@ def main(argv=None):
             os.mkdir(tree)
         export_base(root, args.base, trees["base"])
         export_worktree(root, trees["change"])
+        lines = (src_lines(trees["base"]), src_lines(trees["change"]))
         pairs, failed = [], {"base": 0, "change": 0}
         passes = {"base": [], "change": []}
         for i in range(args.pairs):
@@ -214,7 +231,7 @@ def main(argv=None):
                     "%s=%.4g" % (k, result[side][k]) for k, *_rest in metrics), count), flush=True)
             pairs.append((result["base"], result["change"]))
     rows = summarize(pairs, metrics, (failed["base"], failed["change"]))
-    print(format_rows(rows, (passes["base"], passes["change"])))
+    print(format_rows(rows, (passes["base"], passes["change"]), lines))
     if failed["base"] or failed["change"]:
         print("failed tasks: base %d, change %d" % (failed["base"], failed["change"]))
         return 1

@@ -29,17 +29,14 @@ root_of_unity_with_trace scans the orders lcm(N, t) ascending, up to
 MAX_ORDER, and in each only k <= m/2: zeta^k and zeta^-k have one trace.
 An order is scanned through its trace table, built once by walking zeta^k
 up and zeta^-k down together: the hashes of the coordinate tuples of the
-traces zeta^k + zeta^-k, sorted, with each one's k, in two flat
-machine-int buffers. A lookup confirms each k offered under the target's
-hash against zeta^k and zeta^-k, folded once each, so it returns what the
-ascending scan would.
+traces zeta^k + zeta^-k, each mapped to the k that have it, in one dict.
+A lookup confirms each k offered under the target's hash against zeta^k
+and zeta^-k, folded once each, so it returns what the ascending scan would.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
 from operator import add, floordiv, mul, neg, sub
@@ -557,17 +554,10 @@ def rational_sqrt_cyclotomic(q):
 # root_of_unity_with_trace scans Q(zeta_m), m = lcm(N, t), for x of order N and each t here
 _TRACE_ORDERS = (1, 4, 8, 12, 24)
 
-# m -> (hashes, ks): the hashes of the coordinate tuples of zeta_m^k +
-# zeta_m^-k over k <= m/2, sorted, and each one's k at the same index,
-# ascending among equal hashes. Two flat buffers of 64-bit ints, 16 bytes a
-# k where a dict of Python ints takes about 150; no coordinates are kept.
+# m -> {hash: ks}: each key is the hash of the coordinate tuple of some
+# zeta_m^k + zeta_m^-k, k <= m/2, and its value the tuple of every such k
+# with that hash, ascending; no coordinates are kept.
 _TRACE_TABLES = {}
-
-
-def _int64s(values):
-    """The ints as a flat read-only sequence of 64-bit machine ints."""
-    values = list(values)
-    return memoryview(struct.pack(f"{len(values)}q", *values)).cast("q")
 
 
 def _trace_table(m):
@@ -579,8 +569,8 @@ def _trace_table(m):
         xinv = _power(m, m - 1, phi)
         up = _power(m, 0, phi)
         down = list(up)
-        hashes = [hash(tuple(map(add, up, down)))]
-        for _ in range(m // 2):
+        table = {hash(tuple(map(add, up, down))): (0,)}
+        for k in range(1, m // 2 + 1):
             up = _fold(m, [0, *up], phi)
             # x^-k = x^-1 * x^-(k-1): each x^j of down moves to x^(j-1), and
             # the constant term d0 becomes d0 * x^-1
@@ -588,9 +578,9 @@ def _trace_table(m):
             down = [*down[1:], 0]
             if d0:
                 down = [a + d0 * b for a, b in zip(down, xinv)]
-            hashes.append(hash(tuple(map(add, up, down))))
-        ks = sorted(range(len(hashes)), key=hashes.__getitem__)  # stable: k ascending
-        table = _TRACE_TABLES[m] = (_int64s(map(hashes.__getitem__, ks)), _int64s(ks))
+            key = hash(tuple(map(add, up, down)))
+            table[key] = table.get(key, ()) + (k,)
+        _TRACE_TABLES[m] = table
     return table
 
 
@@ -606,17 +596,12 @@ def _trace_hit(x):
         if m > MAX_ORDER:
             break
         target = x.lift(m).num
-        hashes, ks = _trace_table(m)
         phi = len(target)
-        key = hash(target)
-        i = bisect_left(hashes, key)
-        while i < len(hashes) and hashes[i] == key:
-            k = ks[i]
+        for k in _trace_table(m).get(hash(target), ()):
             row_k = _power(m, k, phi)
             row_nk = _power(m, (m - k) % m, phi)
             if all(t == a + b for t, a, b in zip(target, row_k, row_nk)):
                 return m, k, row_k, row_nk
-            i += 1
     return None
 
 
@@ -631,7 +616,7 @@ def root_of_unity_with_trace(x):
 
     An order is scanned through its trace table (_trace_table), built the
     first time the order is scanned: the hash of the coordinates of x at
-    order m is looked up among the sorted hashes of the traces zeta_m^k +
+    order m is looked up among the hashes of the traces zeta_m^k +
     zeta_m^-k, and the k with that hash, ascending, are each confirmed
     against x^k and x^-k, folded once each. The table keeps no coordinates,
     and a hash collision costs one comparison, never a wrong hit.

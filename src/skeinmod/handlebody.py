@@ -45,6 +45,8 @@ class Poly3(SparseSum):
         self.terms = {}
         if terms:
             for key, c in terms.items():
+                if any(type(e) is not int for e in key):
+                    raise TypeError(f"monomial exponents must be int, got {key!r}")
                 if len(key) != 3 or any(e < 0 for e in key):
                     raise ValueError(f"bad monomial key {key!r}")
                 accumulate(self.terms, key, c)
@@ -354,7 +356,9 @@ def monomials_leq(degree_bound):
 MAX_DEGREE = 64
 
 
-def _check_degree(degree_bound):
+def _check_degree(degree_bound, name="degree_bound"):
+    if isinstance(degree_bound, bool) or not isinstance(degree_bound, int):
+        raise TypeError(f"{name} must be an int, got {degree_bound!r}")
     if degree_bound > MAX_DEGREE:
         raise ValueError(f"degree bound {degree_bound} exceeds the limit {MAX_DEGREE}")
 
@@ -685,6 +689,8 @@ def nested_truncation_dimension(p, window_degree, relation_degree, grading=None)
     #window monomials - (rank of all rows - rank of their projections past
     the window); a larger relation_degree can only shrink it.
     """
+    _check_degree(window_degree, "window_degree")
+    _check_degree(relation_degree, "relation_degree")
     if relation_degree < window_degree:
         raise ValueError("relation degree must dominate the window")
     inside, width, rank, outside = _quotient_ranks(p, relation_degree, grading, window_degree)

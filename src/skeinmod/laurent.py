@@ -115,6 +115,8 @@ class LaurentPoly(SparseSum):
 
     def shift(self, k):
         """Multiply by A^k."""
+        if type(k) is not int:
+            raise TypeError(f"shift exponent k must be an int, got {k!r}")
         # distinct exponents stay distinct and no value changes
         return LaurentPoly._wrap({e + k: v for e, v in self.terms.items()})
 

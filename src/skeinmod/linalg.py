@@ -131,17 +131,30 @@ class FieldEchelon:
         return basis
 
 
+def _exact_rows(name, matrix):
+    """The rows as lists; TypeError naming the row and column of a float,
+    complex or bool entry, none of which is an exact field element."""
+    rows = [list(row) for row in matrix]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if isinstance(v, (bool, float, complex)):
+                raise TypeError(f"{name} entry ({i}, {j}) must be exact, got {v!r}")
+    return rows
+
+
 def field_rank(matrix):
-    """Exact rank; integer matrices take the Bareiss path automatically."""
-    rows = list(matrix)
+    """Exact rank; integer matrices take the Bareiss path automatically.
+    Raises TypeError on a float, complex or bool entry (_exact_rows)."""
+    rows = _exact_rows("field_rank", matrix)
     if all(isinstance(v, int) for row in rows for v in row):
         return bareiss_rank(rows)
     return FieldEchelon.of(rows).rank
 
 
 def field_nullspace(matrix):
-    """Basis of the right kernel over the entry field (FieldEchelon.kernel)."""
-    return FieldEchelon.of(matrix).kernel()
+    """Basis of the right kernel over the entry field (FieldEchelon.kernel).
+    Raises TypeError on a float, complex or bool entry (_exact_rows)."""
+    return FieldEchelon.of(_exact_rows("field_nullspace", matrix)).kernel()
 
 
 def smith_normal_form(matrix):

@@ -304,20 +304,6 @@ def is_irreducible(a, b):
     return not commutator(a, b).det().is_zero
 
 
-def trace_triple_realize(x, y, s):
-    """Matrices q1 = [[eta1, 1], [0, eta1^-1]] and q2 = [[eta2, 0], [s,
-    eta2^-1]], so tr q1 = x, tr q2 = y and tr(q1 q2) = eta1*eta2 +
-    (eta1*eta2)^-1 + s, where trace_roots recognizes x and y as
-    eta + eta^-1 for roots of unity eta."""
-    roots1 = trace_roots(x)
-    roots2 = trace_roots(y)
-    if roots1 is None or roots2 is None:
-        raise ValueError("traces must be sums of a root of unity and its inverse")
-    eta1, eta1inv = roots1
-    eta2, eta2inv = roots2
-    return Mat2(eta1, 1, 0, eta1inv), Mat2(eta2, 0, s, eta2inv)
-
-
 def _eigenvalues_det1(tr):
     """Both eigenvalues of an SL2 matrix with trace t, in the field: lam and
     t - lam (they sum to t and multiply to 1). ValueError when not

@@ -25,7 +25,6 @@ from .mat2 import (
     is_irreducible,
     sl2_sqrt,
     trace_of_product,
-    trace_triple_realize,
 )
 
 # Input limits, checked before anything is built. The Smith normal forms of
@@ -567,7 +566,7 @@ def _attempt_chain(data, case, layout, d_by_sym, field_order, assign):
         for sym in chain
     ]
 
-    # first two letters through the shared two-generator realization
+    # the first two letters, from the eigenvalues their traces give
     eta1, eta1inv = _recognized_eigenvalue(traces[0])
     eta2, eta2inv = _recognized_eigenvalue(traces[1])
     base = eta1 * eta2 + eta1inv * eta2inv
@@ -578,7 +577,8 @@ def _attempt_chain(data, case, layout, d_by_sym, field_order, assign):
         s = CycNum.rational(s_val) - base
     else:  # target_exp: aim the product trace at a scheduled root of unity
         s = _root_trace(field_order, s_val) - base
-    p1, p2 = trace_triple_realize(traces[0], traces[1], s)
+    p1 = Mat2(eta1, 1, 0, eta1inv)
+    p2 = Mat2(eta2, 0, s, eta2inv)
     letters = [p1, p2]
     partial = p1 * p2
 

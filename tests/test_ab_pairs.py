@@ -162,3 +162,23 @@ def test_passes_row_holds_both_medians_and_no_verdict():
     assert lines[2].split() == ["passes", "305", "400"]
     # without pass counts the table is as before
     assert ab_pairs.format_rows(rows).splitlines() == lines[:2]
+
+
+def test_src_lines_counts_newlines_of_the_package_files(tmp_path):
+    pkg = tmp_path / "src" / "skeinmod"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert ab_pairs.src_lines(tmp_path) == 2
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    want = sum(p.read_bytes().count(b"\n") for p in (repo / "src" / "skeinmod").glob("*.py"))
+    assert ab_pairs.src_lines(repo) == want > 0
+
+
+def test_src_lines_row_holds_both_counts():
+    rows = ab_pairs.summarize(_pairs([1.0, 1.1, 1.2], [0.5, 0.6, 0.7]), [("pass_s", "lower", 0.24)])
+    lines = ab_pairs.format_rows(rows, ([300, 310, 305], [400, 390, 420]), (5098, 5065)).splitlines()
+    assert len(lines) == 4
+    assert lines[3].split() == ["src_lines", "5098", "5065"]

@@ -586,6 +586,31 @@ def test_non_int_family_or_parity_is_a_type_error(family, parity, name):
         relation_core(family, 4, parity)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda bad: truncated_quotient_dimension(4, bad), "degree_bound"),
+        (lambda bad: truncated_quotient_dimension(4, bad, (0, 0)), "degree_bound"),
+        (lambda bad: relation_generators(4, bad), "degree_bound"),
+        (lambda bad: nested_truncation_dimension(4, bad, 4), "window_degree"),
+        (lambda bad: nested_truncation_dimension(4, 2, bad), "relation_degree"),
+    ],
+)
+@pytest.mark.parametrize("bad", [True, 6.0, "4"])
+def test_non_int_degree_is_a_type_error_before_the_range(call, name, bad):
+    # truncated_quotient_dimension(4, True) read True as the degree 1 and
+    # returned 4; 6.0 failed inside range() with a message naming nothing
+    with pytest.raises(TypeError, match="%s must be an int" % name):
+        call(bad)
+
+
+@pytest.mark.parametrize("key", [(1.5, 0, 0), (0, True, 0), (0, 0, 2.0)])
+def test_poly3_refuses_non_int_exponents(key):
+    # Poly3({(1.5, 0, 0): 1}) printed (1)*x^1.5
+    with pytest.raises(TypeError, match="monomial exponents must be int"):
+        Poly3({key: LaurentPoly.one()})
+
+
 def _oracle_recurrence(g1, g2, p):
     # the recurrence through full Laurent multiplication and subtraction
     prev, cur = g1, g2

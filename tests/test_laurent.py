@@ -50,6 +50,15 @@ def test_monomial_rejects_bool_exponent():
             A(bad)
 
 
+@pytest.mark.parametrize("k", [0.5, True, 1.0, Fraction(1)])
+def test_shift_refuses_non_int_exponents(k):
+    # A(1).shift(0.5) printed A^1.5 and A(1).shift(True) gave A^2
+    with pytest.raises(TypeError, match="shift exponent k must be an int"):
+        A(1).shift(k)
+    with pytest.raises(TypeError, match="shift exponent k must be an int"):
+        LaurentFraction(A(1), A(0) + 1).shift(k)
+
+
 def test_bool_operands_are_not_constants():
     # equality with a bool is False rather than an error; arithmetic refuses it
     assert (LaurentPoly.one() == True) is False

@@ -125,6 +125,24 @@ def test_snf_rejects_an_entry_that_is_not_an_int(matrix, where, entry):
         smith_normal_form(matrix)
 
 
+@pytest.mark.parametrize("solve", [field_rank, field_nullspace], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "matrix, where, entry",
+    [
+        ([[0.1, 0.2]], (0, 0), 0.1),
+        ([[True, 2]], (0, 0), True),
+        ([[1, 2], [Fraction(1, 3), 1j]], (1, 1), 1j),
+        ([[1, Fraction(1, 2)], [3, False]], (1, 1), False),
+    ],
+)
+def test_field_solvers_reject_inexact_entries(solve, matrix, where, entry):
+    # field_nullspace([[0.1, 0.2]]) returned [[-2.0, 1]], and field_rank read
+    # True as 1
+    name = solve.__name__
+    with pytest.raises(TypeError, match=re.escape(f"{name} entry {where} must be exact, got {entry!r}")):
+        solve(matrix)
+
+
 # ---------------------------------------------------------------------------
 # bareiss_rank on sparse {column: int} rows
 

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cyc_numbers, laurent_polys, rational_mat2, small_fractions
-from skeinmod.cyclotomic import MAX_ORDER, CycNum, root_of_unity, totient
+from skeinmod.cyclotomic import MAX_ORDER, CycNum, root_of_unity, totient, trace_roots
 from skeinmod.gaussian import GaussRat
 from skeinmod.linalg import FieldEchelon, field_nullspace
 from skeinmod.mat2 import (
@@ -29,7 +29,6 @@ from skeinmod.mat2 import (
     sqrt_of_trace_plus_two,
     standardize_pair,
     trace_of_product,
-    trace_triple_realize,
 )
 
 E11 = Mat2(1, 0, 0, 0)
@@ -514,19 +513,6 @@ def test_irreducibility_is_generating_m2(a, b):
     assert is_irreducible(a, b) == (algebra_closure([a, b]).dim == 4)
 
 
-def test_trace_triple_realize_anchor():
-    q1, q2 = trace_triple_realize(1, 1, CycNum.zero())
-    assert q1.trace() == 1 and q2.trace() == 1
-    assert q1.det() == 1 and q2.det() == 1
-    assert (q1 * q2).trace() == -1
-
-    # the off-diagonal slot shifts the product trace by exactly s
-    q1, q2 = trace_triple_realize(0, 1, CycNum.one())
-    assert q1.trace() == 0 and q2.trace() == 1
-    q1b, q2b = trace_triple_realize(0, 1, CycNum.zero())
-    assert (q1 * q2).trace() == (q1b * q2b).trace() + CycNum.one()
-
-
 def _adjugate_over_det(m):
     inv = m.det().inverse()
     return Mat2(m.d * inv, -m.b * inv, -m.c * inv, m.a * inv)
@@ -543,18 +529,15 @@ def _adjugate_over_det(m):
 def test_unit_determinant_inverse_is_the_adjugate(m1, k1, m2, k2, s):
     x = root_of_unity(m1, k1) + root_of_unity(m1, -k1)
     y = root_of_unity(m2, k2) + root_of_unity(m2, -k2)
-    q1, q2 = trace_triple_realize(x, y, s)
+    eta1, eta1inv = trace_roots(x)
+    eta2, eta2inv = trace_roots(y)
+    q1, q2 = Mat2(eta1, 1, 0, eta1inv), Mat2(eta2, 0, s, eta2inv)
     # entries of mixed orders: 1 beside the eigenvalues, and s's own order
     for m in (q1, q2, q1 * q2, Mat2(2, 1, 1, 1), Mat2(root_of_unity(8, 1), 0, 0, root_of_unity(8, 7))):
         assert m.det() == 1
         got = m.inverse()
         assert [e.as_dict() for e in got.entries] == [e.as_dict() for e in _adjugate_over_det(m).entries]
         assert m * got == Mat2.identity()
-
-
-def test_trace_triple_realize_rejects_large_traces():
-    with pytest.raises(ValueError):
-        trace_triple_realize(3, 1, CycNum.zero())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from skeinmod import linalg, mat2, seifert
+from skeinmod import cyclotomic, linalg, mat2, seifert
 from skeinmod.cyclotomic import CycNum, root_of_unity
 from skeinmod.linalg import bareiss_rank, smith_normal_form
 from skeinmod.mat2 import Mat2, algebra_closure, standardize_pair
@@ -855,17 +855,19 @@ def test_certify_checks_relators_once_on_the_alternate_path(data, monkeypatch):
 
 @pytest.fixture
 def broken_chain(monkeypatch):
-    """trace_triple_realize returns (p1 w, w^-1 p2) for a det-1 w: the chain
-    runs on as before, since p1 p2 is unchanged, but tr p1 w != tr p1, so
-    the first fiber letter's relator q^alpha h^beta fails."""
-    realize = seifert.trace_triple_realize
+    """_attempt_chain returns its representation with the image of the first
+    chain letter times a det-1 w: every image keeps det 1, but the relators
+    that read that letter fail."""
+    attempt = seifert._attempt_chain
     w = Mat2(1, 0, 1, 1)
 
-    def broken(x, y, s):
-        p1, p2 = realize(x, y, s)
-        return p1 * w, w.inverse() * p2
+    def broken(data, case, layout, *args):
+        rep, pair = attempt(data, case, layout, *args)
+        images = dict(rep.images)
+        images[layout.chain[0]] = images[layout.chain[0]] * w
+        return Representation(images), pair
 
-    monkeypatch.setattr(seifert, "trace_triple_realize", broken)
+    monkeypatch.setattr(seifert, "_attempt_chain", broken)
 
 
 @pytest.mark.parametrize("data", [FIVE_INSTANCES[0], FIVE_INSTANCES[2], RP2_SMALL], ids=repr)
@@ -878,6 +880,35 @@ def test_certify_raises_when_its_certificate_fails_reverification(data, broken_c
 def test_build_representation_checks_its_relators(broken_chain):
     with pytest.raises(BuildError, match="relation verification failed for case 'sphere_base'"):
         build_representation(FIVE_INSTANCES[0], "sphere_base")
+
+
+def test_chain_attempt_recognizes_each_trace_once(monkeypatch):
+    # the two first letters and the one extension step of the 4-letter
+    # sphere chain each recognize one trace: 3 scans, none repeated
+    data = FIVE_INSTANCES[0]
+    attempt = seifert._attempt_chain
+    args = []
+
+    def recorded(*a):
+        args.append(a)
+        return attempt(*a)
+
+    monkeypatch.setattr(seifert, "_attempt_chain", recorded)
+    next(seifert._chain_candidates(data, "sphere_base", seifert._chain_layout(data, "sphere_base")))
+    hit = cyclotomic._trace_hit
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return hit(x)
+
+    monkeypatch.setattr(cyclotomic, "_trace_hit", counted)
+    _data, _case, layout, d_by_sym, _order, _assign = args[-1]  # the attempt that completed
+    rep, _pair = attempt(*args[-1])
+    assert len(calls) == 3
+    # every fiber letter, the first two included, has its eigenvalue's trace
+    for sym in layout.chain:
+        assert rep.images[sym].trace() == seifert._root_trace(d_by_sym[sym], 1)
 
 
 def test_representation_shares_its_units():
